@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import CoreflowError
+from .errors import CoreflowError, ValidationError
 from .experiments import generate_to_files, run_experiment, run_theorem_suite
 from .tensor import read_tensor
 
@@ -41,6 +41,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "suite":
+            if args.seeds < 1:
+                raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
             result = run_theorem_suite(args.seeds, args.out)
             for rep in result.reports:
                 status = "PASS" if rep.passed else "FAIL"
@@ -53,6 +55,8 @@ def main(argv=None) -> int:
 
         cfg = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValidationError(f"--seed must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out = args.out

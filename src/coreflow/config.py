@@ -247,6 +247,8 @@ def _validate(cfg: ExperimentConfig, seen_blocks: set, base_dir: str) -> None:
         return
     if "model" not in seen_blocks:
         raise ValidationError("missing 'model' block")
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.kind == "tucker2-noise":
         cfg.model.family = cfg.model.family or "tucker2"
         cfg.model.modes = cfg.model.modes or (10, 8)

@@ -201,6 +201,26 @@ def _write_summary(out_dir: str, summary: dict) -> None:
             fh.write(f"{key} {value}\n")
 
 
+class _StepClock:
+    """The fastest step of a run, timed through ``run``'s per-step sink.
+
+    A shared host slows a run for stretches of seconds, by a share that
+    changes from run to run, so a whole-run reading (or a median over blocks
+    of steps) moves with the host's load.  The fastest step is the one the
+    host slowed least: the program's own cost per step, provided the host
+    ran at full speed at some point during the run.
+    """
+
+    def __init__(self):
+        self.fastest = math.inf
+        self.last = time.perf_counter()
+
+    def step(self, record) -> None:
+        now = time.perf_counter()
+        self.fastest = min(self.fastest, now - self.last)
+        self.last = now
+
+
 def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Masked tensor completion: train on the observed fraction, score
     held-out entries with R^2."""
@@ -219,12 +239,11 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     cores = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
     optimizer = build_optimizer(cfg.optimizer)
 
-    start = time.perf_counter()
+    clock = _StepClock()
     cores, records = run(
         spec, cores, objective, optimizer, cfg.optimizer.iters,
-        schedule=cfg.optimizer.schedule,
+        sink=clock.step, schedule=cfg.optimizer.schedule,
     )
-    elapsed = time.perf_counter() - start
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), records)
 
     pred = reconstruct(spec, cores)
@@ -242,7 +261,7 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         "final_loss": objective.loss_and_grad(pred)[0],
         "final_q": norm_deviation([frobenius_norm_sq(c) for c in cores]),
         "r2": r2,
-        "seconds_per_step": elapsed / cfg.optimizer.iters,
+        "seconds_per_step": clock.fastest,
         "train_loss_last_recorded": final.loss,
     }
     _write_summary(out_dir, summary)

@@ -2,9 +2,10 @@
 
 A model is a labelled contraction over K trainable cores (plus optional
 constant operands, e.g. the superdiagonal tensor that turns a Tucker plan
-into CP).  Gradients come from the hole-contraction rule: the gradient with
-respect to core m is the contraction of the output gradient with every
-operand except m, which is exact because the map is linear in each core.
+into CP).  The plan is compiled once into pairwise steps (see
+``tensor.CompiledPlan``); the forward pass reconstructs, and one reverse pass
+through the same steps gives every core's gradient, which is exact because
+the map is linear in each core.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .tensor import (
     Shape,
     as_tensor,
     contract,
+    contract_grads,
     frobenius_inner,
     frobenius_norm_sq,
 )
@@ -57,33 +59,6 @@ class ReconstructionSpec:
                 raise LabelError(f"core slot {labels!r} repeats a label")
             if len(labels) != len(shape):
                 raise ShapeMismatch(f"core slot {labels!r} vs shape {shape}")
-        object.__setattr__(
-            self, "_hole", tuple(self._build_hole(m) for m in range(len(core_slots)))
-        )
-
-    def _build_hole(self, m: int) -> tuple["ContractionPlan", tuple[int, ...]]:
-        """The gradient plan for core m: the output gradient contracted with
-        every other operand.  Operands are chained greedily so each pairwise
-        step shares a label with the accumulator (no outer-product blowups);
-        the order is fixed at construction, keeping evaluation deterministic.
-        """
-        slot = self._core_slots[m]
-        op_labels = self.plan.operand_labels
-        remaining = [i for i in range(len(op_labels)) if i != slot]
-        seen = set(self.plan.output_labels)
-        order: list[int] = []
-        while remaining:
-            pick = next(
-                (i for i in remaining if set(op_labels[i]) & seen), remaining[0]
-            )
-            remaining.remove(pick)
-            order.append(pick)
-            seen.update(op_labels[pick])
-        plan = ContractionPlan(
-            (self.plan.output_labels,) + tuple(op_labels[i] for i in order),
-            op_labels[slot],
-        )
-        return plan, tuple(order)
 
     @property
     def num_cores(self) -> int:
@@ -124,22 +99,36 @@ def reconstruct_with(
 
 
 def hole_plan(spec: ReconstructionSpec, m: int) -> ContractionPlan:
-    """Plan computing the gradient of core m from the output gradient."""
-    return spec._hole[m][0]
+    """Core m's gradient written as a single contraction: the output gradient
+    with every operand except core m, chained greedily so each pairwise step
+    shares a label with the accumulator.  ``grad_cores`` does not evaluate
+    it; it describes what one core's gradient costs on its own.
+    """
+    slot = spec.core_slots[m]
+    op_labels = spec.plan.operand_labels
+    remaining = [i for i in range(len(op_labels)) if i != slot]
+    seen = set(spec.plan.output_labels)
+    order: list[int] = []
+    while remaining:
+        pick = next((i for i in remaining if set(op_labels[i]) & seen), remaining[0])
+        remaining.remove(pick)
+        order.append(pick)
+        seen.update(op_labels[pick])
+    return ContractionPlan(
+        (spec.plan.output_labels,) + tuple(op_labels[i] for i in order),
+        op_labels[slot],
+    )
 
 
 def grad_cores(
     spec: ReconstructionSpec, cores: list[np.ndarray], dl_dt: np.ndarray
 ) -> list[np.ndarray]:
-    """Per-core gradients of f(reconstruct(cores)) given dl_dt = df/d(output)."""
+    """Per-core gradients of f(reconstruct(cores)) given dl_dt = df/d(output),
+    from one reverse pass through the plan's pairwise steps; constant slots
+    get no gradient."""
     if dl_dt.shape != spec.output_shape:
         raise ShapeMismatch(f"output grad {dl_dt.shape} vs {spec.output_shape}")
-    ops = spec.operands(cores)
-    grads = []
-    for m in range(spec.num_cores):
-        plan, order = spec._hole[m]
-        grads.append(contract(plan, [dl_dt] + [ops[i] for i in order]))
-    return grads
+    return contract_grads(spec.plan, spec.operands(cores), dl_dt, spec.core_slots)
 
 
 def check_scale_invariance(

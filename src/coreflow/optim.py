@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoreflowError, ZeroCoreNorm
 from .model import LayeredModel, ReconstructionSpec, grad_cores, reconstruct
-from .tensor import as_tensor, ensure_finite, frobenius_norm_sq
+from .tensor import as_tensor, frobenius_norm_sq, seal
 
 _TINY_NORM_SQ = 1e-300
 
@@ -106,6 +106,19 @@ def init_state(cfg: OptimizerConfig, cores: list[np.ndarray]) -> OptimizerState:
     return OptimizerState()
 
 
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of ``flat`` shaped like each array of ``like``, end to end."""
+    out, start = [], 0
+    for a in like:
+        out.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return out
+
+
 def base_step(
     cores: list[np.ndarray],
     grads: list[np.ndarray],
@@ -114,32 +127,30 @@ def base_step(
     eta: float | None = None,
 ) -> list[np.ndarray]:
     """One SGD/momentum/Adam update.  Weight decay is decoupled: cores are
-    shrunk by (1 - eta*wd) separately from the gradient term."""
+    shrunk by (1 - eta*wd) separately from the gradient term.
+
+    The update is elementwise, so it runs once over all cores laid end to
+    end (one numpy call per operation instead of one per core); the new
+    cores and state buffers are views of those flat arrays.
+    """
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    new_cores = []
+    g = _concat(grads)
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
-        for k, (core, g) in enumerate(zip(cores, grads)):
-            state.adam_m[k] = cfg.beta1 * state.adam_m[k] + (1.0 - cfg.beta1) * g
-            state.adam_v[k] = cfg.beta2 * state.adam_v[k] + (1.0 - cfg.beta2) * (g * g)
-            m_hat = state.adam_m[k] / c1
-            v_hat = state.adam_v[k] / c2
-            step = m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            new_cores.append(shrink * core - eta * step)
+        m = cfg.beta1 * _concat(state.adam_m) + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * _concat(state.adam_v) + (1.0 - cfg.beta2) * (g * g)
+        state.adam_m, state.adam_v = _split(m, cores), _split(v, cores)
+        step = (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
+    elif cfg.momentum > 0.0:
+        step = cfg.momentum * _concat(state.momentum) + g
+        state.momentum = _split(step, cores)
     else:
-        for k, (core, g) in enumerate(zip(cores, grads)):
-            if cfg.momentum > 0.0:
-                state.momentum[k] = cfg.momentum * state.momentum[k] + g
-                g = state.momentum[k]
-            new_cores.append(shrink * core - eta * g)
-    out = []
-    for arr in new_cores:
-        ensure_finite(arr, "optimizer update")
-        out.append(as_tensor(arr))
-    return out
+        step = g
+    new = seal(shrink * _concat(cores) - eta * step, "optimizer update")
+    return _split(new, cores)
 
 
 def loss_and_core_grads(spec, cores, objective):
@@ -233,7 +244,7 @@ def das_step(
     if gbar == 0.0:
         new = base_step(cores, g, cfg.base, state, eta_t)
         return new, DasStepTrace(loss, gamma, s, tuple(lams), gbar, u, True)
-    scaled = [as_tensor((1.0 + lam) * c) for lam, c in zip(lams, cores)]
+    scaled = [(1.0 + lam) * c for lam, c in zip(lams, cores)]
     new = base_step(scaled, g, cfg.base, state, eta_t)
     return new, DasStepTrace(loss, gamma, s, tuple(lams), gbar, u)
 
@@ -415,7 +426,7 @@ def layered_das_step(
         for layer_gamma, layer_s in zip(gamma, s)
     )
     scaled = [
-        [as_tensor((1.0 + lam) * c) for lam, c in zip(layer_lams, layer_c)]
+        [(1.0 + lam) * c for lam, c in zip(layer_lams, layer_c)]
         for layer_lams, layer_c in zip(lambdas, model.cores)
     ]
     flat = base_step(_flatten(scaled), _flatten(grads), cfg.base, state, eta)

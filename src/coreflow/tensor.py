@@ -2,12 +2,15 @@
 
 Tensors are plain ``numpy.ndarray`` values: C-order, float64, all entries
 finite, and marked read-only once they leave this module.  Every operation is
-a pure function returning a fresh array; any NaN/Inf raises NumericalError
-immediately instead of propagating.
+a pure function returning a fresh array, and every array it returns is checked:
+a NaN/Inf raises NumericalError instead of propagating.  Contractions check
+only their results, since a non-finite intermediate always reaches them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -43,7 +46,9 @@ def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
     return arr
 
 
-def _seal(arr: np.ndarray, context: str) -> np.ndarray:
+def seal(arr: np.ndarray, context: str) -> np.ndarray:
+    """A computed array as a tensor: checked finite, C-order (copied only if
+    it is not), and read-only."""
     ensure_finite(arr, context)
     if getattr(arr, "ndim", 0) > 0:
         arr = np.ascontiguousarray(arr)
@@ -95,8 +100,13 @@ class ContractionPlan:
                 raise LabelError(f"free label {ch!r} missing from output")
 
     @classmethod
+    @functools.cache
     def parse(cls, expression: str) -> "ContractionPlan":
-        """Parse an ``"ij,jk->ik"`` style expression."""
+        """Parse an ``"ij,jk->ik"`` style expression.
+
+        Plans are immutable, so one expression parses to one shared plan: the
+        many specs built from a family's expression share it.
+        """
         if "->" not in expression:
             raise LabelError(f"plan {expression!r} lacks '->'")
         lhs, out = expression.split("->", 1)
@@ -106,14 +116,14 @@ class ContractionPlan:
         return ",".join(self.operand_labels) + "->" + self.output_labels
 
 
-def _label_extents(plan: ContractionPlan, inputs: list[np.ndarray]) -> dict[str, int]:
+def _label_extents(plan: ContractionPlan, shapes) -> dict[str, int]:
     extents: dict[str, int] = {}
-    for labels, arr in zip(plan.operand_labels, inputs):
-        if arr.ndim != len(labels):
+    for labels, shape in zip(plan.operand_labels, shapes):
+        if len(shape) != len(labels):
             raise ShapeMismatch(
-                f"operand {labels!r} needs rank {len(labels)}, got shape {arr.shape}"
+                f"operand {labels!r} needs rank {len(labels)}, got shape {shape}"
             )
-        for ch, d in zip(labels, arr.shape):
+        for ch, d in zip(labels, shape):
             if extents.setdefault(ch, d) != d:
                 raise ShapeMismatch(
                     f"label {ch!r} has extents {extents[ch]} and {d}"
@@ -121,62 +131,230 @@ def _label_extents(plan: ContractionPlan, inputs: list[np.ndarray]) -> dict[str,
     return extents
 
 
+def _pair(x: str, y: str, summed: str):
+    """Axes of one pairwise product: operands labelled x and y, summed over
+    the labels ``summed``; the result carries x's other labels, then y's.
+
+    The axes are those ``numpy.tensordot`` derives (summed axes last in x and
+    first in y, in the order given), so a step evaluates bit for bit as
+    tensordot would.
+    """
+    keep_x = "".join(ch for ch in x if ch not in summed)
+    keep_y = "".join(ch for ch in y if ch not in summed)
+    perm_x = tuple(x.index(ch) for ch in keep_x + summed)
+    perm_y = tuple(y.index(ch) for ch in summed + keep_y)
+    return (perm_x, perm_y, keep_x, summed, keep_y), keep_x + keep_y
+
+
+def _size_pair(step, extents: dict[str, int]):
+    perm_x, perm_y, keep_x, summed, keep_y = step
+    m, k, n = (math.prod(extents[ch] for ch in part) for part in (keep_x, summed, keep_y))
+    return perm_x, perm_y, (m, k), (k, n), tuple(extents[ch] for ch in keep_x + keep_y)
+
+
+def _apply_pair(step, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    perm_x, perm_y, shape_x, shape_y, shape_out = step
+    return np.dot(
+        x.transpose(perm_x).reshape(shape_x), y.transpose(perm_y).reshape(shape_y)
+    ).reshape(shape_out)
+
+
+def _perm(labels: str, target: str) -> tuple[int, ...] | None:
+    """The transpose taking ``labels`` to ``target`` order; None if it is the identity."""
+    return None if labels == target else tuple(labels.index(ch) for ch in target)
+
+
+class CompiledPlan:
+    """A plan lowered once to a fixed list of pairwise steps.
+
+    Forward, operands fold left to right: each step is a tensordot over the
+    labels the accumulator shares with the next operand (a shared label is
+    always bound, by the plan grammar, so it is summed the moment its partner
+    arrives).  A label repeated within one operand, which by the grammar
+    appears nowhere else, is first collapsed to its diagonal and summed after
+    the last step.  The rest is a permutation of the free labels.  The fixed
+    order keeps results bit-deterministic across runs on one platform.
+
+    Reverse, one pass back through the same steps turns the gradient of the
+    output into the gradient of every requested operand slot: at step i the
+    incoming gradient, contracted with the accumulator before the step, gives
+    operand i's gradient, and contracted with operand i, the gradient passed
+    on to that accumulator.  The pass recomputes the accumulators it needs.
+
+    Axes and permutations are fixed per plan; the sizes of each step are
+    worked out once per distinct set of operand shapes, which also checks the
+    shapes against the labels.
+    """
+
+    _MAX_SHAPE_SETS = 64
+
+    def __init__(self, plan: ContractionPlan):
+        self.plan = plan
+        self.context = f"contract {plan.expression()!r}"
+        ops = plan.operand_labels
+        self._diag = tuple(
+            f"{lb}->{''.join(dict.fromkeys(lb))}" if len(set(lb)) != len(lb) else None
+            for lb in ops
+        )
+        self._has_diag = any(self._diag)
+        labels = ["".join(dict.fromkeys(lb)) for lb in ops]
+        out = plan.output_labels
+
+        accs = [labels[0]]
+        self._forward = []
+        for nxt in labels[1:]:
+            step, acc = _pair(accs[-1], nxt, "".join(ch for ch in accs[-1] if ch in nxt))
+            self._forward.append(step)
+            accs.append(acc)
+        self._extra = "".join(ch for ch in accs[-1] if ch not in out)
+        self._sum_axes = tuple(accs[-1].index(ch) for ch in self._extra)
+        self._out_perm = _perm("".join(ch for ch in accs[-1] if ch in out), out)
+
+        # Reverse steps, last operand first; `grad` labels the incoming gradient.
+        grad = out + self._extra
+        self._reverse = []
+        for i in range(len(ops) - 1, 0, -1):
+            acc, op = accs[i - 1], labels[i]
+            summed = "".join(ch for ch in grad if ch in acc and ch not in op)
+            op_grad, got = _pair(acc, grad, summed)
+            perm = _perm(got, op)
+            summed = "".join(ch for ch in grad if ch in op and ch not in acc)
+            acc_grad, grad = _pair(grad, op, summed)
+            self._reverse.append((op_grad, perm, acc_grad))
+        self._first_perm = _perm(grad, labels[0])
+        self._sizes: dict[tuple[Shape, ...], tuple] = {}
+
+    def _sized(self, inputs: list[np.ndarray]) -> tuple:
+        """(forward steps, reverse steps, output shape, and the reshape and
+        broadcast shapes that give the output gradient the extra labels),
+        sized for the shapes of ``inputs``."""
+        if len(inputs) != len(self._diag):
+            raise ShapeMismatch(
+                f"plan has {len(self._diag)} operands, got {len(inputs)}"
+            )
+        shapes = tuple([x.shape for x in inputs])
+        sizes = self._sizes.get(shapes)
+        if sizes is None:
+            extents = _label_extents(self.plan, shapes)
+            out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
+            sizes = (
+                [_size_pair(step, extents) for step in self._forward],
+                [
+                    (_size_pair(op_grad, extents), perm, _size_pair(acc_grad, extents))
+                    for op_grad, perm, acc_grad in self._reverse
+                ],
+                out_shape,
+                out_shape + (1,) * len(self._extra),
+                out_shape + tuple(extents[ch] for ch in self._extra),
+            )
+            if len(self._sizes) >= self._MAX_SHAPE_SETS:
+                self._sizes.clear()
+            self._sizes[shapes] = sizes
+        return sizes
+
+    def _operands(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
+        if not self._has_diag:
+            return inputs
+        return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
+
+    def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
+        """The contraction, unchecked for finiteness and possibly a view."""
+        forward = self._sized(inputs)[0]
+        ops = self._operands(inputs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = ops[0]
+            for step, nxt in zip(forward, ops[1:]):
+                acc = _apply_pair(step, acc, nxt)
+            if self._sum_axes:
+                acc = acc.sum(axis=self._sum_axes)
+        if self._out_perm is not None:
+            acc = acc.transpose(self._out_perm)
+        return acc
+
+    def gradients(
+        self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...]
+    ) -> list[np.ndarray]:
+        """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
+        for each s in ``slots`` (ascending), in one reverse pass."""
+        forward, reverse, out_shape, grad_expand, grad_shape = self._sized(inputs)
+        if grad_out.shape != out_shape:
+            raise ShapeMismatch(
+                f"output gradient {grad_out.shape}, plan gives {out_shape}"
+            )
+        for s in slots:
+            if self._diag[s] is not None:
+                raise LabelError(
+                    f"operand {self.plan.operand_labels[s]!r} repeats a label; "
+                    "it has no gradient"
+                )
+        if not slots:
+            return []
+        ops = self._operands(inputs)
+        lowest = slots[0]
+        grads: dict[int, np.ndarray] = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            accs = [ops[0]]
+            for step, nxt in zip(forward[:-1], ops[1:]):
+                accs.append(_apply_pair(step, accs[-1], nxt))
+            grad = grad_out
+            if self._extra:
+                grad = np.broadcast_to(grad.reshape(grad_expand), grad_shape)
+            for i, (op_grad, perm, acc_grad) in zip(range(len(ops) - 1, 0, -1), reverse):
+                if i in slots:
+                    g = _apply_pair(op_grad, accs[i - 1], grad)
+                    grads[i] = g if perm is None else g.transpose(perm)
+                if i == lowest:
+                    break
+                grad = _apply_pair(acc_grad, grad, ops[i])
+            if lowest == 0:
+                grads[0] = grad if self._first_perm is None else grad.transpose(self._first_perm)
+        return [grads[s] for s in slots]
+
+
+@functools.cache
+def compile_plan(plan: ContractionPlan) -> CompiledPlan:
+    """The compiled form of ``plan``, built once per distinct plan."""
+    return CompiledPlan(plan)
+
+
+def _sealed_result(arr: np.ndarray, inputs, context: str) -> np.ndarray:
+    """Seal a result; one that is an input itself (a plan that only passes an
+    operand through) is copied first, so the caller's array stays writable."""
+    if any(arr is x for x in inputs):
+        arr = arr.copy()
+    return seal(arr, context)
+
+
 def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     """Evaluate the plan by pairwise reductions in left-to-right order.
 
-    Each pairwise step is a tensordot over the labels the two operands share
-    (a shared label is always bound, by the plan grammar, so it is summed the
-    moment its partner arrives).  The fixed reduction order keeps results
-    bit-deterministic across runs on one platform.
+    See CompiledPlan for the evaluation order.  The result is checked for
+    finiteness once; an overflow inside raises NumericalError here.
     """
-    if len(inputs) != len(plan.operand_labels):
-        raise ShapeMismatch(
-            f"plan has {len(plan.operand_labels)} operands, got {len(inputs)}"
-        )
-    _label_extents(plan, inputs)
+    compiled = compile_plan(plan)
+    return _sealed_result(compiled.forward(inputs), inputs, compiled.context)
 
-    # Collapse any within-operand repeated label to its diagonal first, so the
-    # pairwise loop only ever sees distinct labels per operand.
-    parts: list[tuple[str, np.ndarray]] = []
-    for labels, arr in zip(plan.operand_labels, inputs):
-        if len(set(labels)) != len(labels):
-            dedup = "".join(dict.fromkeys(labels))
-            arr = np.einsum(f"{labels}->{dedup}", arr)
-            labels = dedup
-        parts.append((labels, arr))
 
-    out = plan.output_labels
-    acc_labels, acc = parts[0]
-    for nxt_labels, nxt in parts[1:]:
-        shared = [ch for ch in acc_labels if ch in nxt_labels]
-        axes_a = [acc_labels.index(ch) for ch in shared]
-        axes_b = [nxt_labels.index(ch) for ch in shared]
-        acc = np.tensordot(acc, nxt, axes=(axes_a, axes_b))
-        acc_labels = (
-            "".join(ch for ch in acc_labels if ch not in nxt_labels)
-            + "".join(ch for ch in nxt_labels if ch not in shared)
-        )
-    # A label bound within a single operand (diagonal) may survive the loop
-    # without a partner; it is summed here.  The rest is a permutation of the
-    # free labels.
-    extra = [ch for ch in acc_labels if ch not in out]
-    if extra:
-        acc = acc.sum(axis=tuple(acc_labels.index(ch) for ch in extra))
-        acc_labels = "".join(ch for ch in acc_labels if ch in out)
-    if acc_labels != out:
-        acc = acc.transpose([acc_labels.index(ch) for ch in out])
-    if out == "":
-        acc = np.asarray(acc, dtype=np.float64)
-    if any(acc is x for x in inputs):
-        acc = acc.copy()
-    return _seal(acc, f"contract {plan.expression()!r}")
+def contract_grads(
+    plan: ContractionPlan,
+    inputs: list[np.ndarray],
+    grad_out: np.ndarray,
+    slots: tuple[int, ...],
+) -> list[np.ndarray]:
+    """Gradients of <contract(plan, inputs), grad_out> with respect to the
+    operands at ``slots`` (ascending), from one reverse pass; each is checked
+    for finiteness once."""
+    compiled = compile_plan(plan)
+    grads = compiled.gradients(inputs, grad_out, slots)
+    context = compiled.context + " gradient"
+    return [_sealed_result(g, (grad_out,), context) for g in grads]
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Entrywise inner product over all indices."""
     require_same_shape(a, b, "inner-product operands")
     value = float(np.dot(a.ravel(), b.ravel()))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError("inner product produced a non-finite value")
     return value
 
@@ -189,7 +367,7 @@ def frobenius_norm_sq(a: np.ndarray) -> float:
 def axpy_scale(a: np.ndarray, alpha: float, b: np.ndarray, beta: float) -> np.ndarray:
     """alpha*a + beta*b entrywise."""
     require_same_shape(a, b, "axpy operands")
-    return _seal(alpha * a + beta * b, "axpy_scale")
+    return seal(alpha * a + beta * b, "axpy_scale")
 
 
 # ----------------------------------------------------------------------------
@@ -228,6 +406,8 @@ def read_dtf1(path) -> np.ndarray:
     expected = offset + 8 * count
     if len(raw) < expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    if len(raw) > expected:
+        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after the payload")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     return as_tensor(values, tuple(int(d) for d in dims))
 

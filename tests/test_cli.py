@@ -105,6 +105,19 @@ class TestGenCommand:
         assert (out1 / "target.dtf1").read_bytes() == (out2 / "target.dtf1").read_bytes()
 
 
+class TestSeedChecks:
+    def test_suite_needs_a_seed(self, capsys):
+        assert main(["suite", "--seeds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seeds" in err
+
+    def test_run_rejects_negative_seed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
+        assert main(["run", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+
+
 class TestSuiteCommand:
     def test_small_suite_passes_and_prints_verdicts(self, tmp_path, capsys):
         out = tmp_path / "suite"

@@ -111,6 +111,10 @@ class TestParsing:
         with pytest.raises(ValidationError, match="not found"):
             parse_config_text(text)
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValidationError, match="seed"):
+            parse_config_text(FULL.replace("seed 42", "seed -1"))
+
     def test_iters_must_be_positive(self):
         text = FULL.replace("iters 500", "iters 0")
         with pytest.raises(ValidationError, match="iters"):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreflow.errors import ShapeMismatch
 from coreflow.model import (
     LayeredModel,
+    ReconstructionSpec,
     check_directional_identity,
     check_scale_invariance,
     cp_spec,
@@ -17,7 +20,13 @@ from coreflow.model import (
     tucker2_spec,
     tucker_spec,
 )
-from coreflow.tensor import as_tensor, frobenius_inner, frobenius_norm_sq
+from coreflow.tensor import (
+    ContractionPlan,
+    as_tensor,
+    contract,
+    frobenius_inner,
+    frobenius_norm_sq,
+)
 
 from oracles import finite_difference_core_grads, naive_contract
 
@@ -137,6 +146,79 @@ class TestGradients:
         for got, ref in zip(analytic, fd):
             denom = np.maximum(np.abs(ref), 1e-6)
             assert np.max(np.abs(got - ref) / denom) < 1e-6
+
+
+@st.composite
+def random_models(draw):
+    """A random spec with cores (and at most one constant slot) on 2-4 operands.
+
+    Every operand pair shares a bond label or not at random, so plans include
+    outer-product steps (no shared label) and ring closures; operands carry
+    0-2 free labels, and all label orders are shuffled.  The constant, when
+    there is one, may repeat a label of its own, which the engine collapses
+    to a diagonal and sums at the end.
+    """
+    n = draw(st.integers(2, 4))
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    ops = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                ch = next(letters)
+                ops[i].append(ch)
+                ops[j].append(ch)
+    free = []
+    for labels in ops:
+        for _ in range(draw(st.integers(0 if labels else 1, 2))):
+            free.append(next(letters))
+            labels.append(free[-1])
+    const = draw(st.sampled_from([None] + list(range(n))))
+    if const is not None and draw(st.booleans()):
+        ops[const] += [next(letters)] * 2
+    ops = ["".join(draw(st.permutations(labels))) for labels in ops]
+    out = "".join(draw(st.permutations(free)))
+    extents = {ch: draw(st.integers(1, 3)) for ch in "".join(ops)}
+    shapes = [tuple(extents[ch] for ch in labels) for labels in ops]
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    values = [as_tensor(rng.standard_normal(shape)) for shape in shapes]
+    spec = ReconstructionSpec(
+        plan=ContractionPlan(tuple(ops), out),
+        core_shapes=tuple(s for i, s in enumerate(shapes) if i != const),
+        output_shape=tuple(extents[ch] for ch in out),
+        constants=tuple(v if i == const else None for i, v in enumerate(values)),
+    )
+    cores = [v for i, v in enumerate(values) if i != const]
+    return spec, cores, as_tensor(rng.standard_normal(spec.output_shape))
+
+
+class TestReversePass:
+    @settings(max_examples=150, deadline=None)
+    @given(random_models())
+    def test_matches_hole_contractions(self, model):
+        spec, cores, dl = model
+        ops = spec.operands(cores)
+        labels = spec.plan.operand_labels
+        grads = grad_cores(spec, cores, dl)
+        assert len(grads) == spec.num_cores
+        for slot, got in zip(spec.core_slots, grads):
+            others = [i for i in range(len(ops)) if i != slot]
+            ref = naive_contract(
+                (spec.plan.output_labels,) + tuple(labels[i] for i in others),
+                labels[slot],
+                [dl] + [ops[i] for i in others],
+            )
+            assert got.shape == ref.shape
+            scale = max(float(np.max(np.abs(ref))), 1e-300)
+            assert float(np.max(np.abs(got - ref))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("make", ALL_FAMILIES)
+    def test_reconstruct_is_the_contraction(self, make, rng):
+        spec = make()
+        cores = random_cores(spec, rng)
+        out = reconstruct(spec, cores)
+        ref = contract(spec.plan, spec.operands(cores))
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 class TestScaleInvariance:

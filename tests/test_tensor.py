@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from coreflow.tensor import (
     as_tensor,
     axpy_scale,
     contract,
+    contract_grads,
     frobenius_inner,
     frobenius_norm_sq,
     read_csv_tensor,
@@ -182,6 +185,15 @@ class TestFiniteness:
         with pytest.raises(NumericalError):
             contract(plan("ij,jk->ik"), [big, big])
 
+    def test_contraction_overflow_raises_without_warning(self):
+        big = as_tensor([[1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                contract(plan("ij,jk->ik"), [big, big])
+            with pytest.raises(NumericalError):
+                contract_grads(plan("ij,jk->ik"), [big, big], big, (0, 1))
+
 
 class TestFileFormats:
     def test_dtf1_round_trip(self, tmp_path, rng):
@@ -205,6 +217,13 @@ class TestFileFormats:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError):
+            read_dtf1(path)
+
+    def test_dtf1_trailing_bytes(self, tmp_path, rng):
+        path = tmp_path / "t.dtf1"
+        write_dtf1(path, as_tensor(rng.standard_normal((3, 3))))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
             read_dtf1(path)
 
     def test_bad_magic(self, tmp_path):
