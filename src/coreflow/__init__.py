@@ -42,6 +42,8 @@ from .optim import (
     SamConfig,
     SgdConfig,
     das_step,
+    gradient_fn,
+    plain_step,
     run,
     sam_step,
 )

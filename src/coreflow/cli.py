@@ -9,9 +9,6 @@ import sys
 from .config import parse_config
 from .errors import CoreflowError, ValidationError
 from .experiments import generate_to_files, run_experiment, run_theorem_suite
-from .tensor import read_tensor
-
-ingest_tensor = read_tensor
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -29,11 +29,11 @@ from .optim import (
     SamConfig,
     SgdConfig,
     StepRecord,
-    base_step,
     das_step,
+    gradient_fn,
     init_state,
-    layered_sam_step,
-    loss_and_core_grads,
+    norms_sq,
+    plain_step,
     run,
     sam_step,
 )
@@ -69,29 +69,6 @@ def norm_grad_covariance(core_norms_sq, grad_norms_sq) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())))
 
 
-@dataclass(frozen=True)
-class NormSnapshot:
-    t: int
-    loss: float
-    core_norms_sq: tuple[float, ...]
-    grad_norms_sq: tuple[float, ...]
-    q: float
-    cov: float
-    lambdas: tuple[float, ...] | None = None
-
-
-def snapshot(record: StepRecord) -> NormSnapshot:
-    return NormSnapshot(
-        t=record.t,
-        loss=record.loss,
-        core_norms_sq=record.core_norms_sq,
-        grad_norms_sq=record.grad_norms_sq,
-        q=norm_deviation(record.core_norms_sq),
-        cov=norm_grad_covariance(record.core_norms_sq, record.grad_norms_sq),
-        lambdas=record.lambdas,
-    )
-
-
 def trajectory_rows(records: list[StepRecord]) -> list[str]:
     """CSV rows per the documented schema:
     t,loss,q,cov,core_norm_sq_1..K,grad_norm_sq_1..K[,lambda_1..K]
@@ -107,8 +84,9 @@ def trajectory_rows(records: list[StepRecord]) -> list[str]:
         header += [f"lambda_{i + 1}" for i in range(k)]
     rows = [",".join(header)]
     for rec in records:
-        snap = snapshot(rec)
-        cells = [str(rec.t), repr(rec.loss), repr(snap.q), repr(snap.cov)]
+        q = norm_deviation(rec.core_norms_sq)
+        cov = norm_grad_covariance(rec.core_norms_sq, rec.grad_norms_sq)
+        cells = [str(rec.t), repr(rec.loss), repr(q), repr(cov)]
         cells += [repr(v) for v in rec.core_norms_sq]
         cells += [repr(v) for v in rec.grad_norms_sq]
         if with_lambda:
@@ -150,17 +128,13 @@ class TheoremCheckReport:
         return out
 
 
-def _norms_sq(cores) -> list[float]:
-    return [frobenius_norm_sq(c) for c in cores]
-
-
 def _one_step_sgd_dq(spec, cores, objective, eta: float) -> float:
     cfg = SgdConfig(eta)
-    state = init_state(cfg, cores)
-    q0 = norm_deviation(_norms_sq(cores))
-    _, g = loss_and_core_grads(spec, cores, objective)
-    new = base_step(cores, g, cfg, state)
-    return norm_deviation(_norms_sq(new)) - q0
+    q0 = norm_deviation(norms_sq(cores))
+    new, _, _ = plain_step(
+        gradient_fn(spec, objective), cores, cfg, init_state(cfg, cores)
+    )
+    return norm_deviation(norms_sq(new)) - q0
 
 
 def check_sgd_conservation(
@@ -188,7 +162,7 @@ def check_sgd_conservation(
         measured=dq_full,
         predicted=0.0,
         abs_residual=abs(dq_full),
-        rel_residual=abs(dq_full) / (1.0 + norm_deviation(_norms_sq(cores))),
+        rel_residual=abs(dq_full) / (1.0 + norm_deviation(norms_sq(cores))),
         params={"eta": eta, "steps": steps},
         passed=passed,
         details={"eta_halving_ratio": ratio, "max_step_dq": max_step_dq},
@@ -224,7 +198,7 @@ def check_sgd_balanced_bound(
             worst_q, worst_bound = q_now, bound
         gamma = np.asarray(rec.grad_norms_sq)
         drift += eta * eta * np.abs(gamma - gamma.mean())
-    q_final = norm_deviation(_norms_sq(final))
+    q_final = norm_deviation(norms_sq(final))
     bound = float(np.sum(drift * drift))
     if q_final > bound + 1e-9 * bound + 1e-18:
         ok = False
@@ -248,27 +222,75 @@ def _linearized_dq(s0: np.ndarray, ds: np.ndarray) -> float:
     return float(2.0 * np.sum(dev * centered))
 
 
-def _sam_probe(spec, cores, objective, rho, eta):
-    """One SAM step (plain SGD base); returns the raw step outcome plus the
-    flow part of the squared-norm changes (-2*eta*<G_k, g~_k>, i.e. the
-    secant with its exactly-known eta^2 discretization term removed)."""
-    cfg = SamConfig(rho, SgdConfig(eta))
-    state = init_state(cfg, cores)
-    s0 = np.asarray(_norms_sq(cores))
-    new, tr = sam_step(spec, cores, objective, cfg, state)
-    if tr.zero_gradient:
-        raise ZeroGradient("all core gradients vanish at the probe point")
-    s1 = np.asarray(_norms_sq(new))
-    ds_flow = np.asarray(
-        [-2.0 * eta * frobenius_inner(c, gt) for c, gt in zip(cores, tr.perturbed_grads)]
+def _q_law(eta, rho, u, s0, gamma) -> float:
+    """SAM's covariance law for the one-step dQ: eta*4*rho*u*K*Cov."""
+    return eta * 4.0 * rho * u * len(s0) * norm_grad_covariance(s0, gamma)
+
+
+@dataclass(frozen=True)
+class _LawProbe:
+    measured: float  # raw one-step change of the quantity at rho
+    predicted: float  # the law at rho
+    raw_residual: float  # |measured - predicted|
+    flow_residual: float  # |first-order change of the flow part - law| at rho
+    shrink: float  # flow residual at rho over that at rho/2
+    cov: float  # Cov of the group's squared norms and gradient norms
+
+
+def _sam_law_probe(
+    grads_of, cores, rho, eta, value, first_order, law, group=slice(None)
+) -> _LawProbe:
+    """One SAM step (plain SGD base) at rho and one at rho/2, measuring a
+    quantity of the squared norms of the cores in ``group`` (a slice of
+    ``cores``): ``value(s)`` is the quantity, ``first_order(s0, ds)`` its
+    first-order change and ``law(eta, rho, u, s0, gamma)`` the change the
+    flow theorem predicts.  The flow part of each squared-norm change is
+    -2*eta*<G_k, g~_k>: the secant with its exactly-known eta^2 term removed.
+    """
+    steps = []
+    for radius in (rho, rho / 2.0):
+        cfg = SamConfig(radius, SgdConfig(eta))
+        new, rec, g_tilde = sam_step(grads_of, cores, cfg, init_state(cfg, cores))
+        if rec.zero_gradient:
+            raise ZeroGradient("all core gradients vanish at the probe point")
+        s0 = np.asarray(rec.core_norms_sq[group])
+        gamma = np.asarray(rec.grad_norms_sq[group])
+        ds_flow = np.asarray(
+            [
+                -2.0 * eta * frobenius_inner(c, gt)
+                for c, gt in zip(cores[group], g_tilde[group])
+            ]
+        )
+        predicted = law(eta, radius, rec.u, s0, gamma)
+        flow_res = abs(first_order(s0, ds_flow) - predicted)
+        steps.append((new, s0, gamma, predicted, flow_res))
+    (new, s0, gamma, predicted, flow_res), (*_, flow_res_h) = steps
+    measured = value(np.asarray(norms_sq(new[group]))) - value(s0)
+    return _LawProbe(
+        measured=measured,
+        predicted=predicted,
+        raw_residual=abs(measured - predicted),
+        flow_residual=flow_res,
+        shrink=flow_res / flow_res_h if flow_res_h != 0.0 else math.inf,
+        cov=norm_grad_covariance(s0, gamma),
     )
-    return {
-        "s0": s0,
-        "s1": s1,
-        "ds_flow": ds_flow,
-        "gamma": np.asarray(tr.grad_norms_sq),
-        "u": tr.u,
-    }
+
+
+def _law_report(check, probe, params, rel, shrink, rel_tol, shrink_band, **details):
+    return TheoremCheckReport(
+        check=check,
+        measured=probe.measured,
+        predicted=probe.predicted,
+        abs_residual=probe.raw_residual,
+        rel_residual=rel,
+        params=params,
+        passed=rel <= rel_tol and shrink_band[0] <= shrink <= shrink_band[1],
+        details={
+            "flow_residual": probe.flow_residual,
+            "rho_halving_shrink": shrink,
+            **details,
+        },
+    )
 
 
 def check_sam_q_dynamics(
@@ -281,37 +303,15 @@ def check_sam_q_dynamics(
     shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
     """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov."""
-    k = spec.num_cores
-    probe = _sam_probe(spec, cores, objective, rho, eta)
-    q0 = norm_deviation(probe["s0"])
-    dq_raw = norm_deviation(probe["s1"]) - q0
-    dq_flow = _linearized_dq(probe["s0"], probe["ds_flow"])
-    cov = norm_grad_covariance(probe["s0"], probe["gamma"])
-    predicted = eta * 4.0 * rho * probe["u"] * k * cov
-    raw_res = abs(dq_raw - predicted)
-    flow_res = abs(dq_flow - predicted)
-    rel = raw_res / abs(predicted) if predicted != 0.0 else math.inf
-
-    half = _sam_probe(spec, cores, objective, rho / 2.0, eta)
-    cov_h = norm_grad_covariance(half["s0"], half["gamma"])
-    predicted_h = eta * 4.0 * (rho / 2.0) * half["u"] * k * cov_h
-    flow_res_h = abs(_linearized_dq(half["s0"], half["ds_flow"]) - predicted_h)
-    shrink = flow_res / flow_res_h if flow_res_h != 0.0 else math.inf
-
-    passed = rel <= rel_tol and shrink_band[0] <= shrink <= shrink_band[1]
-    return TheoremCheckReport(
-        check="sam_q_dynamics",
-        measured=dq_raw,
-        predicted=predicted,
-        abs_residual=raw_res,
-        rel_residual=rel,
-        params={"rho": rho, "eta": eta},
-        passed=passed,
-        details={
-            "flow_residual": flow_res,
-            "rho_halving_shrink": shrink,
-            "cov": cov,
-        },
+    probe = _sam_law_probe(
+        gradient_fn(spec, objective), cores, rho, eta,
+        norm_deviation, _linearized_dq, _q_law,
+    )
+    p = probe.predicted
+    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
+    return _law_report(
+        "sam_q_dynamics", probe, {"rho": rho, "eta": eta},
+        rel, probe.shrink, rel_tol, shrink_band, cov=probe.cov,
     )
 
 
@@ -327,38 +327,24 @@ def check_pairwise_sam_dynamics(
     shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
     """One-step change of s_i - s_j vs eta*2*rho*u*(gamma_i - gamma_j)."""
-    probe = _sam_probe(spec, cores, objective, rho, eta)
 
     def gap(values):
         return float(values[i] - values[j])
 
-    d_raw = gap(probe["s1"]) - gap(probe["s0"])
-    d_flow = gap(probe["ds_flow"])
-    predicted = eta * 2.0 * rho * probe["u"] * gap(probe["gamma"])
-    raw_res = abs(d_raw - predicted)
-    flow_res = abs(d_flow - predicted)
-    if predicted == 0.0:
-        rel = 0.0 if d_raw == 0.0 else math.inf
+    probe = _sam_law_probe(
+        gradient_fn(spec, objective), cores, rho, eta,
+        gap,
+        lambda s0, ds: gap(ds),
+        lambda eta, rho, u, s0, gamma: eta * 2.0 * rho * u * gap(gamma),
+    )
+    if probe.predicted == 0.0:
+        rel = 0.0 if probe.measured == 0.0 else math.inf
     else:
-        rel = raw_res / abs(predicted)
-
-    half = _sam_probe(spec, cores, objective, rho / 2.0, eta)
-    predicted_h = eta * 2.0 * (rho / 2.0) * half["u"] * gap(half["gamma"])
-    flow_res_h = abs(gap(half["ds_flow"]) - predicted_h)
-    if i == j:
-        shrink = 4.0  # both residuals are identically zero
-    else:
-        shrink = flow_res / flow_res_h if flow_res_h != 0.0 else math.inf
-    passed = rel <= rel_tol and shrink_band[0] <= shrink <= shrink_band[1]
-    return TheoremCheckReport(
-        check="sam_pairwise_dynamics",
-        measured=d_raw,
-        predicted=predicted,
-        abs_residual=raw_res,
-        rel_residual=rel,
-        params={"rho": rho, "eta": eta, "i": i, "j": j},
-        passed=passed,
-        details={"flow_residual": flow_res, "rho_halving_shrink": shrink},
+        rel = probe.raw_residual / abs(probe.predicted)
+    shrink = 4.0 if i == j else probe.shrink  # i == j: both residuals are zero
+    return _law_report(
+        "sam_pairwise_dynamics", probe, {"rho": rho, "eta": eta, "i": i, "j": j},
+        rel, shrink, rel_tol, shrink_band,
     )
 
 
@@ -373,22 +359,23 @@ def check_das_matches_sam(
 ) -> TheoremCheckReport:
     """DAS with alpha=rho reproduces SAM's one-step dQ, and the analytic
     first-order dQ of the scaling substep matches its measured value."""
-    s0 = np.asarray(_norms_sq(cores))
+    s0 = np.asarray(norms_sq(cores))
     q0 = norm_deviation(s0)
 
+    grads_of = gradient_fn(spec, objective)
     sam_cfg = SamConfig(rho, SgdConfig(eta))
-    new_sam, tr_sam = sam_step(spec, cores, objective, sam_cfg, init_state(sam_cfg, cores))
-    if tr_sam.zero_gradient:
+    new_sam, rec_sam, _ = sam_step(grads_of, cores, sam_cfg, init_state(sam_cfg, cores))
+    if rec_sam.zero_gradient:
         raise ZeroGradient("all core gradients vanish at the probe point")
-    dq_sam = norm_deviation(_norms_sq(new_sam)) - q0
+    dq_sam = norm_deviation(norms_sq(new_sam)) - q0
 
     das_cfg = DasConfig(rho, SgdConfig(eta))
-    new_das, tr_das = das_step(spec, cores, objective, das_cfg, init_state(das_cfg, cores))
-    dq_das = norm_deviation(_norms_sq(new_das)) - q0
+    new_das, rec_das, _ = das_step(grads_of, cores, das_cfg, init_state(das_cfg, cores))
+    dq_das = norm_deviation(norms_sq(new_das)) - q0
 
     rel = abs(dq_das - dq_sam) / abs(dq_sam) if dq_sam != 0.0 else math.inf
 
-    lams = np.asarray(tr_das.lambdas)
+    lams = np.asarray(rec_das.lambdas)
     scaled = (1.0 + lams) ** 2 * s0
     dq_scale_measured = norm_deviation(scaled) - q0
     dq_scale_analytic = float(4.0 * np.sum((s0 - s0.mean()) * lams * s0))
@@ -425,54 +412,18 @@ def check_layerwise_q(
     shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
     """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l."""
-
-    def probe(radius):
-        cfg = SamConfig(radius, SgdConfig(eta))
-        state = init_state(cfg, [c for layer_c in model.cores for c in layer_c])
-        new, tr = layered_sam_step(model, x, objective, cfg, state)
-        if tr.zero_gradient:
-            raise ZeroGradient("all core gradients vanish at the probe point")
-        s0 = np.asarray([frobenius_norm_sq(c) for c in model.cores[layer]])
-        s1 = np.asarray([frobenius_norm_sq(c) for c in new.cores[layer]])
-        ds_flow = np.asarray(
-            [
-                -2.0 * eta * frobenius_inner(c, gt)
-                for c, gt in zip(model.cores[layer], tr.perturbed_grads[layer])
-            ]
-        )
-        gamma = np.asarray(tr.grad_norms_sq[layer])
-        return s0, s1, ds_flow, gamma, tr.u
-
-    s0, s1, ds_flow, gamma, u = probe(rho)
-    k_l = len(s0)
-    q0 = norm_deviation(s0)
-    dq_raw = norm_deviation(s1) - q0
-    dq_flow = _linearized_dq(s0, ds_flow)
-    cov = norm_grad_covariance(s0, gamma)
-    predicted = eta * 4.0 * rho * u * k_l * cov
-    raw_res = abs(dq_raw - predicted)
-    flow_res = abs(dq_flow - predicted)
-    rel = raw_res / abs(predicted) if predicted != 0.0 else math.inf
-
-    _, _, ds_flow_h, gamma_h, u_h = probe(rho / 2.0)
-    predicted_h = eta * 4.0 * (rho / 2.0) * u_h * k_l * norm_grad_covariance(s0, gamma_h)
-    flow_res_h = abs(_linearized_dq(s0, ds_flow_h) - predicted_h)
-    shrink = flow_res / flow_res_h if flow_res_h != 0.0 else math.inf
-
-    passed = rel <= rel_tol and shrink_band[0] <= shrink <= shrink_band[1]
-    return TheoremCheckReport(
-        check="layerwise_q_dynamics",
-        measured=dq_raw,
-        predicted=predicted,
-        abs_residual=raw_res,
-        rel_residual=rel,
-        params={"rho": rho, "eta": eta, "layer": layer},
-        passed=passed,
-        details={
-            "flow_residual": flow_res,
-            "rho_halving_shrink": shrink,
-            "cov": cov,
-        },
+    start = sum(model.groups[:layer])
+    probe = _sam_law_probe(
+        model.gradient_fn(x, objective),
+        [c for layer_cores in model.cores for c in layer_cores],
+        rho, eta, norm_deviation, _linearized_dq, _q_law,
+        slice(start, start + model.groups[layer]),
+    )
+    p = probe.predicted
+    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
+    return _law_report(
+        "layerwise_q_dynamics", probe, {"rho": rho, "eta": eta, "layer": layer},
+        rel, probe.shrink, rel_tol, shrink_band, cov=probe.cov,
     )
 
 
@@ -500,15 +451,9 @@ def observe_shrinkage(
     its first-step change.  Observational only: the shrinkage threshold
     depends on constants the library cannot estimate."""
     cfg = SamConfig(rho, SgdConfig(eta))
-    state = init_state(cfg, cores)
-    current = list(cores)
-    gaps = []
-    for _ in range(steps):
-        s = _norms_sq(current)
-        gaps.append(abs(s[i] - s[j]))
-        current, _ = sam_step(spec, current, objective, cfg, state)
-    s = _norms_sq(current)
-    gaps.append(abs(s[i] - s[j]))
+    final, records = run(spec, list(cores), objective, cfg, steps)
+    norms = [rec.core_norms_sq for rec in records] + [norms_sq(final)]
+    gaps = [abs(s[i] - s[j]) for s in norms]
     first_change = gaps[1] - gaps[0]
     return ShrinkageTrace(
         gaps=tuple(gaps),

@@ -14,7 +14,9 @@ class LabelError(CoreflowError):
 
 
 class NumericalError(CoreflowError):
-    """An operation produced a NaN or Inf."""
+    """An operation produced a NaN or Inf, or a value outside the range the
+    next operation needs (a DAS factor 1 + lambda_k <= 0, which would flip
+    the sign of core k)."""
 
 
 class LengthMismatch(CoreflowError):

@@ -27,7 +27,6 @@ from .diagnostics import (
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
-    snapshot,
     write_trajectory_csv,
 )
 from .errors import ValidationError
@@ -47,7 +46,7 @@ from .model import (
     tucker_spec,
 )
 from .objective import MaskedMse, NoisyTargetMse, r2_score
-from .optim import run
+from .optim import norms_sq, run
 from .tensor import as_tensor, frobenius_norm_sq, read_tensor, write_dtf1
 
 FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
@@ -134,10 +133,7 @@ def check_instance(family: str, seed: int, max_draws: int = 200):
         obj = _unit_residual_objective(out, rng)
         _, dl = obj.loss_and_grad(out)
         grads = grad_cores(spec, cores, dl)
-        corr, spread = _conditioning(
-            [frobenius_norm_sq(c) for c in cores],
-            [frobenius_norm_sq(g) for g in grads],
-        )
+        corr, spread = _conditioning(norms_sq(cores), norms_sq(grads))
         if abs(corr) >= _MIN_CORR and spread >= _MIN_REL_SPREAD:
             return spec, cores, obj
     raise RuntimeError(f"no well-conditioned {family} instance for seed {seed}")
@@ -171,10 +167,7 @@ def layered_instance(kind: str, seed: int, max_draws: int = 200):
         grads = model.core_grads(x, dl)
         ok = True
         for layer_cores, layer_grads in zip(model.cores, grads):
-            corr, spread = _conditioning(
-                [frobenius_norm_sq(c) for c in layer_cores],
-                [frobenius_norm_sq(g) for g in layer_grads],
-            )
+            corr, spread = _conditioning(norms_sq(layer_cores), norms_sq(layer_grads))
             if abs(corr) < _MIN_CORR or spread < _MIN_REL_SPREAD:
                 ok = False
         if ok:
@@ -252,7 +245,6 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         r2 = r2_score(pred, target, eval_mask)
     else:
         r2 = r2_score(pred, target, train_mask)  # full observation: score fit
-    final = snapshot(records[-1])
     summary = {
         "experiment": "completion",
         "optimizer": cfg.optimizer.kind,
@@ -262,7 +254,7 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         "final_q": norm_deviation([frobenius_norm_sq(c) for c in cores]),
         "r2": r2,
         "seconds_per_step": clock.fastest,
-        "train_loss_last_recorded": final.loss,
+        "train_loss_last_recorded": records[-1].loss,
     }
     _write_summary(out_dir, summary)
     return ExperimentResult(kind="completion", summary=summary)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -371,3 +371,24 @@ class LayeredModel:
                 self.specs, self.cores, self.layer_output_grads(x, dl_dout)
             )
         ]
+
+    @property
+    def groups(self) -> tuple[int, ...]:
+        """Cores per layer: the layout of the flat core list that
+        ``gradient_fn`` takes, every layer's cores end to end."""
+        return tuple(spec.num_cores for spec in self.specs)
+
+    def gradient_fn(self, x: np.ndarray, objective):
+        """The optimizer steps' gradient callback over the flat core list:
+        flat cores -> (objective's loss at the output for x, flat gradients)."""
+
+        def grads_of(flat):
+            layers, start = [], 0
+            for size in self.groups:
+                layers.append(list(flat[start:start + size]))
+                start += size
+            model = replace(self, cores=layers)
+            loss, dl = objective.loss_and_grad(model.forward(x))
+            return loss, [g for layer in model.core_grads(x, dl) for g in layer]
+
+        return grads_of

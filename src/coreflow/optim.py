@@ -2,22 +2,26 @@
 
 Steps are pure with respect to the cores (new lists are returned); mutable
 per-run state (momentum and Adam moments, step counter) lives in
-OptimizerState.  SAM perturbs all cores simultaneously with the normalized
-gradient direction, takes a second gradient pass, restores the original
-cores, and applies the base update with the perturbed-point gradients.  DAS
-multiplies each core by (1 + lambda_k) before the base update, with lambda_k
-proportional to how far the core's squared gradient norm sits from the mean.
+OptimizerState.  A step sees the cores as one flat list and gets its
+gradients from a callback, so a multi-layer model is the same step over its
+layers' cores laid end to end, with one normalizer u shared by all of them.
+SAM perturbs all cores simultaneously with the normalized gradient
+direction, takes a second gradient pass, restores the original cores, and
+applies the base update with the perturbed-point gradients.  DAS multiplies
+each core by (1 + lambda_k) before the base update, with lambda_k
+proportional to how far the core's squared gradient norm sits from the mean
+of its group (layer).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoreflowError, ZeroCoreNorm
-from .model import LayeredModel, ReconstructionSpec, grad_cores, reconstruct
+from .errors import CoreflowError, NumericalError, ZeroCoreNorm
+from .model import ReconstructionSpec, grad_cores, reconstruct
 from .tensor import as_tensor, frobenius_norm_sq, seal
 
 _TINY_NORM_SQ = 1e-300
@@ -158,53 +162,64 @@ def loss_and_core_grads(spec, cores, objective):
     return loss, grad_cores(spec, cores, dl)
 
 
-@dataclass(frozen=True)
-class SamStepTrace:
-    loss: float
-    grads: tuple[np.ndarray, ...]
-    perturbed_grads: tuple[np.ndarray, ...]
-    grad_norms_sq: tuple[float, ...]
-    perturbed_grad_norms_sq: tuple[float, ...]
-    core_norms_sq: tuple[float, ...]
-    u: float
-    rho: float
-    zero_gradient: bool = False
+def gradient_fn(spec: ReconstructionSpec, objective):
+    """The gradient callback the steps take: cores -> (loss, core gradients)."""
+
+    def grads_of(cores):
+        return loss_and_core_grads(spec, cores, objective)
+
+    return grads_of
 
 
 @dataclass(frozen=True)
-class DasStepTrace:
+class StepRecord:
+    """Per-iteration measurements of one step, taken at the step's start.
+
+    Scalars only: a run keeps the record of every step.  ``u`` is the
+    normalizer SAM and DAS share, 0.0 for a plain step or a zero gradient.
+    """
+
+    t: int
     loss: float
-    grad_norms_sq: tuple[float, ...]
     core_norms_sq: tuple[float, ...]
-    lambdas: tuple[float, ...]
-    grad_mean_sq: float
-    u: float
+    grad_norms_sq: tuple[float, ...]
+    lambdas: tuple[float, ...] | None = None
     zero_gradient: bool = False
+    u: float = 0.0
 
 
-def sam_step(
-    spec: ReconstructionSpec,
-    cores: list[np.ndarray],
-    objective,
-    cfg: SamConfig,
-    state: OptimizerState,
-    eta: float | None = None,
-) -> tuple[list[np.ndarray], SamStepTrace]:
-    loss, g = loss_and_core_grads(spec, cores, objective)
-    g = tuple(g)
-    gamma = tuple(frobenius_norm_sq(gk) for gk in g)
-    s = tuple(frobenius_norm_sq(c) for c in cores)
+def norms_sq(arrays) -> tuple[float, ...]:
+    return tuple(frobenius_norm_sq(a) for a in arrays)
+
+
+# Every step takes (grads_of, cores, cfg, state, eta=None, groups=None) and
+# returns (new cores, StepRecord, the gradients the base update used).
+# ``groups`` gives the number of cores in each group (layer), laid end to end
+# in ``cores``; only DAS reads it.
+
+def plain_step(grads_of, cores, cfg: SgdConfig | AdamConfig, state, eta=None, groups=None):
+    """The base SGD/momentum/Adam update with the gradients at ``cores``."""
+    loss, g = grads_of(cores)
+    rec = StepRecord(state.t, loss, norms_sq(cores), norms_sq(g))
+    return base_step(cores, g, cfg, state, eta), rec, g
+
+
+def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
+    """Perturb every core along the gradient normalized over all cores, so
+    the whole perturbation has norm rho, and update with the gradients taken
+    there; a zero gradient falls back to the base update."""
+    loss, g = grads_of(cores)
+    gamma = norms_sq(g)
+    s = norms_sq(cores)
     total = sum(gamma)
     if total == 0.0:
-        new = base_step(cores, list(g), cfg.base, state, eta)
-        return new, SamStepTrace(loss, g, g, gamma, gamma, s, 0.0, cfg.rho, True)
+        rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
+        return base_step(cores, g, cfg.base, state, eta), rec, g
     u = total ** -0.5
     perturbed = [as_tensor(c + cfg.rho * u * gk) for c, gk in zip(cores, g)]
-    _, g_tilde = loss_and_core_grads(spec, perturbed, objective)
-    g_tilde = tuple(g_tilde)
-    gamma_tilde = tuple(frobenius_norm_sq(gk) for gk in g_tilde)
-    new = base_step(cores, list(g_tilde), cfg.base, state, eta)
-    return new, SamStepTrace(loss, g, g_tilde, gamma, gamma_tilde, s, u, cfg.rho)
+    _, g_tilde = grads_of(perturbed)
+    rec = StepRecord(state.t, loss, s, gamma, u=u)
+    return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
 
 
 def das_scaling_factors(
@@ -212,9 +227,13 @@ def das_scaling_factors(
     alpha: float,
     core_norms_sq,
     grad_norms_sq,
+    groups=None,
 ) -> tuple[list[float], float, float]:
-    """Per-core factors lambda_k = eta*alpha*u*(||g_k||^2 - gbar)/||G_k||^2
-    with gbar the mean squared gradient norm and u = (K*gbar)^(-1/2)."""
+    """Per-core factors lambda_k = eta*alpha*u*(||g_k||^2 - gbar_l)/||G_k||^2
+    with gbar_l the mean squared gradient norm of core k's group and
+    u = (K*gbar)^(-1/2) over all K cores (gbar their mean).  Returns the
+    factors, gbar and u; all are 0.0 when every gradient vanishes.
+    """
     s = [float(v) for v in core_norms_sq]
     gamma = [float(v) for v in grad_norms_sq]
     for k, sk in enumerate(s):
@@ -224,46 +243,41 @@ def das_scaling_factors(
     if gbar == 0.0:
         return [0.0] * len(s), 0.0, 0.0
     u = (len(gamma) * gbar) ** -0.5
-    lams = [eta * alpha * u * (gk - gbar) / sk for gk, sk in zip(gamma, s)]
+    lams: list[float] = []
+    for size in groups or (len(s),):
+        group = slice(len(lams), len(lams) + size)
+        gbar_l = math.fsum(gamma[group]) / size
+        lams += [
+            eta * alpha * u * (gk - gbar_l) / sk
+            for gk, sk in zip(gamma[group], s[group])
+        ]
+    for k, lam in enumerate(lams):
+        if 1.0 + lam <= 0.0:
+            raise NumericalError(
+                f"core {k} has DAS factor 1+lambda = {1.0 + lam!r} <= 0"
+            )
     return lams, gbar, u
 
 
-def das_step(
-    spec: ReconstructionSpec,
-    cores: list[np.ndarray],
-    objective,
-    cfg: DasConfig,
-    state: OptimizerState,
-    eta: float | None = None,
-) -> tuple[list[np.ndarray], DasStepTrace]:
-    eta_t = base_config(cfg).eta if eta is None else eta
-    loss, g = loss_and_core_grads(spec, cores, objective)
-    gamma = tuple(frobenius_norm_sq(gk) for gk in g)
-    s = tuple(frobenius_norm_sq(c) for c in cores)
-    lams, gbar, u = das_scaling_factors(eta_t, cfg.alpha, s, gamma)
-    if gbar == 0.0:
-        new = base_step(cores, g, cfg.base, state, eta_t)
-        return new, DasStepTrace(loss, gamma, s, tuple(lams), gbar, u, True)
+def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
+    """Multiply core k by (1 + lambda_k), then take the base update with the
+    gradients of the unscaled cores."""
+    eta_t = cfg.base.eta if eta is None else eta
+    loss, g = grads_of(cores)
+    gamma = norms_sq(g)
+    s = norms_sq(cores)
+    lams, gbar, u = das_scaling_factors(eta_t, cfg.alpha, s, gamma, groups)
+    rec = StepRecord(
+        state.t, loss, s, gamma,
+        lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
+    )
     scaled = [(1.0 + lam) * c for lam, c in zip(lams, cores)]
-    new = base_step(scaled, g, cfg.base, state, eta_t)
-    return new, DasStepTrace(loss, gamma, s, tuple(lams), gbar, u)
+    return base_step(scaled, g, cfg.base, state, eta_t), rec, g
 
 
 # ----------------------------------------------------------------------------
 # Trajectory loop.
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Raw per-iteration measurements handed to the diagnostics sink."""
-
-    t: int
-    loss: float
-    core_norms_sq: tuple[float, ...]
-    grad_norms_sq: tuple[float, ...]
-    lambdas: tuple[float, ...] | None = None
-    zero_gradient: bool = False
-
 
 def scheduled_eta(eta: float, schedule: str, t: int, iters: int) -> float:
     if schedule == "constant":
@@ -271,14 +285,6 @@ def scheduled_eta(eta: float, schedule: str, t: int, iters: int) -> float:
     if schedule == "cosine":
         return eta * 0.5 * (1.0 + math.cos(math.pi * t / iters))
     raise ValueError(f"unknown schedule {schedule!r}")
-
-
-def _plain_step(spec, cores, objective, cfg, state, eta):
-    loss, g = loss_and_core_grads(spec, cores, objective)
-    gamma = tuple(frobenius_norm_sq(gk) for gk in g)
-    s = tuple(frobenius_norm_sq(c) for c in cores)
-    new = base_step(cores, g, cfg, state, eta)
-    return new, loss, s, gamma, None, False
 
 
 def run(
@@ -293,6 +299,13 @@ def run(
     """Execute ``iters`` optimizer steps, reporting each one to ``sink``."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
+    if isinstance(cfg, SamConfig):
+        step = sam_step
+    elif isinstance(cfg, DasConfig):
+        step = das_step
+    else:
+        step = plain_step
+    grads_of = gradient_fn(spec, objective)
     state = init_state(cfg, cores)
     records: list[StepRecord] = []
     base_eta = base_config(cfg).eta
@@ -300,135 +313,10 @@ def run(
         eta_t = scheduled_eta(base_eta, schedule, t, iters)
         objective.begin_step(t)
         try:
-            if isinstance(cfg, SamConfig):
-                cores, tr = sam_step(spec, cores, objective, cfg, state, eta_t)
-                rec = StepRecord(
-                    t, tr.loss, tr.core_norms_sq, tr.grad_norms_sq,
-                    zero_gradient=tr.zero_gradient,
-                )
-            elif isinstance(cfg, DasConfig):
-                cores, tr = das_step(spec, cores, objective, cfg, state, eta_t)
-                rec = StepRecord(
-                    t, tr.loss, tr.core_norms_sq, tr.grad_norms_sq,
-                    lambdas=tr.lambdas, zero_gradient=tr.zero_gradient,
-                )
-            else:
-                cores, loss, s, gamma, lams, flag = _plain_step(
-                    spec, cores, objective, cfg, state, eta_t
-                )
-                rec = StepRecord(t, loss, s, gamma)
+            cores, rec, _ = step(grads_of, cores, cfg, state, eta_t)
         except CoreflowError as exc:
             raise type(exc)(f"iteration {t}: {exc}") from exc
         records.append(rec)
         if sink is not None:
             sink(rec)
     return cores, records
-
-
-# ----------------------------------------------------------------------------
-# Multi-layer variants: one normalizer across all layers, per-layer scaling.
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LayeredStepTrace:
-    loss: float
-    grad_norms_sq: tuple[tuple[float, ...], ...]
-    core_norms_sq: tuple[tuple[float, ...], ...]
-    u: float
-    lambdas: tuple[tuple[float, ...], ...] | None = None
-    perturbed_grads: tuple[tuple[np.ndarray, ...], ...] | None = None
-    zero_gradient: bool = False
-
-
-def _layered_measurements(model: LayeredModel, grads):
-    gamma = tuple(
-        tuple(frobenius_norm_sq(g) for g in layer) for layer in grads
-    )
-    s = tuple(
-        tuple(frobenius_norm_sq(c) for c in layer) for layer in model.cores
-    )
-    return gamma, s
-
-
-def _flatten(nested):
-    return [item for group in nested for item in group]
-
-
-def _regroup(flat, template):
-    out, i = [], 0
-    for group in template:
-        out.append(list(flat[i:i + len(group)]))
-        i += len(group)
-    return out
-
-
-def layered_sam_step(
-    model: LayeredModel,
-    x: np.ndarray,
-    objective,
-    cfg: SamConfig,
-    state: OptimizerState,
-    eta: float | None = None,
-) -> tuple[LayeredModel, LayeredStepTrace]:
-    loss, dl = objective.loss_and_grad(model.forward(x))
-    grads = model.core_grads(x, dl)
-    gamma, s = _layered_measurements(model, grads)
-    total = sum(_flatten(gamma))
-    if total == 0.0:
-        flat = base_step(_flatten(model.cores), _flatten(grads), cfg.base, state, eta)
-        new = replace(model, cores=_regroup(flat, model.cores))
-        return new, LayeredStepTrace(loss, gamma, s, 0.0, zero_gradient=True)
-    u = total ** -0.5
-    perturbed = replace(
-        model,
-        cores=[
-            [as_tensor(c + cfg.rho * u * g) for c, g in zip(layer_c, layer_g)]
-            for layer_c, layer_g in zip(model.cores, grads)
-        ],
-    )
-    _, dl2 = objective.loss_and_grad(perturbed.forward(x))
-    grads_tilde = perturbed.core_grads(x, dl2)
-    flat = base_step(_flatten(model.cores), _flatten(grads_tilde), cfg.base, state, eta)
-    new = replace(model, cores=_regroup(flat, model.cores))
-    return new, LayeredStepTrace(
-        loss, gamma, s, u,
-        perturbed_grads=tuple(tuple(layer) for layer in grads_tilde),
-    )
-
-
-def layered_das_step(
-    model: LayeredModel,
-    x: np.ndarray,
-    objective,
-    cfg: DasConfig,
-    state: OptimizerState,
-    eta: float | None = None,
-) -> tuple[LayeredModel, LayeredStepTrace]:
-    eta_t = base_config(cfg).eta if eta is None else eta
-    loss, dl = objective.loss_and_grad(model.forward(x))
-    grads = model.core_grads(x, dl)
-    gamma, s = _layered_measurements(model, grads)
-    for l, layer_s in enumerate(s):
-        for k, sk in enumerate(layer_s):
-            if sk < _TINY_NORM_SQ:
-                raise ZeroCoreNorm(f"layer {l} core {k} has squared norm {sk}")
-    total = sum(_flatten(gamma))
-    if total == 0.0:
-        flat = base_step(_flatten(model.cores), _flatten(grads), cfg.base, state, eta)
-        new = replace(model, cores=_regroup(flat, model.cores))
-        return new, LayeredStepTrace(loss, gamma, s, 0.0, zero_gradient=True)
-    u = total ** -0.5
-    lambdas = tuple(
-        tuple(
-            eta_t * cfg.alpha * u * (gk - math.fsum(layer_gamma) / len(layer_gamma)) / sk
-            for gk, sk in zip(layer_gamma, layer_s)
-        )
-        for layer_gamma, layer_s in zip(gamma, s)
-    )
-    scaled = [
-        [(1.0 + lam) * c for lam, c in zip(layer_lams, layer_c)]
-        for layer_lams, layer_c in zip(lambdas, model.cores)
-    ]
-    flat = base_step(_flatten(scaled), _flatten(grads), cfg.base, state, eta)
-    new = replace(model, cores=_regroup(flat, model.cores))
-    return new, LayeredStepTrace(loss, gamma, s, u, lambdas=lambdas)

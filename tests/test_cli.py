@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from coreflow.cli import ingest_tensor, main
+from coreflow.cli import main
 from coreflow.errors import FormatError
-from coreflow.tensor import as_tensor, read_dtf1, write_dtf1
+from coreflow.tensor import as_tensor, read_dtf1, read_tensor, write_dtf1
 
 COMPLETION = """
 experiment completion
@@ -134,18 +134,18 @@ class TestIngest:
         arr = as_tensor(rng.standard_normal((3, 5)))
         path = tmp_path / "x.dtf1"
         write_dtf1(path, arr)
-        np.testing.assert_array_equal(ingest_tensor(path), arr)
+        np.testing.assert_array_equal(read_tensor(path), arr)
 
     def test_truncated_file(self, tmp_path, rng):
         path = tmp_path / "x.dtf1"
         write_dtf1(path, as_tensor(rng.standard_normal((4, 4))))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError):
-            ingest_tensor(path)
+            read_tensor(path)
 
     def test_csv_with_header(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("# shape: 2,3\n1,2,3,4,5,6\n")
-        arr = ingest_tensor(path)
+        arr = read_tensor(path)
         assert arr.shape == (2, 3)
         np.testing.assert_array_equal(arr, [[1, 2, 3], [4, 5, 6]])

@@ -13,19 +13,25 @@ from coreflow.diagnostics import (
     check_sgd_balanced_bound,
     check_sgd_conservation,
     _one_step_sgd_dq,
-    _sam_probe,
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
     observe_shrinkage,
-    snapshot,
     trajectory_rows,
 )
 from coreflow.errors import LengthMismatch, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
 from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct
 from coreflow.objective import MaskedMse
-from coreflow.optim import DasConfig, SgdConfig, StepRecord, das_step, init_state, run
+from coreflow.optim import (
+    DasConfig,
+    SgdConfig,
+    StepRecord,
+    das_step,
+    gradient_fn,
+    init_state,
+    run,
+)
 from coreflow.tensor import as_tensor, frobenius_norm_sq
 
 
@@ -109,11 +115,11 @@ class TestTrajectorySchema:
         assert rows[0].endswith("lambda_1,lambda_2")
         assert rows[1].split(",")[-2:] == ["0.01", "-0.01"]
 
-    def test_snapshot_q_and_cov(self):
+    def test_q_and_cov_cells(self):
         rec = StepRecord(1, 0.0, (2.0, 10.0, 18.0), (1.0, 2.0, 3.0))
-        snap = snapshot(rec)
-        assert snap.q == 128.0
-        assert snap.cov == pytest.approx(norm_grad_covariance((2, 10, 18), (1, 2, 3)))
+        cells = trajectory_rows([rec])[1].split(",")
+        assert cells[2] == "128.0"
+        assert float(cells[3]) == norm_grad_covariance((2, 10, 18), (1, 2, 3))
 
 
 class TestSgdConservation:
@@ -152,11 +158,10 @@ class TestSamQDynamics:
         spec = custom_spec("i,j->ij", [(1,), (1,)])
         cores = [as_tensor([2.0]), as_tensor([2.0])]
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
-        probe = _sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
-        dq = norm_deviation(probe["s1"]) - norm_deviation(probe["s0"])
-        scale = float(np.mean(probe["s0"]))
-        assert abs(dq) <= 1e-10 * scale
-        assert norm_grad_covariance(probe["s0"], probe["gamma"]) == pytest.approx(0.0)
+        rep = check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+        scale = 4.0  # the mean squared core norm
+        assert abs(rep.measured) <= 1e-10 * scale
+        assert rep.details["cov"] == pytest.approx(0.0)
 
     def test_zero_gradient_raises(self):
         spec = custom_spec("i,j->ij", [(1,), (1,)])
@@ -203,9 +208,9 @@ class TestDasMatchesSam:
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
         cfg = DasConfig(alpha=1e-3, base=SgdConfig(eta=1e-4))
         q0 = norm_deviation([frobenius_norm_sq(c) for c in cores])
-        new, trace = das_step(spec, cores, obj, cfg, init_state(cfg, cores))
+        new, rec, _ = das_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
         q1 = norm_deviation([frobenius_norm_sq(c) for c in new])
-        assert trace.lambdas == (0.0, 0.0)
+        assert rec.lambdas == (0.0, 0.0)
         assert abs(q1 - q0) <= 1e-12
 
 

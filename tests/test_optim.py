@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coreflow.errors import ZeroCoreNorm
+from coreflow.errors import NumericalError, ZeroCoreNorm
 from coreflow.model import (
     LayeredModel,
     custom_spec,
@@ -21,9 +21,8 @@ from coreflow.optim import (
     base_step,
     das_scaling_factors,
     das_step,
+    gradient_fn,
     init_state,
-    layered_das_step,
-    layered_sam_step,
     loss_and_core_grads,
     run,
     sam_step,
@@ -43,6 +42,14 @@ def scalar_pair_problem(x=2.0, y=0.5, target=1.0):
     spec = custom_spec("i,j->ij", [(1,), (1,)])
     cores = [as_tensor([x]), as_tensor([y])]
     obj = MaskedMse(as_tensor([[target]]), as_tensor([[1.0]]))
+    return spec, cores, obj
+
+
+def sign_flip_problem():
+    """Cores (0.01, 1, 100) of a scalar triple product fit to zero."""
+    spec = custom_spec("i,j,k->ijk", [(1,), (1,), (1,)])
+    cores = [as_tensor([0.01]), as_tensor([1.0]), as_tensor([100.0])]
+    obj = MaskedMse(as_tensor(np.zeros((1, 1, 1))), as_tensor(np.ones((1, 1, 1))))
     return spec, cores, obj
 
 
@@ -170,7 +177,9 @@ class TestSam:
         base_cfg = SgdConfig(eta=0.01)
         plain, _ = run(spec, list(cores), obj, base_cfg, 1)
         cfg = SamConfig(rho=1e-12, base=base_cfg)
-        wrapped, _ = sam_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
+        wrapped, _, _ = sam_step(
+            gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores)
+        )
         for a, b in zip(plain, wrapped):
             assert np.max(np.abs(a - b)) <= 1e-9 * max(1.0, np.max(np.abs(a)))
 
@@ -182,11 +191,12 @@ class TestSam:
             as_tensor(np.ones(spec.output_shape)),
         )
         cfg = SamConfig(rho=0.05, base=SgdConfig(eta=1e-3))
-        _, trace = sam_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
+        _, rec, _ = sam_step(gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores))
+        _, grads = loss_and_core_grads(spec, cores, obj)
         total = math.sqrt(
             sum(
-                frobenius_norm_sq(as_tensor(cfg.rho * trace.u * g))
-                for g in trace.grads
+                frobenius_norm_sq(as_tensor(cfg.rho * rec.u * g))
+                for g in grads
             )
         )
         assert total == pytest.approx(cfg.rho, rel=1e-15)
@@ -194,7 +204,7 @@ class TestSam:
     def test_scalar_two_core_oracle(self):
         spec, cores, obj = scalar_pair_problem(x=2.0, y=0.7)
         cfg = SamConfig(rho=0.05, base=SgdConfig(eta=0.1))
-        new, _ = sam_step(spec, cores, obj, cfg, init_state(cfg, cores))
+        new, _, _ = sam_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
         ref_x, ref_y = two_core_scalar_sam_step(2.0, 0.7, 0.05, 0.1)
         assert abs(new[0].item() - ref_x) <= 1e-12
         assert abs(new[1].item() - ref_y) <= 1e-12
@@ -202,8 +212,8 @@ class TestSam:
     def test_zero_gradient_falls_back_to_base(self):
         spec, cores, obj = scalar_pair_problem(x=1.0, y=1.0)  # x*y == target
         cfg = SamConfig(rho=0.1, base=SgdConfig(eta=0.1))
-        new, trace = sam_step(spec, cores, obj, cfg, init_state(cfg, cores))
-        assert trace.zero_gradient
+        new, rec, _ = sam_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+        assert rec.zero_gradient
         np.testing.assert_array_equal(new[0], cores[0])
         np.testing.assert_array_equal(new[1], cores[1])
 
@@ -214,11 +224,17 @@ class TestSam:
             as_tensor(rng.standard_normal((3, 3))), as_tensor(np.ones((3, 3)))
         )
         cfg = SamConfig(rho=0.01, base=SgdConfig(eta=1e-3))
-        _, trace = sam_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
-        assert len(trace.grads) == len(trace.perturbed_grads) == spec.num_cores
-        for g, gsq in zip(trace.grads, trace.grad_norms_sq):
+        _, rec, g_tilde = sam_step(
+            gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores)
+        )
+        _, grads = loss_and_core_grads(spec, cores, obj)
+        assert len(rec.grad_norms_sq) == len(g_tilde) == spec.num_cores
+        for g, gsq in zip(grads, rec.grad_norms_sq):
             assert frobenius_norm_sq(g) == gsq
-        assert trace.u == pytest.approx(sum(trace.grad_norms_sq) ** -0.5, rel=1e-15)
+        assert rec.u == pytest.approx(sum(rec.grad_norms_sq) ** -0.5, rel=1e-15)
+        perturbed = [as_tensor(c + cfg.rho * rec.u * g) for c, g in zip(cores, grads)]
+        for got, want in zip(g_tilde, loss_and_core_grads(spec, perturbed, obj)[1]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDas:
@@ -242,8 +258,10 @@ class TestDas:
         # symmetric two-core instance: gradient norms match exactly
         spec, cores, obj = scalar_pair_problem(x=2.0, y=2.0, target=1.0)
         das_cfg = DasConfig(alpha=0.5, base=SgdConfig(eta=0.01))
-        got, trace = das_step(spec, list(cores), obj, das_cfg, init_state(das_cfg, cores))
-        assert trace.lambdas == (0.0, 0.0)
+        got, rec, _ = das_step(
+            gradient_fn(spec, obj), list(cores), das_cfg, init_state(das_cfg, cores)
+        )
+        assert rec.lambdas == (0.0, 0.0)
         base_cfg = SgdConfig(eta=0.01)
         _, grads = loss_and_core_grads(spec, cores, obj)
         want = base_step(list(cores), grads, base_cfg, init_state(base_cfg, cores))
@@ -253,23 +271,30 @@ class TestDas:
         spec, cores, obj = scalar_pair_problem(x=0.0, y=2.0, target=3.0)
         cfg = DasConfig(alpha=0.1, base=SgdConfig(eta=0.1))
         with pytest.raises(ZeroCoreNorm):
-            das_step(spec, cores, obj, cfg, init_state(cfg, cores))
+            das_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+
+    def test_factor_not_above_zero_raises(self):
+        # lambda = (66660, -3.33, -3.3e-4): core 1 would be multiplied by -2.33
+        spec, cores, obj = sign_flip_problem()
+        cfg = DasConfig(alpha=0.5, base=SgdConfig(eta=0.1))
+        with pytest.raises(NumericalError, match=r"core 1 .*-2\.33"):
+            das_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
 
     def test_zero_gradient_skips_scaling(self):
         spec, cores, obj = scalar_pair_problem(x=1.0, y=1.0)
         cfg = DasConfig(alpha=0.1, base=SgdConfig(eta=0.1))
-        new, trace = das_step(spec, cores, obj, cfg, init_state(cfg, cores))
-        assert trace.zero_gradient
+        new, rec, _ = das_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+        assert rec.zero_gradient
         np.testing.assert_array_equal(new[0], cores[0])
 
     def test_scaling_applied_before_base_update(self):
         spec, cores, obj = scalar_pair_problem(x=2.0, y=0.7)
         eta, alpha = 0.1, 0.7
         cfg = DasConfig(alpha=alpha, base=SgdConfig(eta=eta))
-        new, trace = das_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
+        new, rec, _ = das_step(gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores))
         _, grads = loss_and_core_grads(spec, cores, obj)
         for k in range(2):
-            want = (1.0 + trace.lambdas[k]) * cores[k].item() - eta * grads[k].item()
+            want = (1.0 + rec.lambdas[k]) * cores[k].item() - eta * grads[k].item()
             assert new[k].item() == pytest.approx(want, rel=1e-14)
 
     def test_adam_base_moments_not_rescaled(self):
@@ -277,7 +302,7 @@ class TestDas:
         cfg = DasConfig(alpha=0.5, base=AdamConfig(eta=0.01))
         state = init_state(cfg, cores)
         _, grads = loss_and_core_grads(spec, cores, obj)
-        das_step(spec, list(cores), obj, cfg, state)
+        das_step(gradient_fn(spec, obj), list(cores), cfg, state)
         # moments reflect the raw gradient, not a (1+lambda)-scaled one
         np.testing.assert_allclose(
             state.adam_m[0], (1 - cfg.base.beta1) * np.asarray(grads[0]), rtol=1e-14
@@ -319,6 +344,12 @@ class TestRunLoop:
         with pytest.raises(ZeroCoreNorm, match="iteration 0"):
             run(spec, cores, obj, cfg, 3)
 
+    def test_das_sign_flip_carries_iteration_index(self):
+        spec, cores, obj = sign_flip_problem()
+        cfg = DasConfig(alpha=0.5, base=SgdConfig(eta=0.1))
+        with pytest.raises(NumericalError, match="^iteration 0: core 1 "):
+            run(spec, cores, obj, cfg, 3)
+
     def test_iters_validated(self, rng):
         spec, cores, obj = self.problem(rng)
         with pytest.raises(ValueError):
@@ -329,6 +360,7 @@ class TestRunLoop:
         seen = []
         _, records = run(spec, cores, obj, SgdConfig(eta=1e-3), 7, sink=seen.append)
         assert seen == records
+        assert [r.t for r in records] == list(range(7))
 
     def test_cosine_schedule_endpoints(self):
         assert scheduled_eta(0.1, "cosine", 0, 100) == pytest.approx(0.1)
@@ -343,7 +375,7 @@ class TestRunLoop:
         _, records = run(spec, cores, obj, cfg, 3)
         assert all(r.lambdas is not None and len(r.lambdas) == 3 for r in records)
 
-    def test_plain_step_norm_update_decomposition(self, rng):
+    def test_base_step_norm_update_decomposition(self, rng):
         # ds_k = -2*eta*<G_k, g_k> + eta^2*||g_k||^2 exactly, and the
         # first-order inner products agree across cores
         spec, cores, obj = self.problem(rng)
@@ -362,6 +394,9 @@ class TestRunLoop:
 
 
 class TestLayeredSteps:
+    """A multi-layer model is the step over its layers' cores end to end,
+    with one group per layer."""
+
     def scalar_two_layer(self, a, b, c, d, x_val, target):
         s = custom_spec("a,b->ab", [(1,), (1,)])
         model = LayeredModel(
@@ -372,6 +407,16 @@ class TestLayeredSteps:
         obj = MaskedMse(as_tensor([[target]]), as_tensor([[1.0]]))
         return model, x, obj
 
+    def layered_step(self, step, model, x, obj, cfg):
+        """One step over every layer's cores end to end; returns the new
+        flat cores and the record."""
+        flat = [c for layer in model.cores for c in layer]
+        new, rec, _ = step(
+            model.gradient_fn(x, obj), flat, cfg, init_state(cfg, flat),
+            groups=model.groups,
+        )
+        return new, rec
+
     def test_single_layer_reduces_to_flat_sam(self, rng):
         spec = tucker2_spec(4, 3, 2, 2)
         cores = random_cores(spec, rng, 0.3)
@@ -379,34 +424,30 @@ class TestLayeredSteps:
         obj = MaskedMse(target, as_tensor(np.ones((4, 3))))
         cfg = SamConfig(rho=0.01, base=SgdConfig(eta=1e-3))
 
-        flat_new, flat_tr = sam_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
+        flat_new, flat_rec, _ = sam_step(
+            gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores)
+        )
         model = LayeredModel(specs=[spec], cores=[list(cores)])
         x = as_tensor(np.eye(3))
-        lay_new, lay_tr = layered_sam_step(model, x, obj, cfg, init_state(cfg, cores))
-        for a, b in zip(flat_new, lay_new.cores[0]):
+        lay_new, lay_rec = self.layered_step(sam_step, model, x, obj, cfg)
+        for a, b in zip(flat_new, lay_new, strict=True):
             np.testing.assert_array_equal(a, b)
-        assert lay_tr.u == flat_tr.u
+        assert lay_rec.u == flat_rec.u
 
     def test_perturbation_norm_spans_layers(self, rng):
         model, x, obj = self.scalar_two_layer(1.5, 0.5, 2.0, 0.25, 1.0, 3.0)
         cfg = SamConfig(rho=0.02, base=SgdConfig(eta=1e-3))
-        flat = [c for layer in model.cores for c in layer]
-        _, trace = layered_sam_step(model, x, obj, cfg, init_state(cfg, flat))
-        total = math.sqrt(
-            (cfg.rho * trace.u) ** 2 * sum(g for layer in trace.grad_norms_sq for g in layer)
-        )
+        _, rec = self.layered_step(sam_step, model, x, obj, cfg)
+        total = math.sqrt((cfg.rho * rec.u) ** 2 * sum(rec.grad_norms_sq))
         assert total == pytest.approx(cfg.rho, rel=1e-15)
 
     def test_two_layer_scalar_oracle(self):
         a, b, c, d, x_val, target = 1.5, 0.5, 2.0, 0.25, 1.2, 3.0
         model, x, obj = self.scalar_two_layer(a, b, c, d, x_val, target)
         cfg = SamConfig(rho=0.05, base=SgdConfig(eta=0.1))
-        flat = [cc for layer in model.cores for cc in layer]
-        new, _ = layered_sam_step(model, x, obj, cfg, init_state(cfg, flat))
+        new, _ = self.layered_step(sam_step, model, x, obj, cfg)
         ref = two_layer_scalar_sam_step(a, b, c, d, x_val, 0.05, 0.1, target)
-        got = [new.cores[0][0].item(), new.cores[0][1].item(),
-               new.cores[1][0].item(), new.cores[1][1].item()]
-        for g, r in zip(got, ref):
+        for g, r in zip([c.item() for c in new], ref, strict=True):
             assert abs(g - r) <= 1e-12
 
     def test_layered_das_single_layer_reduces_to_flat(self, rng):
@@ -416,34 +457,34 @@ class TestLayeredSteps:
             as_tensor(rng.standard_normal((4, 3))), as_tensor(np.ones((4, 3)))
         )
         cfg = DasConfig(alpha=0.01, base=SgdConfig(eta=1e-3))
-        flat_new, flat_tr = das_step(spec, list(cores), obj, cfg, init_state(cfg, cores))
-        model = LayeredModel(specs=[spec], cores=[list(cores)])
-        lay_new, lay_tr = layered_das_step(
-            model, as_tensor(np.eye(3)), obj, cfg, init_state(cfg, cores)
+        flat_new, flat_rec, _ = das_step(
+            gradient_fn(spec, obj), list(cores), cfg, init_state(cfg, cores)
         )
-        for a, b in zip(flat_new, lay_new.cores[0]):
+        model = LayeredModel(specs=[spec], cores=[list(cores)])
+        lay_new, lay_rec = self.layered_step(das_step, model, as_tensor(np.eye(3)), obj, cfg)
+        for a, b in zip(flat_new, lay_new, strict=True):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(lay_tr.lambdas[0], flat_tr.lambdas, rtol=1e-12)
+        np.testing.assert_allclose(lay_rec.lambdas, flat_rec.lambdas, rtol=1e-12)
 
     def test_layered_das_zero_core_raises(self):
         model, x, obj = self.scalar_two_layer(0.0, 0.5, 2.0, 0.25, 1.0, 3.0)
         cfg = DasConfig(alpha=0.1, base=SgdConfig(eta=0.1))
-        flat = [c for layer in model.cores for c in layer]
         with pytest.raises(ZeroCoreNorm):
-            layered_das_step(model, x, obj, cfg, init_state(cfg, flat))
+            self.layered_step(das_step, model, x, obj, cfg)
 
     def test_layered_das_gbar_is_per_layer(self):
         model, x, obj = self.scalar_two_layer(1.5, 0.5, 2.0, 0.25, 1.2, 3.0)
         cfg = DasConfig(alpha=0.5, base=SgdConfig(eta=0.1))
-        flat = [c for layer in model.cores for c in layer]
-        _, trace = layered_das_step(model, x, obj, cfg, init_state(cfg, flat))
-        u_global = sum(g for layer in trace.grad_norms_sq for g in layer) ** -0.5
-        assert trace.u == pytest.approx(u_global, rel=1e-15)
-        for layer_lams, layer_gamma, layer_s in zip(
-            trace.lambdas, trace.grad_norms_sq, trace.core_norms_sq
-        ):
+        _, rec = self.layered_step(das_step, model, x, obj, cfg)
+        u_global = sum(rec.grad_norms_sq) ** -0.5
+        assert rec.u == pytest.approx(u_global, rel=1e-15)
+        assert model.groups == (2, 2)
+        for layer in (slice(0, 2), slice(2, 4)):
+            layer_gamma = rec.grad_norms_sq[layer]
             gbar = sum(layer_gamma) / len(layer_gamma)
-            for lam, g, s in zip(layer_lams, layer_gamma, layer_s):
+            for lam, g, s in zip(
+                rec.lambdas[layer], layer_gamma, rec.core_norms_sq[layer]
+            ):
                 assert lam == pytest.approx(
                     0.1 * cfg.alpha * u_global * (g - gbar) / s, rel=1e-12
                 )
