@@ -231,8 +231,11 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read config: {exc}") from exc
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -237,6 +237,18 @@ class _LawProbe:
     cov: float  # Cov of the group's squared norms and gradient norms
 
 
+def _first_pass_reused(grads_of, cores):
+    """``grads_of`` with its result at ``cores`` taken once, now, and given
+    again for those same core objects: a probe's steps all start there."""
+    first = grads_of(cores)
+
+    def reused(given):
+        same = len(given) == len(cores) and all(a is b for a, b in zip(given, cores))
+        return first if same else grads_of(given)
+
+    return reused
+
+
 def _sam_law_probe(
     grads_of, cores, rho, eta, value, first_order, law, group=slice(None)
 ) -> _LawProbe:
@@ -248,6 +260,7 @@ def _sam_law_probe(
     -2*eta*<G_k, g~_k>: the secant with its exactly-known eta^2 term removed.
     """
     steps = []
+    grads_of = _first_pass_reused(grads_of, cores)
     for radius in (rho, rho / 2.0):
         cfg = SamConfig(radius, SgdConfig(eta))
         new, rec, g_tilde = sam_step(grads_of, cores, cfg, init_state(cfg, cores))
@@ -362,7 +375,7 @@ def check_das_matches_sam(
     s0 = np.asarray(norms_sq(cores))
     q0 = norm_deviation(s0)
 
-    grads_of = gradient_fn(spec, objective)
+    grads_of = _first_pass_reused(gradient_fn(spec, objective), cores)
     sam_cfg = SamConfig(rho, SgdConfig(eta))
     new_sam, rec_sam, _ = sam_step(grads_of, cores, sam_cfg, init_state(sam_cfg, cores))
     if rec_sam.zero_gradient:

@@ -54,6 +54,13 @@ FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
 DEFAULT_SUITE_SEEDS = tuple(range(10))
 
 
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"output directory {out_dir!r}: {exc.strerror}") from exc
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -163,7 +170,7 @@ def layered_instance(kind: str, seed: int, max_draws: int = 200):
         )
         out = model.forward(x)
         obj = _unit_residual_objective(out, rng)
-        _, dl = obj.loss_and_grad(model.forward(x))
+        _, dl = obj.loss_and_grad(out)
         grads = model.core_grads(x, dl)
         ok = True
         for layer_cores, layer_grads in zip(model.cores, grads):
@@ -458,6 +465,8 @@ def suite_das(seeds) -> list[TheoremCheckReport]:
 
 
 def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> ExperimentResult:
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     seeds = list(range(num_seeds))
     reports: list[TheoremCheckReport] = []
     reports.append(suite_deviation_forms())
@@ -475,7 +484,6 @@ def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> Experi
         "all_passed": passed,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         _write_summary(out_dir, summary)
         with open(
             os.path.join(out_dir, "theorem_reports.txt"), "w", encoding="utf-8"
@@ -490,7 +498,7 @@ def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> Experi
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     if cfg.kind == "completion":
         return run_completion(cfg, out_dir)
     if cfg.kind == "tucker2-noise":
@@ -505,7 +513,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 def generate_to_files(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """The `gen` subcommand: synthetic target (and mask) written as DTF1."""
     out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     spec = build_model_spec(cfg.model)
     target, truth = generate_synthetic(spec, cfg.seed, cfg.objective.noise_alphas[0])
     target_path = os.path.join(out_dir, "target.dtf1")

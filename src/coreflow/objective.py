@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance
-from .tensor import as_tensor, ensure_finite, require_same_shape
+from .tensor import as_tensor, require_same_shape, seal
 
 
 @dataclass
@@ -34,8 +34,7 @@ class MaskedMse:
         resid = self.mask * (t_hat - self.target)
         loss = float(np.sum(resid * resid)) / self.normalizer
         grad = (2.0 / self.normalizer) * resid
-        ensure_finite(grad, "masked mse gradient")
-        return loss, as_tensor(grad)
+        return loss, seal(grad, "masked mse gradient")
 
 
 @dataclass
@@ -70,8 +69,7 @@ class NoisyTargetMse:
         resid = t_hat - self.clean_target - self.alpha * self.noise
         loss = float(np.sum(resid * resid))
         grad = 2.0 * resid
-        ensure_finite(grad, "noisy mse gradient")
-        return loss, as_tensor(grad)
+        return loss, seal(grad, "noisy mse gradient")
 
 
 def r2_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:

@@ -11,18 +11,23 @@ applies the base update with the perturbed-point gradients.  DAS multiplies
 each core by (1 + lambda_k) before the base update, with lambda_k
 proportional to how far the core's squared gradient norm sits from the mean
 of its group (layer).
+
+Every vector a step touches (cores, gradients, the SAM perturbation, the
+optimizer's buffers) is one flat float64 array over all cores end to end,
+checked for finiteness once; per-core views of it are handed out only where
+a core is contracted, measured or scaled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoreflowError, NumericalError, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores, reconstruct
-from .tensor import as_tensor, frobenius_norm_sq, seal
+from .tensor import frobenius_norm_sq, seal, split_flat
 
 _TINY_NORM_SQ = 1e-300
 
@@ -90,37 +95,43 @@ def base_config(cfg: OptimizerConfig) -> SgdConfig | AdamConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-core buffers for the base optimizer plus the step counter."""
+    """The step counter and the base optimizer's buffers, each one flat array
+    over all cores end to end (None if unused; ``momentum``, ``adam_m`` and
+    ``adam_v`` give per-core views), plus the core views last handed out and
+    the flat array behind them, which a step given those views reads back."""
 
+    shapes: tuple = ()
     t: int = 0
-    momentum: list[np.ndarray] | None = None
-    adam_m: list[np.ndarray] | None = None
-    adam_v: list[np.ndarray] | None = None
+    flat_momentum: np.ndarray | None = None
+    flat_m: np.ndarray | None = None
+    flat_v: np.ndarray | None = None
+    handed_out: tuple = field(default=((), None), repr=False, compare=False)
+
+    def _views(self, flat):
+        return None if flat is None else split_flat(flat, self.shapes)
+
+    momentum = property(lambda self: self._views(self.flat_momentum))
+    adam_m = property(lambda self: self._views(self.flat_m))
+    adam_v = property(lambda self: self._views(self.flat_v))
+
+    def flat(self, cores: list[np.ndarray]) -> np.ndarray:
+        """``cores`` end to end: the array behind them when they are the views
+        this state last handed out (same objects, same order), else a copy."""
+        views, flat = self.handed_out
+        if len(cores) == len(views) and all(a is b for a, b in zip(cores, views)):
+            return flat
+        return np.concatenate([c.ravel() for c in cores])
 
 
 def init_state(cfg: OptimizerConfig, cores: list[np.ndarray]) -> OptimizerState:
     base = base_config(cfg)
+    state = OptimizerState(tuple(c.shape for c in cores))
+    size = sum(c.size for c in cores)
     if isinstance(base, AdamConfig):
-        return OptimizerState(
-            adam_m=[np.zeros(c.shape) for c in cores],
-            adam_v=[np.zeros(c.shape) for c in cores],
-        )
-    if base.momentum > 0.0:
-        return OptimizerState(momentum=[np.zeros(c.shape) for c in cores])
-    return OptimizerState()
-
-
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of ``flat`` shaped like each array of ``like``, end to end."""
-    out, start = [], 0
-    for a in like:
-        out.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return out
+        state.flat_m, state.flat_v = np.zeros(size), np.zeros(size)
+    elif base.momentum > 0.0:
+        state.flat_momentum = np.zeros(size)
+    return state
 
 
 def base_step(
@@ -135,26 +146,26 @@ def base_step(
 
     The update is elementwise, so it runs once over all cores laid end to
     end (one numpy call per operation instead of one per core); the new
-    cores and state buffers are views of those flat arrays.
+    cores are views of one sealed flat array, which the state remembers.
     """
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    g = _concat(grads)
+    g = np.concatenate([gk.ravel() for gk in grads])
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
-        m = cfg.beta1 * _concat(state.adam_m) + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * _concat(state.adam_v) + (1.0 - cfg.beta2) * (g * g)
-        state.adam_m, state.adam_v = _split(m, cores), _split(v, cores)
+        state.flat_m = m = cfg.beta1 * state.flat_m + (1.0 - cfg.beta1) * g
+        state.flat_v = v = cfg.beta2 * state.flat_v + (1.0 - cfg.beta2) * (g * g)
         step = (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
     elif cfg.momentum > 0.0:
-        step = cfg.momentum * _concat(state.momentum) + g
-        state.momentum = _split(step, cores)
+        state.flat_momentum = step = cfg.momentum * state.flat_momentum + g
     else:
         step = g
-    new = seal(shrink * _concat(cores) - eta * step, "optimizer update")
-    return _split(new, cores)
+    new = seal(shrink * state.flat(cores) - eta * step, "optimizer update")
+    views = split_flat(new, [c.shape for c in cores])
+    state.handed_out = (tuple(views), new)
+    return views
 
 
 def loss_and_core_grads(spec, cores, objective):
@@ -216,8 +227,9 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
         return base_step(cores, g, cfg.base, state, eta), rec, g
     u = total ** -0.5
-    perturbed = [as_tensor(c + cfg.rho * u * gk) for c, gk in zip(cores, g)]
-    _, g_tilde = grads_of(perturbed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = state.flat(cores) + (cfg.rho * u) * np.concatenate([gk.ravel() for gk in g])
+    _, g_tilde = grads_of(split_flat(seal(x, "SAM perturbation"), [c.shape for c in cores]))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
     return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
 

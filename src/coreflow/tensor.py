@@ -2,9 +2,10 @@
 
 Tensors are plain ``numpy.ndarray`` values: C-order, float64, all entries
 finite, and marked read-only once they leave this module.  Every operation is
-a pure function returning a fresh array, and every array it returns is checked:
-a NaN/Inf raises NumericalError instead of propagating.  Contractions check
-only their results, since a non-finite intermediate always reaches them.
+a pure function returning a fresh array (or views of one), and every array it
+returns is checked: a NaN/Inf raises NumericalError instead of propagating.
+Contractions check only their results, since a non-finite intermediate always
+reaches them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ Shape = tuple[int, ...]
 _DTF1_MAGIC = b"DTF1"
 
 
-def ensure_finite(arr: np.ndarray, context: str = "operation") -> None:
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"{context} produced a non-finite value")
-
-
 def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
     """Validated tensor constructor: float64, C-order, finite, read-only."""
     arr = np.array(values, dtype=np.float64, order="C")
@@ -41,15 +37,14 @@ def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
                 f"{arr.size} values cannot fill shape {shape} ({count} entries)"
             )
         arr = arr.reshape(shape)
-    ensure_finite(arr, "tensor construction")
-    arr.flags.writeable = False
-    return arr
+    return seal(arr, "tensor construction")
 
 
 def seal(arr: np.ndarray, context: str) -> np.ndarray:
     """A computed array as a tensor: checked finite, C-order (copied only if
     it is not), and read-only."""
-    ensure_finite(arr, context)
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"{context} produced a non-finite value")
     if getattr(arr, "ndim", 0) > 0:
         arr = np.ascontiguousarray(arr)
     else:
@@ -317,22 +312,29 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
     return CompiledPlan(plan)
 
 
-def _sealed_result(arr: np.ndarray, inputs, context: str) -> np.ndarray:
-    """Seal a result; one that is an input itself (a plan that only passes an
-    operand through) is copied first, so the caller's array stays writable."""
-    if any(arr is x for x in inputs):
-        arr = arr.copy()
-    return seal(arr, context)
-
-
 def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     """Evaluate the plan by pairwise reductions in left-to-right order.
 
     See CompiledPlan for the evaluation order.  The result is checked for
-    finiteness once; an overflow inside raises NumericalError here.
+    finiteness once; an overflow inside raises NumericalError here.  A result
+    that is an input itself (a plan that only passes an operand through) is
+    copied first, so the caller's array stays writable.
     """
     compiled = compile_plan(plan)
-    return _sealed_result(compiled.forward(inputs), inputs, compiled.context)
+    out = compiled.forward(inputs)
+    if any(out is x for x in inputs):
+        out = out.copy()
+    return seal(out, compiled.context)
+
+
+def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the 1-D ``flat`` with the given shapes, laid end to end."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start : start + size].reshape(shape))
+        start += size
+    return out
 
 
 def contract_grads(
@@ -342,12 +344,14 @@ def contract_grads(
     slots: tuple[int, ...],
 ) -> list[np.ndarray]:
     """Gradients of <contract(plan, inputs), grad_out> with respect to the
-    operands at ``slots`` (ascending), from one reverse pass; each is checked
-    for finiteness once."""
+    operands at ``slots`` (ascending), from one reverse pass: views of one
+    flat array holding them end to end, checked for finiteness once."""
     compiled = compile_plan(plan)
     grads = compiled.gradients(inputs, grad_out, slots)
-    context = compiled.context + " gradient"
-    return [_sealed_result(g, (grad_out,), context) for g in grads]
+    if not grads:
+        return []
+    flat = np.concatenate([g.ravel() for g in grads])
+    return split_flat(seal(flat, compiled.context + " gradient"), [g.shape for g in grads])
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,6 +5,7 @@ no shared code with the package's contraction engine.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -83,3 +84,71 @@ def two_layer_scalar_sam_step(a, b, c, d, x, rho, eta, target):
     gap, gbp = 2.0 * rp * (cp * dp) * x * bp, 2.0 * rp * (cp * dp) * x * ap
     gcp, gdp = 2.0 * rp * (ap * bp) * x * dp, 2.0 * rp * (ap * bp) * x * cp
     return a - eta * gap, b - eta * gbp, c - eta * gcp, d - eta * gdp
+
+
+def _norm_sq(a):
+    flat = np.ravel(a)
+    return float(np.dot(flat, flat))
+
+
+def reference_steps(grads_of, cores, cfg, iters, groups=None):
+    """``iters`` optimizer steps written plainly, one core at a time.
+
+    ``cfg`` is an SGD/momentum, Adam, SAM or DAS config (read by its fields);
+    ``grads_of(cores)`` gives (loss, per-core gradients).  Returns the final
+    cores and, per step, the tuple (t, loss, core norms^2, gradient norms^2,
+    lambdas, zero_gradient, u) that a StepRecord holds.
+    """
+    base = getattr(cfg, "base", cfg)
+    adam = hasattr(base, "beta1")
+    momentum = getattr(base, "momentum", 0.0)
+    bufs = [np.zeros(c.shape) for c in cores]
+    m = [np.zeros(c.shape) for c in cores]
+    v = [np.zeros(c.shape) for c in cores]
+    cores = [np.array(c) for c in cores]
+    records = []
+    for t in range(iters):
+        loss, g = grads_of(cores)
+        s = tuple(_norm_sq(c) for c in cores)
+        gamma = tuple(_norm_sq(gk) for gk in g)
+        lams, zero, u = None, False, 0.0
+        update_grads, start = g, cores
+        if hasattr(cfg, "rho"):
+            total = sum(gamma)
+            zero = total == 0.0
+            if not zero:
+                u = total ** -0.5
+                perturbed = [c + cfg.rho * u * gk for c, gk in zip(cores, g)]
+                update_grads = grads_of(perturbed)[1]
+        elif hasattr(cfg, "alpha"):
+            gbar = math.fsum(gamma) / len(gamma)
+            zero = gbar == 0.0
+            lams = (0.0,) * len(cores)
+            if not zero:
+                u = (len(gamma) * gbar) ** -0.5
+                lams, first = [], 0
+                for size in groups or (len(cores),):
+                    gbar_l = math.fsum(gamma[first:first + size]) / size
+                    for k in range(first, first + size):
+                        lams.append(base.eta * cfg.alpha * u * (gamma[k] - gbar_l) / s[k])
+                    first += size
+                lams = tuple(lams)
+            start = [(1.0 + lam) * c for lam, c in zip(lams, cores)]
+        records.append((t, loss, s, gamma, lams, zero, u))
+        shrink = 1.0 - base.eta * base.weight_decay
+        new = []
+        for k, (c, gk) in enumerate(zip(start, update_grads)):
+            if adam:
+                m[k] = base.beta1 * m[k] + (1.0 - base.beta1) * gk
+                v[k] = base.beta2 * v[k] + (1.0 - base.beta2) * (gk * gk)
+                c1 = 1.0 - base.beta1 ** (t + 1)
+                c2 = 1.0 - base.beta2 ** (t + 1)
+                step = (m[k] / c1) / (np.sqrt(v[k] / c2) + base.epsilon)
+            elif momentum > 0.0:
+                bufs[k] = momentum * bufs[k] + gk
+                step = bufs[k]
+            else:
+                step = gk
+            new.append(shrink * c - base.eta * step)
+        cores = new
+    return cores, records

@@ -118,6 +118,51 @@ class TestSeedChecks:
         assert err.count("\n") == 1 and "--seed" in err
 
 
+class TestUnusablePaths:
+    def assert_one_line_error(self, argv, capsys, *words):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for word in words:
+            assert word in err
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.cfg")
+        self.assert_one_line_error(["run", missing], capsys, "absent.cfg", "cannot read")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.assert_one_line_error(["run", str(tmp_path)], capsys, "cannot read")
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("experiment completion # caf\xe9\n".encode("latin-1"))
+        self.assert_one_line_error(["run", str(path)], capsys, "cannot read", "utf-8")
+
+    def test_run_out_is_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.assert_one_line_error(
+            ["run", cfg, "--out", str(taken)], capsys, "output directory"
+        )
+
+    def test_suite_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.assert_one_line_error(
+            ["suite", "--seeds", "1", "--out", str(taken)], capsys, "output directory"
+        )
+
+    def test_gen_out_is_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        self.assert_one_line_error(
+            ["gen", cfg, "--out", str(taken)], capsys, "output directory"
+        )
+        assert taken.read_text() == ""
+
+
 class TestSuiteCommand:
     def test_small_suite_passes_and_prints_verdicts(self, tmp_path, capsys):
         out = tmp_path / "suite"

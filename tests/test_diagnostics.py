@@ -19,6 +19,7 @@ from coreflow.diagnostics import (
     observe_shrinkage,
     trajectory_rows,
 )
+from coreflow import optim
 from coreflow.errors import LengthMismatch, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
 from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct
@@ -169,6 +170,33 @@ class TestSamQDynamics:
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
         with pytest.raises(ZeroGradient):
             check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+
+
+class TestGradientPasses:
+    """The steps of one probe share the gradient at the unperturbed point."""
+
+    def count_passes(self, monkeypatch):
+        calls = []
+        real = optim.loss_and_core_grads
+
+        def counted(spec, cores, objective):
+            calls.append(1)
+            return real(spec, cores, objective)
+
+        monkeypatch.setattr(optim, "loss_and_core_grads", counted)
+        return calls
+
+    def test_sam_law_probe_takes_three_passes(self, monkeypatch):
+        spec, cores, obj = check_instance("tucker2", 0)
+        calls = self.count_passes(monkeypatch)
+        check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+        assert len(calls) == 3  # g once, then the perturbed point at rho and rho/2
+
+    def test_das_matches_sam_takes_two_passes(self, monkeypatch):
+        spec, cores, obj = check_instance("tucker2", 0)
+        calls = self.count_passes(monkeypatch)
+        check_das_matches_sam(spec, cores, obj, rho=1e-3, eta=1e-4)
+        assert len(calls) == 2
 
 
 class TestPairwiseDynamics:

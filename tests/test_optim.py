@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from coreflow.optim import (
 from coreflow.tensor import as_tensor, frobenius_inner, frobenius_norm_sq
 
 from oracles import (
+    reference_steps,
     scalar_adam,
     two_core_scalar_sam_step,
     two_layer_scalar_sam_step,
@@ -503,3 +506,89 @@ class TestStateBuffers:
         state = init_state(AdamConfig(), cores)
         assert [b.shape for b in state.adam_m] == [c.shape for c in cores]
         assert [b.shape for b in state.adam_v] == [c.shape for c in cores]
+
+    def test_step_reads_back_only_the_views_it_handed_out(self, rng):
+        spec = tucker2_spec(4, 4, 2, 2)  # cores (4,2), (2,2), (4,2)
+        cfg = SgdConfig(eta=0.1)
+        cores = random_cores(spec, rng)
+        state = init_state(cfg, cores)
+        grads = [as_tensor(np.ones(shape)) for shape in spec.core_shapes]
+        new = base_step(cores, grads, cfg, state)
+        # the views just handed out, the same views reordered, fresh arrays
+        for order in ((0, 1, 2), (2, 1, 0), None):
+            if order is None:
+                given = [as_tensor(c + 1.0) for c in new]
+            else:
+                given = [new[k] for k in order]
+            new = base_step(given, grads, cfg, state)
+            for got, start in zip(new, given):
+                np.testing.assert_array_equal(got, start - 0.1)
+
+
+class TestReferenceSteps:
+    """20 flat-vector steps against the plain per-core reference, bitwise."""
+
+    CONFIGS = {
+        "sgd": SgdConfig(eta=0.05),
+        "momentum_wd": SgdConfig(eta=0.05, momentum=0.9, weight_decay=0.01),
+        "adam_wd": AdamConfig(eta=0.01, weight_decay=0.01),
+        "sam_adam": SamConfig(rho=0.05, base=AdamConfig(eta=0.01)),
+        "das_adam": DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)),
+    }
+
+    @staticmethod
+    def assert_bitwise(cores, records, ref_cores, ref_records):
+        assert len(cores) == len(ref_cores)
+        for got, want in zip(cores, ref_cores):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert repr([dataclasses.astuple(r) for r in records]) == repr(ref_records)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_run_matches_reference(self, name, rng):
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        target = reconstruct(spec, random_cores(spec, rng))
+        obj = MaskedMse(target, as_tensor((rng.random((5, 4, 3)) < 0.6).astype(float)))
+        cfg = self.CONFIGS[name]
+        final, records = run(spec, list(cores), obj, cfg, 20)
+        ref_cores, ref_records = reference_steps(gradient_fn(spec, obj), cores, cfg, 20)
+        self.assert_bitwise(final, records, ref_cores, ref_records)
+
+    def test_layered_das_matches_reference(self, rng):
+        s1 = tucker2_spec(4, 3, 2, 2)
+        s2 = custom_spec("ab,bc->ac", [(5, 2), (2, 4)])
+        model = LayeredModel(
+            specs=[s1, s2],
+            cores=[random_cores(s1, rng, 0.5), random_cores(s2, rng, 0.5)],
+        )
+        x = as_tensor(rng.standard_normal((3, 2)))
+        obj = MaskedMse(as_tensor(rng.standard_normal((5, 2))), as_tensor(np.ones((5, 2))))
+        grads_of = model.gradient_fn(x, obj)
+        cfg = DasConfig(alpha=0.05, base=AdamConfig(eta=0.01))
+        cores = [c for layer in model.cores for c in layer]
+        state, records, flat = init_state(cfg, cores), [], cores
+        for _ in range(20):
+            flat, rec, _ = das_step(grads_of, flat, cfg, state, groups=model.groups)
+            records.append(rec)
+        ref = reference_steps(grads_of, cores, cfg, 20, groups=model.groups)
+        assert model.groups == (3, 2)
+        self.assert_bitwise(flat, records, *ref)
+
+    def test_gradient_overflow_raises(self):
+        """x*y = 1 is finite, but dloss/dy = 2*(1 + 1e110)*1e200 overflows."""
+        spec = custom_spec("i,j->ij", [(1,), (1,)])
+        cores = [as_tensor([1e200]), as_tensor([1e-200])]
+        obj = MaskedMse(as_tensor([[-1e110]]), as_tensor([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^iteration 0: .*gradient"):
+                run(spec, cores, obj, AdamConfig(eta=0.01), 2)
+
+    def test_sam_perturbation_overflow_raises(self):
+        """A gradient of norm ~3e-11 makes rho*u overflow for rho = 1e300."""
+        spec, cores, obj = scalar_pair_problem(x=1.0, y=1.0, target=1.0 - 1e-11)
+        cfg = SamConfig(rho=1e300, base=SgdConfig(eta=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^iteration 0: SAM perturbation"):
+                run(spec, cores, obj, cfg, 2)
