@@ -39,6 +39,15 @@ from .optim import (
 )
 from .tensor import frobenius_inner, frobenius_norm_sq
 
+# Pass bounds of the checks.  The residuals they bound are second order in
+# the step (eta for SGD's dQ, rho for the SAM-law residuals), so halving the
+# step should cut them by about 4; the bands sit around that ratio.
+_SGD_HALVING_BAND = (3.5, 4.5)
+_LAW_REL_TOL = 0.05
+_LAW_SHRINK_BAND = (1.5, 4.5)
+_DAS_MATCH_TOL = 0.10
+_DAS_SUBSTEP_TOL = 0.01
+
 
 def norm_deviation(core_norms_sq) -> float:
     """Sum of squared deviations of the squared core norms from their mean."""
@@ -143,10 +152,10 @@ def check_sgd_conservation(
     objective,
     eta: float,
     steps: int = 50,
-    ratio_band: tuple[float, float] = (3.5, 4.5),
 ) -> TheoremCheckReport:
     """Norm deviation is conserved under plain SGD flow: the discrete
-    one-step |dQ| must scale as eta^2, i.e. drop ~4x when eta is halved."""
+    one-step |dQ| must scale as eta^2, i.e. drop ~4x when eta is halved.
+    Passes when that eta-halving ratio lies in [3.5, 4.5]."""
     dq_full = _one_step_sgd_dq(spec, cores, objective, eta)
     dq_half = _one_step_sgd_dq(spec, cores, objective, eta / 2.0)
     ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
@@ -156,7 +165,7 @@ def check_sgd_conservation(
     max_step_dq = max(
         (abs(b - a) for a, b in zip(qs[:-1], qs[1:])), default=0.0
     )
-    passed = ratio_band[0] <= ratio <= ratio_band[1]
+    passed = _SGD_HALVING_BAND[0] <= ratio <= _SGD_HALVING_BAND[1]
     return TheoremCheckReport(
         check="sgd_q_conservation",
         measured=dq_full,
@@ -181,14 +190,14 @@ def check_sgd_balanced_bound(
 
     The bound follows from the exact per-step norm update: the first-order
     parts -2*eta*<G_k, g_k> are identical across cores, so only the
-    eta^2*||g_k||^2 parts can separate the norms.
+    eta^2*||g_k||^2 parts can separate the norms.  Passes when
+    Q <= bound*(1 + 1e-9) + 1e-18 at every recorded step and at the end.
     """
     balanced = [c / math.sqrt(frobenius_norm_sq(c)) for c in cores]
     final, records = run(spec, balanced, objective, SgdConfig(eta), steps)
-    k = spec.num_cores
-    drift = np.zeros(k)
+    drift = np.zeros(spec.num_cores)
     worst_q, worst_bound, ok = 0.0, 0.0, True
-    for idx, rec in enumerate(records):
+    for rec in records:
         q_now = norm_deviation(rec.core_norms_sq)
         bound = float(np.sum(drift * drift))
         slack = 1e-9 * bound + 1e-18
@@ -289,7 +298,7 @@ def _sam_law_probe(
     )
 
 
-def _law_report(check, probe, params, rel, shrink, rel_tol, shrink_band, **details):
+def _law_report(check, probe, params, rel, shrink, **details):
     return TheoremCheckReport(
         check=check,
         measured=probe.measured,
@@ -297,7 +306,7 @@ def _law_report(check, probe, params, rel, shrink, rel_tol, shrink_band, **detai
         abs_residual=probe.raw_residual,
         rel_residual=rel,
         params=params,
-        passed=rel <= rel_tol and shrink_band[0] <= shrink <= shrink_band[1],
+        passed=rel <= _LAW_REL_TOL and _LAW_SHRINK_BAND[0] <= shrink <= _LAW_SHRINK_BAND[1],
         details={
             "flow_residual": probe.flow_residual,
             "rho_halving_shrink": shrink,
@@ -306,25 +315,28 @@ def _law_report(check, probe, params, rel, shrink, rel_tol, shrink_band, **detai
     )
 
 
+def _q_report(check, params, grads_of, cores, rho, eta, group) -> TheoremCheckReport:
+    """The SAM covariance law for the one-step dQ of the cores in ``group``."""
+    probe = _sam_law_probe(
+        grads_of, cores, rho, eta, norm_deviation, _linearized_dq, _q_law, group
+    )
+    p = probe.predicted
+    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
+    return _law_report(check, probe, params, rel, probe.shrink, cov=probe.cov)
+
+
 def check_sam_q_dynamics(
     spec: ReconstructionSpec,
     cores,
     objective,
     rho: float,
     eta: float,
-    rel_tol: float = 0.05,
-    shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
-    """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov."""
-    probe = _sam_law_probe(
-        gradient_fn(spec, objective), cores, rho, eta,
-        norm_deviation, _linearized_dq, _q_law,
-    )
-    p = probe.predicted
-    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
-    return _law_report(
-        "sam_q_dynamics", probe, {"rho": rho, "eta": eta},
-        rel, probe.shrink, rel_tol, shrink_band, cov=probe.cov,
+    """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov.
+    Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
+    return _q_report(
+        "sam_q_dynamics", {"rho": rho, "eta": eta},
+        gradient_fn(spec, objective), cores, rho, eta, slice(None),
     )
 
 
@@ -336,10 +348,9 @@ def check_pairwise_sam_dynamics(
     eta: float,
     i: int,
     j: int,
-    rel_tol: float = 0.05,
-    shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
-    """One-step change of s_i - s_j vs eta*2*rho*u*(gamma_i - gamma_j)."""
+    """One-step change of s_i - s_j vs eta*2*rho*u*(gamma_i - gamma_j).
+    Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
 
     def gap(values):
         return float(values[i] - values[j])
@@ -357,7 +368,7 @@ def check_pairwise_sam_dynamics(
     shrink = 4.0 if i == j else probe.shrink  # i == j: both residuals are zero
     return _law_report(
         "sam_pairwise_dynamics", probe, {"rho": rho, "eta": eta, "i": i, "j": j},
-        rel, shrink, rel_tol, shrink_band,
+        rel, shrink,
     )
 
 
@@ -367,11 +378,10 @@ def check_das_matches_sam(
     objective,
     rho: float,
     eta: float,
-    match_tol: float = 0.10,
-    substep_tol: float = 0.01,
 ) -> TheoremCheckReport:
     """DAS with alpha=rho reproduces SAM's one-step dQ, and the analytic
-    first-order dQ of the scaling substep matches its measured value."""
+    first-order dQ of the scaling substep matches its measured value.
+    Passes at rel_residual <= 0.10 with scaling_rel_residual <= 0.01."""
     s0 = np.asarray(norms_sq(cores))
     q0 = norm_deviation(s0)
 
@@ -397,7 +407,7 @@ def check_das_matches_sam(
     else:
         sub_rel = abs(dq_scale_analytic - dq_scale_measured) / abs(dq_scale_measured)
 
-    passed = rel <= match_tol and sub_rel <= substep_tol
+    passed = rel <= _DAS_MATCH_TOL and sub_rel <= _DAS_SUBSTEP_TOL
     return TheoremCheckReport(
         check="das_matches_sam",
         measured=dq_das,
@@ -421,22 +431,15 @@ def check_layerwise_q(
     rho: float,
     eta: float,
     layer: int,
-    rel_tol: float = 0.05,
-    shrink_band: tuple[float, float] = (1.5, 4.5),
 ) -> TheoremCheckReport:
-    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l."""
+    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l.
+    Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
     start = sum(model.groups[:layer])
-    probe = _sam_law_probe(
+    return _q_report(
+        "layerwise_q_dynamics", {"rho": rho, "eta": eta, "layer": layer},
         model.gradient_fn(x, objective),
         [c for layer_cores in model.cores for c in layer_cores],
-        rho, eta, norm_deviation, _linearized_dq, _q_law,
-        slice(start, start + model.groups[layer]),
-    )
-    p = probe.predicted
-    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
-    return _law_report(
-        "layerwise_q_dynamics", probe, {"rho": rho, "eta": eta, "layer": layer},
-        rel, probe.shrink, rel_tol, shrink_band, cov=probe.cov,
+        rho, eta, slice(start, start + model.groups[layer]),
     )
 
 

@@ -51,8 +51,6 @@ from .tensor import as_tensor, frobenius_norm_sq, read_tensor, write_dtf1
 
 FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
 
-DEFAULT_SUITE_SEEDS = tuple(range(10))
-
 
 def _make_out_dir(out_dir: str) -> None:
     try:
@@ -111,15 +109,16 @@ _CHECK_SPECS = {
 _NORM_SPREAD = 0.35
 _MIN_CORR = 0.3
 _MIN_REL_SPREAD = 0.3
+_MAX_DRAWS = 200
 
 
-def _conditioning(core_norms_sq, grad_norms_sq) -> tuple[float, float]:
-    s = np.asarray(core_norms_sq)
-    g = np.asarray(grad_norms_sq)
+def _well_conditioned(cores, grads) -> bool:
+    """Whether a draw's norm/gradient-norm correlation and spread pass."""
+    s, g = np.asarray(norms_sq(cores)), np.asarray(norms_sq(grads))
     den = s.std() * g.std()
-    corr = float(np.mean((s - s.mean()) * (g - g.mean())) / den) if den > 0 else 0.0
-    rel_spread = float(g.std() / g.mean()) if g.mean() > 0 else 0.0
-    return corr, rel_spread
+    corr = norm_grad_covariance(s, g) / den if den > 0 else 0.0
+    rel_spread = g.std() / g.mean() if g.mean() > 0 else 0.0
+    return abs(corr) >= _MIN_CORR and rel_spread >= _MIN_REL_SPREAD
 
 
 def _unit_residual_objective(out: np.ndarray, rng: np.random.Generator) -> MaskedMse:
@@ -128,25 +127,23 @@ def _unit_residual_objective(out: np.ndarray, rng: np.random.Generator) -> Maske
     return MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
 
 
-def check_instance(family: str, seed: int, max_draws: int = 200):
+def check_instance(family: str, seed: int):
     """A (spec, cores, objective) triple on which the one-step checks are
     well-posed; deterministic in (family, seed)."""
     rng = _rng(seed)
     make = _CHECK_SPECS[family]
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         spec = make()
         cores = random_cores(spec, rng, norm_spread=_NORM_SPREAD)
         out = reconstruct(spec, cores)
         obj = _unit_residual_objective(out, rng)
         _, dl = obj.loss_and_grad(out)
-        grads = grad_cores(spec, cores, dl)
-        corr, spread = _conditioning(norms_sq(cores), norms_sq(grads))
-        if abs(corr) >= _MIN_CORR and spread >= _MIN_REL_SPREAD:
+        if _well_conditioned(cores, grad_cores(spec, cores, dl)):
             return spec, cores, obj
     raise RuntimeError(f"no well-conditioned {family} instance for seed {seed}")
 
 
-def layered_instance(kind: str, seed: int, max_draws: int = 200):
+def layered_instance(kind: str, seed: int):
     """A two-layer composite (model, x, objective): tucker2 matrices or
     products of scalar cores, conditioned like check_instance per layer."""
     rng = _rng(seed)
@@ -159,7 +156,7 @@ def layered_instance(kind: str, seed: int, max_draws: int = 200):
         x_shape = (1, 1)
     else:
         raise ValueError(f"unknown layered kind {kind!r}")
-    for _ in range(max_draws):
+    for _ in range(_MAX_DRAWS):
         x = as_tensor(rng.standard_normal(x_shape))
         model = LayeredModel(
             specs=[s1, s2],
@@ -172,12 +169,7 @@ def layered_instance(kind: str, seed: int, max_draws: int = 200):
         obj = _unit_residual_objective(out, rng)
         _, dl = obj.loss_and_grad(out)
         grads = model.core_grads(x, dl)
-        ok = True
-        for layer_cores, layer_grads in zip(model.cores, grads):
-            corr, spread = _conditioning(norms_sq(layer_cores), norms_sq(layer_grads))
-            if abs(corr) < _MIN_CORR or spread < _MIN_REL_SPREAD:
-                ok = False
-        if ok:
+        if all(_well_conditioned(c, g) for c, g in zip(model.cores, grads)):
             return model, x, obj
     raise RuntimeError(f"no well-conditioned layered {kind} instance for seed {seed}")
 
@@ -311,11 +303,13 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
         write_trajectory_csv(
             os.path.join(out_dir, f"trajectory_alpha_{tag}.csv"), records
         )
-        qs = [norm_deviation(r.core_norms_sq) for r in records]
+        q_first, q_last = (
+            norm_deviation(r.core_norms_sq) for r in (records[0], records[-1])
+        )
         covs = [
             norm_grad_covariance(r.core_norms_sq, r.grad_norms_sq) for r in records
         ]
-        q_rates.append((qs[0] - qs[-1]) / len(qs))
+        q_rates.append((q_first - q_last) / len(records))
         cov_means.append(float(np.mean(np.abs(covs))))
         losses.append(records[-1].loss)
     q_ordered = all(a < b for a, b in zip(q_rates[:-1], q_rates[1:]))
@@ -361,28 +355,20 @@ def suite_lemma_and_invariance(seeds) -> list[TheoremCheckReport]:
             worst_scale = max(
                 worst_scale, check_scale_invariance(spec, cores, scales)
             )
-        reports.append(
+        reports += [
             TheoremCheckReport(
-                check=f"directional_identity[{family}]",
-                measured=worst_dir,
+                check=f"{check}[{family}]",
+                measured=value,
                 predicted=0.0,
-                abs_residual=worst_dir,
-                rel_residual=worst_dir,
+                abs_residual=value,
+                rel_residual=value,
                 params={"seeds": len(list(seeds))},
-                passed=worst_dir <= 1e-10,
+                passed=value <= 1e-10,
             )
-        )
-        reports.append(
-            TheoremCheckReport(
-                check=f"scale_invariance[{family}]",
-                measured=worst_scale,
-                predicted=0.0,
-                abs_residual=worst_scale,
-                rel_residual=worst_scale,
-                params={"seeds": len(list(seeds))},
-                passed=worst_scale <= 1e-10,
+            for check, value in (
+                ("directional_identity", worst_dir), ("scale_invariance", worst_scale)
             )
-        )
+        ]
     return reports
 
 
@@ -414,14 +400,13 @@ def suite_deviation_forms(count: int = 1000, seed: int = 0) -> TheoremCheckRepor
 def suite_sgd_conservation(seeds) -> list[TheoremCheckReport]:
     reports = []
     for family in FAMILIES:
-        for seed in seeds:
-            spec, cores, obj = check_instance(family, seed)
+        instances = [check_instance(family, seed) for seed in seeds]
+        for seed, (spec, cores, obj) in zip(seeds, instances):
             rep = check_sgd_conservation(spec, cores, obj, eta=1e-3, steps=20)
             reports.append(
                 replace(rep, check=f"sgd_q_conservation[{family},seed={seed}]")
             )
-        spec, cores, obj = check_instance(family, seeds[0])
-        bal = check_sgd_balanced_bound(spec, cores, obj, eta=1e-3, steps=100)
+        bal = check_sgd_balanced_bound(*instances[0], eta=1e-3, steps=100)
         reports.append(replace(bal, check=f"sgd_balanced_bound[{family}]"))
     return reports
 
@@ -499,14 +484,12 @@ def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> Experi
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     out_dir = out_dir or cfg.out
     _make_out_dir(out_dir)
-    if cfg.kind == "completion":
+    if cfg.kind in ("completion", "custom"):  # custom models share the pipeline
         return run_completion(cfg, out_dir)
     if cfg.kind == "tucker2-noise":
         return run_tucker2_noise(cfg, out_dir)
     if cfg.kind == "theorem-suite":
         return run_theorem_suite(cfg.suite_seeds, out_dir)
-    if cfg.kind == "custom":
-        return run_completion(cfg, out_dir)  # custom models share the pipeline
     raise ValidationError(f"unknown experiment kind {cfg.kind!r}")
 
 

@@ -25,6 +25,7 @@ from .tensor import (
     contract_grads,
     frobenius_inner,
     frobenius_norm_sq,
+    label_extents,
 )
 
 
@@ -263,13 +264,9 @@ def custom_spec(expression: str, core_shapes: list[Shape]) -> ReconstructionSpec
     """User-supplied plan; every operand slot is a trainable core."""
     plan = ContractionPlan.parse(expression)
     shapes = tuple(tuple(s) for s in core_shapes)
-    extents: dict[str, int] = {}
-    for labels, shape in zip(plan.operand_labels, shapes):
-        if len(labels) != len(shape):
-            raise ShapeMismatch(f"slot {labels!r} vs shape {shape}")
-        for ch, d in zip(labels, shape):
-            if extents.setdefault(ch, d) != d:
-                raise ShapeMismatch(f"label {ch!r} has extents {extents[ch]} and {d}")
+    if len(shapes) != len(plan.operand_labels):
+        raise ShapeMismatch(f"{len(shapes)} shapes for {len(plan.operand_labels)} operands")
+    extents = label_extents(plan, shapes)
     output_shape = tuple(extents[ch] for ch in plan.output_labels)
     return ReconstructionSpec(
         plan=plan, core_shapes=shapes, output_shape=output_shape, family="custom"
@@ -308,26 +305,19 @@ def random_cores(
 class LayeredModel:
     """Layers of independent core models whose matrix outputs compose linearly.
 
-    Layer l reconstructs to a tensor that is reshaped to ``matrix_shapes[l]``;
-    the model output for input ``x`` is W_D @ ... @ W_1 @ x.
+    Layer l reconstructs to a tensor reshaped to ``matrix_shapes[l]``, its first
+    mode by the rest; the model output for input ``x`` is W_D @ ... @ W_1 @ x.
     """
 
     specs: list[ReconstructionSpec]
     cores: list[list[np.ndarray]] = field(default_factory=list)
-    matrix_shapes: list[tuple[int, int]] = field(default_factory=list)
+    matrix_shapes: list[tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.matrix_shapes:
-            self.matrix_shapes = [
-                (s.output_shape[0], int(np.prod(s.output_shape[1:], dtype=np.int64)))
-                for s in self.specs
-            ]
-        for spec, (rows, cols) in zip(self.specs, self.matrix_shapes):
-            count = int(np.prod(spec.output_shape, dtype=np.int64))
-            if rows * cols != count:
-                raise ShapeMismatch(
-                    f"layer output {spec.output_shape} cannot reshape to {(rows, cols)}"
-                )
+        self.matrix_shapes = [
+            (s.output_shape[0], int(np.prod(s.output_shape[1:], dtype=np.int64)))
+            for s in self.specs
+        ]
         for lower, upper in zip(self.matrix_shapes[:-1], self.matrix_shapes[1:]):
             if upper[1] != lower[0]:
                 raise ShapeMismatch(

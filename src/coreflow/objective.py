@@ -61,9 +61,6 @@ class NoisyTargetMse:
         if self.resample_each_step:
             self.noise = as_tensor(self._rng.standard_normal(self.clean_target.shape))
 
-    def noisy_target(self) -> np.ndarray:
-        return as_tensor(self.clean_target + self.alpha * self.noise)
-
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
         require_same_shape(t_hat, self.clean_target, "prediction and target")
         resid = t_hat - self.clean_target - self.alpha * self.noise

@@ -111,7 +111,8 @@ class ContractionPlan:
         return ",".join(self.operand_labels) + "->" + self.output_labels
 
 
-def _label_extents(plan: ContractionPlan, shapes) -> dict[str, int]:
+def label_extents(plan: ContractionPlan, shapes) -> dict[str, int]:
+    """Each label's extent in ``shapes``, checked against the plan's ranks."""
     extents: dict[str, int] = {}
     for labels, shape in zip(plan.operand_labels, shapes):
         if len(shape) != len(labels):
@@ -230,7 +231,7 @@ class CompiledPlan:
         shapes = tuple([x.shape for x in inputs])
         sizes = self._sizes.get(shapes)
         if sizes is None:
-            extents = _label_extents(self.plan, shapes)
+            extents = label_extents(self.plan, shapes)
             out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
             sizes = (
                 [_size_pair(step, extents) for step in self._forward],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coreflow import experiments
 from coreflow.config import parse_config_text
 from coreflow.experiments import (
     FAMILIES,
@@ -10,6 +11,7 @@ from coreflow.experiments import (
     run_experiment,
     run_theorem_suite,
     sample_mask,
+    suite_sgd_conservation,
 )
 from coreflow.model import reconstruct, tucker_spec
 from coreflow.tensor import frobenius_norm_sq
@@ -191,3 +193,15 @@ class TestTheoremSuite:
         report_text = (tmp_path / "theorem_reports.txt").read_text()
         assert "verdict PASS" in report_text
         assert "verdict FAIL" not in report_text
+
+    def test_sgd_conservation_draws_each_instance_once(self, monkeypatch):
+        calls = []
+        real = experiments.check_instance
+
+        def counted(family, seed):
+            calls.append((family, seed))
+            return real(family, seed)
+
+        monkeypatch.setattr(experiments, "check_instance", counted)
+        suite_sgd_conservation([0, 1])
+        assert len(calls) == 10  # one per family and seed; the bound reuses seed 0's

@@ -113,6 +113,11 @@ class TestReconstruct:
         with pytest.raises(ShapeMismatch):
             reconstruct(spec, cores)
 
+    @pytest.mark.parametrize("shapes", [[(3, 2)], [(3, 2), (2, 4), (4, 1)]])
+    def test_custom_spec_needs_one_shape_per_operand(self, shapes):
+        with pytest.raises(ShapeMismatch):
+            custom_spec("ij,jk->ik", shapes)
+
 
 class TestGradients:
     def test_zero_output_grad_gives_zero_core_grads(self, rng):
