@@ -50,7 +50,6 @@ from .optim import (
 from .tensor import (
     ContractionPlan,
     as_tensor,
-    axpy_scale,
     contract,
     frobenius_inner,
     frobenius_norm_sq,

@@ -42,6 +42,7 @@ The optimizer defaults are eta=0.001 with betas (0.9, 0.999).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -139,9 +140,12 @@ def _tokenize(text: str):
 
 def _to_float(num, key, value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ParseError(f"line {num}: {key} needs a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParseError(f"line {num}: {key} needs a finite number, got {value!r}")
+    return number
 
 
 def _to_int(num, key, value) -> int:

@@ -248,14 +248,9 @@ class _LawProbe:
 
 def _first_pass_reused(grads_of, cores):
     """``grads_of`` with its result at ``cores`` taken once, now, and given
-    again for those same core objects: a probe's steps all start there."""
+    again for that same list object: a probe's steps all start there."""
     first = grads_of(cores)
-
-    def reused(given):
-        same = len(given) == len(cores) and all(a is b for a, b in zip(given, cores))
-        return first if same else grads_of(given)
-
-    return reused
+    return lambda given: first if given is cores else grads_of(given)
 
 
 def _sam_law_probe(
@@ -440,40 +435,4 @@ def check_layerwise_q(
         model.gradient_fn(x, objective),
         [c for layer_cores in model.cores for c in layer_cores],
         rho, eta, slice(start, start + model.groups[layer]),
-    )
-
-
-@dataclass(frozen=True)
-class ShrinkageTrace:
-    """Observational record of one pairwise gap under SAM; no verdict."""
-
-    gaps: tuple[float, ...]
-    first_step_change: float
-    initially_shrinking: bool
-    params: dict
-
-
-def observe_shrinkage(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    rho: float,
-    eta: float,
-    steps: int,
-    i: int,
-    j: int,
-) -> ShrinkageTrace:
-    """Track B_ij = |s_i - s_j| along a SAM trajectory and report the sign of
-    its first-step change.  Observational only: the shrinkage threshold
-    depends on constants the library cannot estimate."""
-    cfg = SamConfig(rho, SgdConfig(eta))
-    final, records = run(spec, list(cores), objective, cfg, steps)
-    norms = [rec.core_norms_sq for rec in records] + [norms_sq(final)]
-    gaps = [abs(s[i] - s[j]) for s in norms]
-    first_change = gaps[1] - gaps[0]
-    return ShrinkageTrace(
-        gaps=tuple(gaps),
-        first_step_change=first_change,
-        initially_shrinking=first_change < 0.0,
-        params={"rho": rho, "eta": eta, "i": i, "j": j, "steps": steps},
     )

@@ -60,6 +60,8 @@ class ReconstructionSpec:
                 raise LabelError(f"core slot {labels!r} repeats a label")
             if len(labels) != len(shape):
                 raise ShapeMismatch(f"core slot {labels!r} vs shape {shape}")
+            if any(d < 1 for d in shape):
+                raise ShapeMismatch(f"core slot {labels!r}: extents must be >= 1, got {shape}")
 
     @property
     def num_cores(self) -> int:

@@ -1,6 +1,6 @@
 """Optimizer steps for core models: SGD, Adam, the SAM wrapper, and DAS.
 
-Steps are pure with respect to the cores (new lists are returned); mutable
+Steps are pure with respect to the cores (new cores are returned); mutable
 per-run state (momentum and Adam moments, step counter) lives in
 OptimizerState.  A step sees the cores as one flat list and gets its
 gradients from a callback, so a multi-layer model is the same step over its
@@ -14,20 +14,20 @@ of its group (layer).
 
 Every vector a step touches (cores, gradients, the SAM perturbation, the
 optimizer's buffers) is one flat float64 array over all cores end to end,
-checked for finiteness once; per-core views of it are handed out only where
-a core is contracted, measured or scaled.
+checked for finiteness once; cores and gradients travel as ``FlatViews``
+(that array with its per-core views), so a step copies only plain lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoreflowError, NumericalError, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores, reconstruct
-from .tensor import frobenius_norm_sq, seal, split_flat
+from .tensor import FlatViews, flat_of, frobenius_norm_sq, seal
 
 _TINY_NORM_SQ = 1e-300
 
@@ -97,30 +97,20 @@ def base_config(cfg: OptimizerConfig) -> SgdConfig | AdamConfig:
 class OptimizerState:
     """The step counter and the base optimizer's buffers, each one flat array
     over all cores end to end (None if unused; ``momentum``, ``adam_m`` and
-    ``adam_v`` give per-core views), plus the core views last handed out and
-    the flat array behind them, which a step given those views reads back."""
+    ``adam_v`` give per-core views)."""
 
     shapes: tuple = ()
     t: int = 0
     flat_momentum: np.ndarray | None = None
     flat_m: np.ndarray | None = None
     flat_v: np.ndarray | None = None
-    handed_out: tuple = field(default=((), None), repr=False, compare=False)
 
     def _views(self, flat):
-        return None if flat is None else split_flat(flat, self.shapes)
+        return None if flat is None else FlatViews(flat, self.shapes)
 
     momentum = property(lambda self: self._views(self.flat_momentum))
     adam_m = property(lambda self: self._views(self.flat_m))
     adam_v = property(lambda self: self._views(self.flat_v))
-
-    def flat(self, cores: list[np.ndarray]) -> np.ndarray:
-        """``cores`` end to end: the array behind them when they are the views
-        this state last handed out (same objects, same order), else a copy."""
-        views, flat = self.handed_out
-        if len(cores) == len(views) and all(a is b for a, b in zip(cores, views)):
-            return flat
-        return np.concatenate([c.ravel() for c in cores])
 
 
 def init_state(cfg: OptimizerConfig, cores: list[np.ndarray]) -> OptimizerState:
@@ -135,23 +125,23 @@ def init_state(cfg: OptimizerConfig, cores: list[np.ndarray]) -> OptimizerState:
 
 
 def base_step(
-    cores: list[np.ndarray],
-    grads: list[np.ndarray],
+    cores: FlatViews | list[np.ndarray],
+    grads: FlatViews | list[np.ndarray],
     cfg: SgdConfig | AdamConfig,
     state: OptimizerState,
     eta: float | None = None,
-) -> list[np.ndarray]:
+) -> FlatViews:
     """One SGD/momentum/Adam update.  Weight decay is decoupled: cores are
     shrunk by (1 - eta*wd) separately from the gradient term.
 
     The update is elementwise, so it runs once over all cores laid end to
     end (one numpy call per operation instead of one per core); the new
-    cores are views of one sealed flat array, which the state remembers.
+    cores are FlatViews of one sealed flat array.
     """
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    g = np.concatenate([gk.ravel() for gk in grads])
+    g = flat_of(grads)
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
@@ -162,10 +152,8 @@ def base_step(
         state.flat_momentum = step = cfg.momentum * state.flat_momentum + g
     else:
         step = g
-    new = seal(shrink * state.flat(cores) - eta * step, "optimizer update")
-    views = split_flat(new, [c.shape for c in cores])
-    state.handed_out = (tuple(views), new)
-    return views
+    new = seal(shrink * flat_of(cores) - eta * step, "optimizer update")
+    return FlatViews(new, [c.shape for c in cores])
 
 
 def loss_and_core_grads(spec, cores, objective):
@@ -203,8 +191,9 @@ def norms_sq(arrays) -> tuple[float, ...]:
     return tuple(frobenius_norm_sq(a) for a in arrays)
 
 
-# Every step takes (grads_of, cores, cfg, state, eta=None, groups=None) and
-# returns (new cores, StepRecord, the gradients the base update used).
+# Every step takes (grads_of, cores, cfg, state, eta=None, groups=None), hands
+# ``cores`` itself to ``grads_of`` first, and returns (new cores as FlatViews,
+# StepRecord, the gradients the base update used).
 # ``groups`` gives the number of cores in each group (layer), laid end to end
 # in ``cores``; only DAS reads it.
 
@@ -228,8 +217,8 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         return base_step(cores, g, cfg.base, state, eta), rec, g
     u = total ** -0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        x = state.flat(cores) + (cfg.rho * u) * np.concatenate([gk.ravel() for gk in g])
-    _, g_tilde = grads_of(split_flat(seal(x, "SAM perturbation"), [c.shape for c in cores]))
+        x = flat_of(cores) + (cfg.rho * u) * flat_of(g)
+    _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), [c.shape for c in cores]))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
     return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
 
@@ -307,7 +296,7 @@ def run(
     iters: int,
     sink=None,
     schedule: str = "constant",
-) -> tuple[list[np.ndarray], list[StepRecord]]:
+) -> tuple[FlatViews, list[StepRecord]]:
     """Execute ``iters`` optimizer steps, reporting each one to ``sink``."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")

@@ -328,14 +328,31 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     return seal(out, compiled.context)
 
 
-def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the 1-D ``flat`` with the given shapes, laid end to end."""
-    out, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[start : start + size].reshape(shape))
-        start += size
-    return out
+class FlatViews(tuple):
+    """Arrays end to end in the 1-D array ``flat``, as an immutable tuple of their views."""
+
+    def __new__(cls, flat: np.ndarray, shapes):
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+        self = super().__new__(cls, views)
+        self.__dict__["flat"] = flat
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return FlatViews, (self.flat, [v.shape for v in self])
+
+
+def flat_of(arrays) -> np.ndarray:
+    """``arrays`` end to end: a FlatViews' own ``flat``, else a copy."""
+    if isinstance(arrays, FlatViews):
+        return arrays.flat
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def contract_grads(
@@ -343,16 +360,16 @@ def contract_grads(
     inputs: list[np.ndarray],
     grad_out: np.ndarray,
     slots: tuple[int, ...],
-) -> list[np.ndarray]:
+) -> FlatViews:
     """Gradients of <contract(plan, inputs), grad_out> with respect to the
-    operands at ``slots`` (ascending), from one reverse pass: views of one
-    flat array holding them end to end, checked for finiteness once."""
+    operands at ``slots`` (ascending), from one reverse pass, as FlatViews of
+    one sealed array holding them end to end, checked for finiteness once."""
     compiled = compile_plan(plan)
     grads = compiled.gradients(inputs, grad_out, slots)
     if not grads:
-        return []
+        return FlatViews(np.zeros(0), ())
     flat = np.concatenate([g.ravel() for g in grads])
-    return split_flat(seal(flat, compiled.context + " gradient"), [g.shape for g in grads])
+    return FlatViews(seal(flat, compiled.context + " gradient"), [g.shape for g in grads])
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -367,12 +384,6 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 def frobenius_norm_sq(a: np.ndarray) -> float:
     """Sum of squares of all entries; same summation order as frobenius_inner."""
     return frobenius_inner(a, a)
-
-
-def axpy_scale(a: np.ndarray, alpha: float, b: np.ndarray, beta: float) -> np.ndarray:
-    """alpha*a + beta*b entrywise."""
-    require_same_shape(a, b, "axpy operands")
-    return seal(alpha * a + beta * b, "axpy_scale")
 
 
 # ----------------------------------------------------------------------------
@@ -414,7 +425,10 @@ def read_dtf1(path) -> np.ndarray:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes after the payload")
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    return as_tensor(values, tuple(int(d) for d in dims))
+    try:
+        return as_tensor(values, tuple(int(d) for d in dims))
+    except NumericalError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_csv_tensor(path, arr: np.ndarray) -> None:
@@ -450,7 +464,7 @@ def read_csv_tensor(path) -> np.ndarray:
                 raise FormatError(f"{path}: bad value {tok!r}") from exc
     try:
         return as_tensor(values, dims)
-    except ShapeMismatch as exc:
+    except (ShapeMismatch, NumericalError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -94,6 +94,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="seed"):
             parse_config_text("experiment completion\nseed abc\nmodel {\n}\n")
 
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [
+            ("eta", "eta 0.002", "eta inf"),
+            ("rho", "alpha 0.005", "rho nan"),
+            ("noise_alpha", "noise_alpha 0.0", "noise_alpha 0.0,nan"),
+        ],
+    )
+    def test_non_finite_number_reports_line_and_key(self, key, old, new):
+        line = FULL.splitlines().index(f"  {old}") + 1
+        with pytest.raises(ParseError, match=f"^line {line}: {key} needs a finite number"):
+            parse_config_text(FULL.replace(old, new))
+
     def test_unclosed_block(self):
         with pytest.raises(ParseError, match="unclosed"):
             parse_config_text("experiment completion\nmodel {\nfamily cp\n")
@@ -158,6 +171,19 @@ class TestModelBuilding:
         spec = build_model_spec(cfg.model)
         assert spec.output_shape == (6, 5)
         assert spec.num_cores == 3
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            "family tucker\nmodes 0,20,20\nranks 4,4,4",
+            "family tucker\nmodes 20,20,20\nranks -1,4,4",
+            "family custom\nplan ij->ij\nshapes 0x3",
+        ],
+        ids=["modes-0", "ranks-negative", "shapes-0x3"],
+    )
+    def test_extent_below_one_rejected(self, block):
+        with pytest.raises(ValidationError, match="extents must be >= 1"):
+            parse_config_text(f"experiment completion\nmodel {{\n{block}\n}}\n")
 
     def test_rank_count_mismatch(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -26,6 +28,7 @@ from coreflow.optim import (
     gradient_fn,
     init_state,
     loss_and_core_grads,
+    plain_step,
     run,
     sam_step,
     scheduled_eta,
@@ -523,6 +526,62 @@ class TestStateBuffers:
             new = base_step(given, grads, cfg, state)
             for got, start in zip(new, given):
                 np.testing.assert_array_equal(got, start - 0.1)
+
+
+class TestFlatViewsCarrier:
+    """The gradient pass and the update pass one FlatViews along, so a step
+    copies only the plain lists it builds or is given."""
+
+    STEPS = {
+        "adam": (plain_step, AdamConfig(eta=0.01), 1),
+        "sam": (sam_step, SamConfig(rho=0.05, base=AdamConfig(eta=0.01)), 2),
+        "das": (das_step, DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_concatenations_in_a_second_step(self, name, rng, monkeypatch):
+        # one per gradient pass, plus one for DAS's scaled cores
+        step, cfg, want = self.STEPS[name]
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        obj = MaskedMse(
+            reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3)))
+        )
+        grads_of, state = gradient_fn(spec, obj), init_state(cfg, cores)
+        cores, _, _ = step(grads_of, cores, cfg, state)
+        calls = []
+        concatenate = np.concatenate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        step(grads_of, cores, cfg, state)
+        assert len(calls) == want
+
+    def test_carrier_cannot_be_changed(self, rng):
+        spec = tucker2_spec(4, 4, 2, 2)
+        cfg = SgdConfig(eta=0.1)
+        cores = random_cores(spec, rng)
+        new = base_step(cores, cores, cfg, init_state(cfg, cores))
+        assert all(np.shares_memory(view, new.flat) for view in new)
+        with pytest.raises(TypeError):
+            new[0] = cores[0]
+        with pytest.raises(AttributeError):
+            new.flat = np.zeros_like(new.flat)
+        with pytest.raises(ValueError):
+            new[0][0, 0] = 1.0
+
+    def test_carrier_survives_pickle_and_deepcopy(self, rng):
+        cores = random_cores(tucker2_spec(4, 4, 2, 2), rng)
+        cfg = SgdConfig(eta=0.1)
+        new = base_step(cores, cores, cfg, init_state(cfg, cores))
+        for back in (pickle.loads(pickle.dumps(new)), copy.deepcopy(new)):
+            assert type(back) is type(new) and back.flat.tobytes() == new.flat.tobytes()
+            assert all(np.shares_memory(view, back.flat) for view in back)
+            for got, want in zip(back, new, strict=True):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestReferenceSteps:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coreflow.errors import FormatError, LabelError, NumericalError, ShapeMismatch
+from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
     ContractionPlan,
     as_tensor,
-    axpy_scale,
     contract,
     contract_grads,
     frobenius_inner,
@@ -153,22 +154,6 @@ class TestScalarOps:
         assert frobenius_norm_sq(as_tensor(a)) >= 0.0
 
 
-class TestAxpy:
-    def test_endpoint_weights(self, rng):
-        a = as_tensor(rng.standard_normal((2, 3)))
-        b = as_tensor(rng.standard_normal((2, 3)))
-        np.testing.assert_array_equal(axpy_scale(a, 1.0, b, 0.0), a)
-        np.testing.assert_array_equal(axpy_scale(a, 0.0, b, 1.0), b)
-
-    def test_hand_value(self):
-        out = axpy_scale(as_tensor([[1.0]]), 2.0, as_tensor([[3.0]]), -1.0)
-        np.testing.assert_array_equal(out, [[-1.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            axpy_scale(as_tensor(np.ones(2)), 1.0, as_tensor(np.ones(3)), 1.0)
-
-
 class TestFiniteness:
     def test_nan_input_rejected(self):
         with pytest.raises(NumericalError):
@@ -177,8 +162,9 @@ class TestFiniteness:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflow_detected(self):
         big = as_tensor([1e308, 1e308])
-        with pytest.raises(NumericalError):
-            axpy_scale(big, 10.0, big, 10.0)
+        cfg = SgdConfig(eta=10.0)
+        with pytest.raises(NumericalError, match="optimizer update"):
+            base_step([big], [as_tensor(-big)], cfg, init_state(cfg, [big]))
 
     def test_inf_product_detected(self):
         big = as_tensor([[1e300]])
@@ -256,6 +242,20 @@ class TestFileFormats:
         path.write_text("# shape: 2,3\n1,2,3\n")
         with pytest.raises(FormatError):
             read_csv_tensor(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_csv_non_finite_value_names_the_file(self, tmp_path, value):
+        path = tmp_path / "t.csv"
+        path.write_text(f"# shape: 3\n1,{value},3\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
+            read_csv_tensor(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_dtf1_non_finite_value_names_the_file(self, tmp_path, value):
+        path = tmp_path / "t.dtf1"
+        write_dtf1(path, np.array([1.0, value, 3.0]))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
+            read_dtf1(path)
 
     def test_read_tensor_sniffs_format(self, tmp_path, rng):
         arr = as_tensor(rng.standard_normal((2, 2)))
