@@ -169,7 +169,10 @@ def _to_ints(num, key, value) -> tuple[int, ...]:
 
 
 def _to_floats(num, key, value) -> tuple[float, ...]:
-    return tuple(_to_float(num, key, tok) for tok in value.split(",") if tok.strip())
+    numbers = tuple(_to_float(num, key, tok) for tok in value.split(",") if tok.strip())
+    if not numbers:
+        raise ParseError(f"line {num}: {key} needs at least one number, got {value!r}")
+    return numbers
 
 
 def _to_shapes(num, key, value) -> tuple[tuple[int, ...], ...]:

@@ -110,6 +110,8 @@ _NORM_SPREAD = 0.35
 _MIN_CORR = 0.3
 _MIN_REL_SPREAD = 0.3
 _MAX_DRAWS = 200
+_DEVIATION_FORM_COUNT = 1000  # random norm vectors the deviation-forms check draws
+_DEVIATION_FORM_SEED = 0
 
 
 def _well_conditioned(cores, grads) -> bool:
@@ -336,13 +338,17 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
 # Theorem-check suite.
 # ----------------------------------------------------------------------------
 
-def suite_lemma_and_invariance(seeds) -> list[TheoremCheckReport]:
+def suite_instances(seeds) -> dict[str, list]:
+    """family -> [(seed, (spec, cores, objective))]: each instance drawn once."""
+    return {f: [(seed, check_instance(f, seed)) for seed in seeds] for f in FAMILIES}
+
+
+def suite_lemma_and_invariance(instances) -> list[TheoremCheckReport]:
     """Directional-derivative identity and scale invariance on all families."""
     reports = []
-    for family in FAMILIES:
+    for family, row in instances.items():
         worst_dir, worst_scale = 0.0, 0.0
-        for seed in seeds:
-            spec, cores, obj = check_instance(family, seed)
+        for seed, (spec, cores, obj) in row:
             rng = _rng(seed + 10_000)
             _, dl = obj.loss_and_grad(reconstruct(spec, cores))
             for m in range(spec.num_cores):
@@ -362,7 +368,7 @@ def suite_lemma_and_invariance(seeds) -> list[TheoremCheckReport]:
                 predicted=0.0,
                 abs_residual=value,
                 rel_residual=value,
-                params={"seeds": len(list(seeds))},
+                params={"seeds": len(row)},
                 passed=value <= 1e-10,
             )
             for check, value in (
@@ -372,12 +378,12 @@ def suite_lemma_and_invariance(seeds) -> list[TheoremCheckReport]:
     return reports
 
 
-def suite_deviation_forms(count: int = 1000, seed: int = 0) -> TheoremCheckReport:
+def suite_deviation_forms() -> TheoremCheckReport:
     """The direct and pairwise norm-deviation forms agree, including on the
     worked norms {2, 10, 18} -> 128."""
-    rng = _rng(seed)
+    rng = _rng(_DEVIATION_FORM_SEED)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_DEVIATION_FORM_COUNT):
         k = int(rng.integers(2, 9))
         s = rng.uniform(0.1, 10.0, k)
         a, b = norm_deviation(s), norm_deviation_pairwise(s)
@@ -391,31 +397,27 @@ def suite_deviation_forms(count: int = 1000, seed: int = 0) -> TheoremCheckRepor
         predicted=0.0,
         abs_residual=worst,
         rel_residual=worst,
-        params={"count": count},
+        params={"count": _DEVIATION_FORM_COUNT},
         passed=worst <= 1e-10 and exact == 0.0,
         details={"worked_example_residual": exact},
     )
 
 
-def suite_sgd_conservation(seeds) -> list[TheoremCheckReport]:
+def suite_sgd_conservation(instances) -> list[TheoremCheckReport]:
     reports = []
-    for family in FAMILIES:
-        instances = [check_instance(family, seed) for seed in seeds]
-        for seed, (spec, cores, obj) in zip(seeds, instances):
-            rep = check_sgd_conservation(spec, cores, obj, eta=1e-3, steps=20)
-            reports.append(
-                replace(rep, check=f"sgd_q_conservation[{family},seed={seed}]")
-            )
-        bal = check_sgd_balanced_bound(*instances[0], eta=1e-3, steps=100)
+    for family, row in instances.items():
+        for seed, (spec, cores, obj) in row:
+            rep = check_sgd_conservation(spec, cores, obj, eta=1e-3)
+            reports.append(replace(rep, check=f"sgd_q_conservation[{family},seed={seed}]"))
+        bal = check_sgd_balanced_bound(*row[0][1], eta=1e-3)
         reports.append(replace(bal, check=f"sgd_balanced_bound[{family}]"))
     return reports
 
 
-def suite_sam_dynamics(seeds) -> list[TheoremCheckReport]:
-    """Pairwise and global one-step matches at rho=1e-3, eta=1e-5."""
+def suite_sam_dynamics(instances) -> list[TheoremCheckReport]:
+    """Pairwise and global one-step matches at rho=1e-3, eta=1e-5 (tucker2)."""
     reports = []
-    for seed in seeds:
-        spec, cores, obj = check_instance("tucker2", seed)
+    for seed, (spec, cores, obj) in instances["tucker2"]:
         pair = check_pairwise_sam_dynamics(
             spec, cores, obj, rho=1e-3, eta=1e-5, i=0, j=spec.num_cores - 1
         )
@@ -440,10 +442,9 @@ def suite_layered(seeds) -> list[TheoremCheckReport]:
     return reports
 
 
-def suite_das(seeds) -> list[TheoremCheckReport]:
+def suite_das(instances) -> list[TheoremCheckReport]:
     reports = []
-    for seed in seeds:
-        spec, cores, obj = check_instance("tucker2", seed)
+    for seed, (spec, cores, obj) in instances["tucker2"]:
         rep = check_das_matches_sam(spec, cores, obj, rho=1e-3, eta=1e-4)
         reports.append(replace(rep, check=f"das_matches_sam[seed={seed}]"))
     return reports
@@ -453,13 +454,13 @@ def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> Experi
     if out_dir is not None:
         _make_out_dir(out_dir)
     seeds = list(range(num_seeds))
-    reports: list[TheoremCheckReport] = []
-    reports.append(suite_deviation_forms())
-    reports += suite_lemma_and_invariance(seeds)
-    reports += suite_sgd_conservation(seeds)
-    reports += suite_sam_dynamics(seeds)
+    instances = suite_instances(seeds)
+    reports = [suite_deviation_forms()]
+    reports += suite_lemma_and_invariance(instances)
+    reports += suite_sgd_conservation(instances)
+    reports += suite_sam_dynamics(instances)
     reports += suite_layered(seeds)
-    reports += suite_das(seeds)
+    reports += suite_das(instances)
     passed = all(r.passed for r in reports)
     summary = {
         "experiment": "theorem-suite",

@@ -10,6 +10,7 @@ reaches them.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import struct
@@ -401,8 +402,18 @@ def write_dtf1(path, arr: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Opening or decoding failures inside the block as a FormatError naming
+    the file: a directory, a missing or unreadable file, text not in UTF-8."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read tensor file: {exc}") from exc
+
+
 def read_dtf1(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _DTF1_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
@@ -439,7 +450,7 @@ def write_csv_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_csv_tensor(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header = next((ln for ln in lines if ln.strip()), "")
     if not header.strip().startswith("# shape:"):
@@ -470,7 +481,7 @@ def read_csv_tensor(path) -> np.ndarray:
 
 def read_tensor(path) -> np.ndarray:
     """Load either format, sniffing the DTF1 magic bytes."""
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == _DTF1_MAGIC:
         return read_dtf1(path)

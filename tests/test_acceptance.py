@@ -18,6 +18,7 @@ from coreflow.experiments import (
     run_experiment,
     suite_das,
     suite_deviation_forms,
+    suite_instances,
     suite_layered,
     suite_lemma_and_invariance,
     suite_sam_dynamics,
@@ -27,6 +28,7 @@ from coreflow.model import grad_cores, reconstruct, reconstruct_with
 from coreflow.tensor import as_tensor
 
 SEEDS = list(range(10))
+INSTANCES = suite_instances(SEEDS)
 
 
 def _passline(num, name):
@@ -126,7 +128,7 @@ def test_02_directional_derivative_identity():
     """<reconstruct(..., V, ...), dL> == <V, grad> within 1e-10, all
     families, random directions, 10 seeds."""
     reports = [
-        r for r in suite_lemma_and_invariance(SEEDS) if r.check.startswith("directional")
+        r for r in suite_lemma_and_invariance(INSTANCES) if r.check.startswith("directional")
     ]
     assert len(reports) == len(FAMILIES)
     for rep in reports:
@@ -138,7 +140,7 @@ def test_03_scale_invariance():
     """Rescaling cores with product-1 scalars moves the reconstruction by
     at most 1e-10 relative, all families, 10 seeds."""
     reports = [
-        r for r in suite_lemma_and_invariance(SEEDS) if r.check.startswith("scale")
+        r for r in suite_lemma_and_invariance(INSTANCES) if r.check.startswith("scale")
     ]
     assert len(reports) == len(FAMILIES)
     for rep in reports:
@@ -149,7 +151,7 @@ def test_03_scale_invariance():
 def test_04_deviation_forms_agree():
     """Direct and pairwise norm-deviation forms agree within 1e-10 relative
     on 1000 random inputs, and give exactly 128 on the worked norms."""
-    rep = suite_deviation_forms(count=1000, seed=0)
+    rep = suite_deviation_forms()
     assert rep.passed, rep
     assert norm_deviation([2, 10, 18]) == 128.0
     assert norm_deviation_pairwise([2, 10, 18]) == pytest.approx(128.0, abs=1e-12)
@@ -161,7 +163,7 @@ def test_05_sgd_conserves_deviation_to_second_order():
     [3.5, 4.5]) on 10 seeds per family, and from a balanced start Q stays
     under the accumulated eta^2 drift bound for 100 steps.  Under 30 s."""
     start = time.perf_counter()
-    reports = suite_sgd_conservation(SEEDS)
+    reports = suite_sgd_conservation(INSTANCES)
     ratio_reports = [r for r in reports if "conservation" in r.check]
     bound_reports = [r for r in reports if "balanced" in r.check]
     assert len(ratio_reports) == len(FAMILIES) * len(SEEDS)
@@ -180,7 +182,7 @@ def test_06_pairwise_gap_dynamics_under_perturbation():
     """One-step pairwise gap change matches 2*rho*u*(gap of squared gradient
     norms)*eta within 5% at rho=1e-3, eta=1e-5, with the corrected residual
     shrinking by [1.5, 4.5] under rho-halving.  10 seeds."""
-    reports = [r for r in suite_sam_dynamics(SEEDS) if "pairwise" in r.check]
+    reports = [r for r in suite_sam_dynamics(INSTANCES) if "pairwise" in r.check]
     assert len(reports) == len(SEEDS)
     for rep in reports:
         assert rep.passed, rep
@@ -192,7 +194,7 @@ def test_06_pairwise_gap_dynamics_under_perturbation():
 def test_07_global_deviation_dynamics_under_perturbation():
     """One-step dQ matches 4*rho*u*K*Cov*eta within 5% in the same regime,
     with rho-shrinking residual.  10 seeds."""
-    reports = [r for r in suite_sam_dynamics(SEEDS) if "q_dynamics" in r.check]
+    reports = [r for r in suite_sam_dynamics(INSTANCES) if "q_dynamics" in r.check]
     assert len(reports) == len(SEEDS)
     for rep in reports:
         assert rep.passed, rep
@@ -216,7 +218,7 @@ def test_09_scaling_matches_perturbation_step():
     """With alpha=rho=1e-3 and eta=1e-4 the scaling step reproduces the
     perturbation step's dQ within 10%, and the analytic first-order dQ of
     the scaling substep matches its measured value within 1%.  10 seeds."""
-    reports = suite_das(SEEDS)
+    reports = suite_das(INSTANCES)
     assert len(reports) == len(SEEDS)
     for rep in reports:
         assert rep.passed, rep

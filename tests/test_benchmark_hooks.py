@@ -1,0 +1,52 @@
+"""The benchmark's hooks still fit the package.
+
+``perfbench/tracer.py`` wraps coreflow functions by name and
+``perfbench/plancost.py`` imports some, so renaming or deleting one of them
+breaks the benchmark.  These tests load both modules from their files,
+without putting ``perfbench/`` on ``sys.path``, and fail when that happens.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from coreflow import experiments, model, optim
+from coreflow.model import tucker_spec
+from coreflow.optim import AdamConfig, SamConfig
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer_mod = load("tracer")
+    originals = (experiments.check_instance, optim.run, vars(model.LayeredModel)["core_grads"])
+    clock = tracer_mod.StepClock()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        experiments.check_instance("tucker2", 0)
+        assert tracer.query("experiments.check_instance")[0] == 1
+    finally:
+        tracer.uninstall()
+        clock.close()
+    after = (experiments.check_instance, optim.run, vars(model.LayeredModel)["core_grads"])
+    assert all(a is b for a, b in zip(after, originals))
+
+
+def test_plancost_prices_a_step():
+    plancost = load("plancost")
+    spec = tucker_spec((4, 3, 2), (2, 2, 2))
+    adam = plancost.step_cost(spec, AdamConfig(1e-3))
+    sam = plancost.step_cost(spec, SamConfig(1e-2, AdamConfig(1e-3)))
+    assert adam[0] > 0 and sam == (2 * adam[0], 2 * adam[1])

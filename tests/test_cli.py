@@ -73,6 +73,22 @@ class TestRunCommand:
         assert main(["run", cfg]) == 2
         assert "model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("run", COMPLETION.format(kind="adam")),
+            ("gen", COMPLETION.format(kind="adam")),
+            ("run", "experiment tucker2-noise\nmodel {\n}\nobjective {\n}\n"),
+        ],
+        ids=["run-completion", "gen", "run-tucker2-noise"],
+    )
+    def test_empty_noise_alpha_list_exits_two(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path, text.replace("objective {", "objective {\n  noise_alpha ,"))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "noise_alpha" in err
+
     def test_file_sourced_completion(self, tmp_path):
         target = as_tensor(np.random.default_rng(0).standard_normal((6, 6, 6)))
         data = tmp_path / "target.dtf1"
@@ -137,6 +153,18 @@ class TestUnusablePaths:
         path = tmp_path / "latin1.cfg"
         path.write_bytes("experiment completion # caf\xe9\n".encode("latin-1"))
         self.assert_one_line_error(["run", str(path)], capsys, "cannot read", "utf-8")
+
+    @pytest.mark.parametrize("source", ["a_directory", "latin1.csv"])
+    def test_unreadable_source(self, tmp_path, capsys, source):
+        (tmp_path / "a_directory").mkdir()
+        (tmp_path / "latin1.csv").write_bytes("# shape: 1\n1.0 # caf\xe9\n".encode("latin-1"))
+        text = COMPLETION.format(kind="adam").replace(
+            "mask_density 0.4", f"mask_density 0.4\n  source {source}"
+        )
+        cfg = write_cfg(tmp_path, text)
+        self.assert_one_line_error(
+            ["run", cfg, "--out", str(tmp_path / "out")], capsys, source, "cannot read"
+        )
 
     def test_run_out_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))

@@ -107,6 +107,19 @@ class TestParsing:
         with pytest.raises(ParseError, match=f"^line {line}: {key} needs a finite number"):
             parse_config_text(FULL.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FULL.replace("noise_alpha 0.0", "noise_alpha ,"),
+            MINIMAL_NOISE + "objective {\n  noise_alpha ,\n}\n",
+        ],
+        ids=["completion", "tucker2-noise"],
+    )
+    def test_empty_noise_alpha_list_reports_line_and_key(self, text):
+        line = text.splitlines().index("  noise_alpha ,") + 1
+        with pytest.raises(ParseError, match=f"^line {line}: noise_alpha needs at least one"):
+            parse_config_text(text)
+
     def test_unclosed_block(self):
         with pytest.raises(ParseError, match="unclosed"):
             parse_config_text("experiment completion\nmodel {\nfamily cp\n")

@@ -127,7 +127,7 @@ class TestSgdConservation:
     @pytest.mark.parametrize("family", ["cp", "tucker", "tucker2", "tt", "tr"])
     def test_step_halving_ratio_near_four(self, family):
         spec, cores, obj = check_instance(family, seed=0)
-        rep = check_sgd_conservation(spec, cores, obj, eta=1e-3, steps=10)
+        rep = check_sgd_conservation(spec, cores, obj, eta=1e-3)
         assert rep.passed
         assert 3.5 <= rep.details["eta_halving_ratio"] <= 4.5
 
@@ -140,7 +140,7 @@ class TestSgdConservation:
 
     def test_balanced_drift_bound_holds(self):
         spec, cores, obj = check_instance("tucker2", seed=1)
-        rep = check_sgd_balanced_bound(spec, cores, obj, eta=1e-3, steps=100)
+        rep = check_sgd_balanced_bound(spec, cores, obj, eta=1e-3)
         assert rep.passed
         assert rep.measured <= rep.predicted * (1 + 1e-9) + 1e-18
 

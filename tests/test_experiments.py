@@ -11,6 +11,12 @@ from coreflow.experiments import (
     run_experiment,
     run_theorem_suite,
     sample_mask,
+    suite_das,
+    suite_deviation_forms,
+    suite_instances,
+    suite_layered,
+    suite_lemma_and_invariance,
+    suite_sam_dynamics,
     suite_sgd_conservation,
 )
 from coreflow.model import reconstruct, tucker_spec
@@ -194,7 +200,7 @@ class TestTheoremSuite:
         assert "verdict PASS" in report_text
         assert "verdict FAIL" not in report_text
 
-    def test_sgd_conservation_draws_each_instance_once(self, monkeypatch):
+    def test_suite_draws_each_instance_once(self, monkeypatch):
         calls = []
         real = experiments.check_instance
 
@@ -203,5 +209,18 @@ class TestTheoremSuite:
             return real(family, seed)
 
         monkeypatch.setattr(experiments, "check_instance", counted)
-        suite_sgd_conservation([0, 1])
-        assert len(calls) == 10  # one per family and seed; the bound reuses seed 0's
+        run_theorem_suite(2)
+        assert len(calls) == 10  # 5 families x 2 seeds
+        assert set(calls) == {(f, s) for f in FAMILIES for s in (0, 1)}
+
+    def test_shared_instances_give_the_same_reports(self):
+        # each section handed its own freshly drawn instances, as if alone
+        seeds = [0, 1]
+        fresh = [suite_deviation_forms()]
+        fresh += suite_lemma_and_invariance(suite_instances(seeds))
+        fresh += suite_sgd_conservation(suite_instances(seeds))
+        fresh += suite_sam_dynamics(suite_instances(seeds))
+        fresh += suite_layered(seeds)
+        fresh += suite_das(suite_instances(seeds))
+        shared = run_theorem_suite(2).reports
+        assert [r.lines() for r in shared] == [r.lines() for r in fresh]

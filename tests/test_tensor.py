@@ -257,6 +257,18 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*non-finite"):
             read_dtf1(path)
 
+    @pytest.mark.parametrize("reader", [read_tensor, read_dtf1, read_csv_tensor])
+    def test_directory_is_a_format_error(self, tmp_path, reader):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(tmp_path))}: cannot read"):
+            reader(tmp_path)
+
+    @pytest.mark.parametrize("reader", [read_tensor, read_csv_tensor])
+    def test_csv_not_utf8_is_a_format_error(self, tmp_path, reader):
+        path = tmp_path / "t.csv"
+        path.write_bytes("# shape: 1\n1.0 # caf\xe9\n".encode("latin-1"))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read.*utf-8"):
+            reader(path)
+
     def test_read_tensor_sniffs_format(self, tmp_path, rng):
         arr = as_tensor(rng.standard_normal((2, 2)))
         bin_path, csv_path = tmp_path / "t.dtf1", tmp_path / "t.csv"
