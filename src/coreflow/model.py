@@ -337,32 +337,19 @@ class LayeredModel:
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = x
-        for w in self.matrices():
-            out = w @ out
-        return out
-
-    def layer_output_grads(self, x: np.ndarray, dl_dout: np.ndarray) -> list[np.ndarray]:
-        """d(loss)/d(W_l) for each layer, shaped like the layer's output tensor."""
-        ws = self.matrices()
-        pre = [x]  # pre[l] is the input seen by layer l
-        for w in ws[:-1]:
-            pre.append(w @ pre[-1])
-        grads = []
-        upstream = dl_dout
-        for l in range(self.num_layers - 1, -1, -1):
-            grads.append((upstream @ pre[l].T).reshape(self.specs[l].output_shape))
-            upstream = ws[l].T @ upstream
-        grads.reverse()
-        return [as_tensor(g) for g in grads]
+        return _chain(self.matrices(), x)[-1]
 
     def core_grads(self, x: np.ndarray, dl_dout: np.ndarray) -> list[list[np.ndarray]]:
-        return [
-            grad_cores(spec, cores, dw)
-            for spec, cores, dw in zip(
-                self.specs, self.cores, self.layer_output_grads(x, dl_dout)
-            )
-        ]
+        ws = self.matrices()
+        return self._core_grads(ws, _chain(ws[:-1], x), dl_dout)
+
+    def _core_grads(self, ws, ins, dl_dout) -> list[list[np.ndarray]]:
+        """core_grads from the layer matrices ws and inputs ins (ins[l] feeds layer l)."""
+        dws, upstream = [], dl_dout
+        for l in range(self.num_layers - 1, -1, -1):
+            dws.append(as_tensor((upstream @ ins[l].T).reshape(self.specs[l].output_shape)))
+            upstream = ws[l].T @ upstream
+        return [grad_cores(*layer) for layer in zip(self.specs, self.cores, reversed(dws))]
 
     @property
     def groups(self) -> tuple[int, ...]:
@@ -380,7 +367,18 @@ class LayeredModel:
                 layers.append(list(flat[start:start + size]))
                 start += size
             model = replace(self, cores=layers)
-            loss, dl = objective.loss_and_grad(model.forward(x))
-            return loss, [g for layer in model.core_grads(x, dl) for g in layer]
+            ws = model.matrices()
+            with np.errstate(over="ignore", invalid="ignore"):  # the loss vouches
+                ins = _chain(ws, x)
+                loss, dl = objective.loss_and_grad(ins[-1])
+            return loss, [g for layer in model._core_grads(ws, ins, dl) for g in layer]
 
         return grads_of
+
+
+def _chain(ws: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """x, then its product with each matrix of ``ws`` in turn."""
+    ins = [x]
+    for w in ws:
+        ins.append(w @ ins[-1])
+    return ins

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVariance
-from .tensor import as_tensor, require_same_shape, seal
+from .errors import DegenerateVariance, NumericalError
+from .tensor import as_tensor, require_same_shape
+
+
+def _squared_error(resid: np.ndarray, normalizer: int, context: str):
+    """The loss sum(resid**2)/normalizer and its gradient, made in place.  Only a
+    finite loss returns: it proves each residual finite (0*Inf = NaN) and < 1.4e154."""
+    loss = float((resid * resid).sum()) / normalizer
+    if not math.isfinite(loss):
+        raise NumericalError(f"{context} produced a non-finite loss {loss!r}")
+    resid *= 2.0 / normalizer
+    return loss, resid
 
 
 @dataclass
@@ -31,10 +42,9 @@ class MaskedMse:
 
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
         require_same_shape(t_hat, self.target, "prediction and target")
-        resid = self.mask * (t_hat - self.target)
-        loss = float(np.sum(resid * resid)) / self.normalizer
-        grad = (2.0 / self.normalizer) * resid
-        return loss, seal(grad, "masked mse gradient")
+        resid = t_hat - self.target
+        resid *= self.mask
+        return _squared_error(resid, self.normalizer, "masked mse")
 
 
 @dataclass
@@ -63,10 +73,9 @@ class NoisyTargetMse:
 
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
         require_same_shape(t_hat, self.clean_target, "prediction and target")
-        resid = t_hat - self.clean_target - self.alpha * self.noise
-        loss = float(np.sum(resid * resid))
-        grad = 2.0 * resid
-        return loss, seal(grad, "noisy mse gradient")
+        resid = t_hat - self.clean_target
+        resid -= self.alpha * self.noise
+        return _squared_error(resid, 1, "noisy mse")
 
 
 def r2_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoreflowError, NumericalError, ZeroCoreNorm
-from .model import ReconstructionSpec, grad_cores, reconstruct
-from .tensor import FlatViews, flat_of, frobenius_norm_sq, seal
+from .model import ReconstructionSpec, grad_cores
+from .tensor import FlatViews, compile_plan, flat_of, seal
 
 _TINY_NORM_SQ = 1e-300
 
@@ -157,7 +157,9 @@ def base_step(
 
 
 def loss_and_core_grads(spec, cores, objective):
-    loss, dl = objective.loss_and_grad(reconstruct(spec, cores))
+    """Loss and core gradients: one forward pass, vouched for by the loss, and one reverse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, dl = objective.loss_and_grad(compile_plan(spec.plan).forward(spec.operands(cores)))
     return loss, grad_cores(spec, cores, dl)
 
 
@@ -188,7 +190,11 @@ class StepRecord:
 
 
 def norms_sq(arrays) -> tuple[float, ...]:
-    return tuple(frobenius_norm_sq(a) for a in arrays)
+    """Squared norms as ``frobenius_norm_sq`` sums them; one finiteness check, on their total."""
+    out = tuple([float(np.vdot(a, a)) for a in arrays])
+    if not math.isfinite(sum(out)):
+        raise NumericalError(f"squared norms {out!r} are not finite in sum")
+    return out
 
 
 # Every step takes (grads_of, cores, cfg, state, eta=None, groups=None), hands
@@ -272,7 +278,8 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         state.t, loss, s, gamma,
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
-    scaled = [(1.0 + lam) * c for lam, c in zip(lams, cores)]
+    factors = np.repeat(np.add(1.0, lams), [c.size for c in cores])
+    scaled = FlatViews(flat_of(cores) * factors, [c.shape for c in cores])
     return base_step(scaled, g, cfg.base, state, eta_t), rec, g
 
 

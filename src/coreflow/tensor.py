@@ -5,7 +5,7 @@ finite, and marked read-only once they leave this module.  Every operation is
 a pure function returning a fresh array (or views of one), and every array it
 returns is checked: a NaN/Inf raises NumericalError instead of propagating.
 Contractions check only their results, since a non-finite intermediate always
-reaches them.
+reaches them.  One exception: in a gradient pass the loss vouches for the output.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ class CompiledPlan:
     output into the gradient of every requested operand slot: at step i the
     incoming gradient, contracted with the accumulator before the step, gives
     operand i's gradient, and contracted with operand i, the gradient passed
-    on to that accumulator.  The pass recomputes the accumulators it needs.
+    on to that accumulator, taking the accumulators ``forward`` kept if it can.
 
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
@@ -220,6 +220,7 @@ class CompiledPlan:
             self._reverse.append((op_grad, perm, acc_grad))
         self._first_perm = _perm(grad, labels[0])
         self._sizes: dict[tuple[Shape, ...], tuple] = {}
+        self._kept = None  # (inputs, operands, accumulators) of the last forward
 
     def _sized(self, inputs: list[np.ndarray]) -> tuple:
         """(forward steps, reverse steps, output shape, and the reshape and
@@ -255,17 +256,19 @@ class CompiledPlan:
         return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
 
     def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
-        """The contraction, unchecked for finiteness and possibly a view."""
+        """Unchecked contraction (maybe a view); keeps its accumulators if no input is writable."""
         forward = self._sized(inputs)[0]
+        inputs = tuple(inputs)
         ops = self._operands(inputs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc = ops[0]
-            for step, nxt in zip(forward, ops[1:]):
-                acc = _apply_pair(step, acc, nxt)
-            if self._sum_axes:
-                acc = acc.sum(axis=self._sum_axes)
+        accs = [ops[0]]
+        for step, nxt in zip(forward, ops[1:]):
+            accs.append(_apply_pair(step, accs[-1], nxt))
+        acc = accs.pop()
+        if self._sum_axes:
+            acc = acc.sum(axis=self._sum_axes)
         if self._out_perm is not None:
             acc = acc.transpose(self._out_perm)
+        self._kept = None if any(x.flags.writeable for x in inputs) else (inputs, ops, accs)
         return acc
 
     def gradients(
@@ -286,13 +289,17 @@ class CompiledPlan:
                 )
         if not slots:
             return []
-        ops = self._operands(inputs)
         lowest = slots[0]
         grads: dict[int, np.ndarray] = {}
+        kept = self._kept  # read once: another thread may replace it
         with np.errstate(over="ignore", invalid="ignore"):
-            accs = [ops[0]]
-            for step, nxt in zip(forward[:-1], ops[1:]):
-                accs.append(_apply_pair(step, accs[-1], nxt))
+            if kept and all(a is b for a, b in zip(kept[0], inputs)):
+                _, ops, accs = kept
+            else:
+                ops = self._operands(inputs)
+                accs = [ops[0]]
+                for step, nxt in zip(forward[:-1], ops[1:]):
+                    accs.append(_apply_pair(step, accs[-1], nxt))
             grad = grad_out
             if self._extra:
                 grad = np.broadcast_to(grad.reshape(grad_expand), grad_shape)
@@ -323,7 +330,8 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     copied first, so the caller's array stays writable.
     """
     compiled = compile_plan(plan)
-    out = compiled.forward(inputs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compiled.forward(inputs)
     if any(out is x for x in inputs):
         out = out.copy()
     return seal(out, compiled.context)
@@ -367,9 +375,7 @@ def contract_grads(
     one sealed array holding them end to end, checked for finiteness once."""
     compiled = compile_plan(plan)
     grads = compiled.gradients(inputs, grad_out, slots)
-    if not grads:
-        return FlatViews(np.zeros(0), ())
-    flat = np.concatenate([g.ravel() for g in grads])
+    flat = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
     return FlatViews(seal(flat, compiled.context + " gradient"), [g.shape for g in grads])
 
 

@@ -10,9 +10,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from coreflow import experiments, model, optim
-from coreflow.model import tucker_spec
-from coreflow.optim import AdamConfig, SamConfig
+from coreflow.model import random_cores, reconstruct, tucker_spec
+from coreflow.objective import MaskedMse
+from coreflow.optim import AdamConfig, DasConfig, SamConfig
+from coreflow.tensor import as_tensor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +55,32 @@ def test_plancost_prices_a_step():
     adam = plancost.step_cost(spec, AdamConfig(1e-3))
     sam = plancost.step_cost(spec, SamConfig(1e-2, AdamConfig(1e-3)))
     assert adam[0] > 0 and sam == (2 * adam[0], 2 * adam[1])
+
+
+@pytest.mark.parametrize(
+    "cfg, passes",
+    [
+        (AdamConfig(1e-3), 1),
+        (SamConfig(1e-2, AdamConfig(1e-3)), 2),
+        (DasConfig(0.05, AdamConfig(1e-3)), 1),
+    ],
+)
+def test_traced_step_makes_one_call_per_gradient_pass(cfg, passes, rng):
+    """The benchmark's per-pass spans: each gradient pass of a completion step
+    goes once through model.grad_cores and once through the objective."""
+    tracer_mod = load("tracer")
+    spec = tucker_spec((5, 4, 3), (2, 2, 2))
+    mask = as_tensor((rng.random((5, 4, 3)) < 0.5).astype(float))
+    obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), mask)
+    steps = 3
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        optim.run(spec, random_cores(spec, rng, 0.5), obj, cfg, steps)
+        calls = [
+            tracer.query(name, in_run=True)[0]
+            for name in ("model.grad_cores", "objective.loss_and_grad")
+        ]
+    finally:
+        tracer.uninstall()
+    assert calls == [passes * steps] * 2

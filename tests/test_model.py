@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coreflow import model as model_module
 from coreflow.errors import ShapeMismatch
+from coreflow.objective import MaskedMse
 from coreflow.model import (
     LayeredModel,
     ReconstructionSpec,
@@ -321,6 +323,25 @@ class TestLayeredModel:
         for got, ref in zip(analytic, fd):
             denom = np.maximum(np.abs(ref), 1e-6)
             assert np.max(np.abs(got - ref) / denom) < 1e-6
+
+    def test_gradient_pass_builds_each_matrix_once(self, rng, monkeypatch):
+        model = self.make_model(rng)
+        x = as_tensor(rng.standard_normal((3, 2)))
+        obj = MaskedMse(as_tensor(rng.standard_normal((2, 2))), as_tensor(np.ones((2, 2))))
+        flat = [c for layer in model.cores for c in layer]
+        calls = []
+        real = model_module.contract
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model_module, "contract", counted)
+        loss, grads = model.gradient_fn(x, obj)(flat)
+        assert len(calls) == model.num_layers
+        dl = obj.loss_and_grad(model.forward(x))[1]
+        want = [g for layer in model.core_grads(x, dl) for g in layer]
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
     def test_mismatched_chain_rejected(self, rng):
         s1, s2 = tucker2_spec(4, 3, 2, 2), tucker2_spec(2, 5, 2, 2)

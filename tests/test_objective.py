@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coreflow.errors import DegenerateVariance, ShapeMismatch
+from coreflow.errors import DegenerateVariance, NumericalError, ShapeMismatch
 from coreflow.objective import MaskedMse, NoisyTargetMse, r2_score
 from coreflow.tensor import as_tensor
 
@@ -70,6 +70,21 @@ class TestMaskedMse:
         with pytest.raises(ShapeMismatch):
             obj.loss_and_grad(as_tensor(np.ones((2, 3))))
 
+    def test_gradient_is_c_order(self, rng):
+        y = as_tensor(rng.standard_normal((3, 4)))
+        t = np.asarray(rng.standard_normal((4, 3))).T  # not C-order
+        _, grad = MaskedMse(y, full_mask((3, 4))).loss_and_grad(t)
+        assert grad.flags.c_contiguous
+        np.testing.assert_array_equal(grad, (2.0 / 12) * (t - y))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("observed", [0.0, 1.0])
+    def test_non_finite_prediction_raises(self, bad, observed):
+        # an unobserved Inf still reaches the loss: 0 * Inf = NaN
+        obj = MaskedMse(as_tensor([[1.0, 2.0]]), as_tensor([[observed, 1.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite loss"):
+            obj.loss_and_grad(np.array([[bad, 2.0]]))
+
 
 class TestNoisyTargetMse:
     def test_loss_and_grad_formula(self, rng):
@@ -102,6 +117,11 @@ class TestNoisyTargetMse:
         for a, b in zip(*seq):
             np.testing.assert_array_equal(a, b)
         assert not np.array_equal(seq[0][0], seq[0][1])
+
+    def test_non_finite_prediction_raises(self):
+        obj = NoisyTargetMse(as_tensor([[1.0]]), alpha=0.5)
+        with pytest.raises(NumericalError, match="noisy mse produced a non-finite loss inf"):
+            obj.loss_and_grad(np.array([[np.inf]]))
 
     def test_alpha_zero_reduces_to_plain_mse(self, rng):
         clean = as_tensor(rng.standard_normal((2, 3)))

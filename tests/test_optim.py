@@ -10,13 +10,17 @@ import pytest
 from coreflow.errors import NumericalError, ZeroCoreNorm
 from coreflow.model import (
     LayeredModel,
+    cp_spec,
     custom_spec,
+    grad_cores,
     random_cores,
     reconstruct,
+    tr_spec,
+    tt_spec,
     tucker2_spec,
     tucker_spec,
 )
-from coreflow.objective import MaskedMse
+from coreflow.objective import MaskedMse, NoisyTargetMse
 from coreflow.optim import (
     AdamConfig,
     DasConfig,
@@ -28,6 +32,7 @@ from coreflow.optim import (
     gradient_fn,
     init_state,
     loss_and_core_grads,
+    norms_sq,
     plain_step,
     run,
     sam_step,
@@ -535,12 +540,12 @@ class TestFlatViewsCarrier:
     STEPS = {
         "adam": (plain_step, AdamConfig(eta=0.01), 1),
         "sam": (sam_step, SamConfig(rho=0.05, base=AdamConfig(eta=0.01)), 2),
-        "das": (das_step, DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)), 2),
+        "das": (das_step, DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)), 1),
     }
 
     @pytest.mark.parametrize("name", sorted(STEPS))
     def test_concatenations_in_a_second_step(self, name, rng, monkeypatch):
-        # one per gradient pass, plus one for DAS's scaled cores
+        # one per gradient pass; DAS scales the flat cores in one multiply
         step, cfg, want = self.STEPS[name]
         spec = tucker_spec((5, 4, 3), (2, 2, 2))
         cores = random_cores(spec, rng, norm_spread=0.5)
@@ -582,6 +587,117 @@ class TestFlatViewsCarrier:
             assert all(np.shares_memory(view, back.flat) for view in back)
             for got, want in zip(back, new, strict=True):
                 np.testing.assert_array_equal(got, want)
+
+
+class TestFusedPass:
+    """``loss_and_core_grads`` is one forward and one reverse pass, and gives
+    the bytes of reconstruct -> loss_and_grad -> grad_cores."""
+
+    SPECS = {
+        "cp": lambda: cp_spec((4, 3, 2), 3),  # constant superdiagonal slot
+        "tucker": lambda: tucker_spec((4, 3, 5), (2, 3, 2)),
+        "tucker2": lambda: tucker2_spec(5, 4, 3, 2),
+        "tt": lambda: tt_spec((2, 3, 2, 2), (2, 2, 2)),
+        "tr": lambda: tr_spec((3, 2, 3), (2, 2, 2)),  # ring label on both ends
+        "custom": lambda: custom_spec("ja,ab,bi->ij", [(3, 2), (2, 4), (4, 5)]),  # folds to ji
+    }
+    OBJECTIVES = {
+        "masked": lambda target, rng: MaskedMse(
+            target, as_tensor((rng.random(target.shape) < 0.5).astype(float))
+        ),
+        "noisy": lambda target, rng: NoisyTargetMse(target, alpha=0.3, seed=4),
+    }
+
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("family", sorted(SPECS))
+    def test_matches_unfused_composition_bitwise(self, family, objective, rng):
+        spec = self.SPECS[family]()
+        target = reconstruct(spec, random_cores(spec, rng))
+        obj = self.OBJECTIVES[objective](target, rng)
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        loss, grads = loss_and_core_grads(spec, cores, obj)
+        want_loss, dl = obj.loss_and_grad(reconstruct(spec, cores))
+        # fresh arrays, so the reverse pass rebuilds its accumulators
+        want = grad_cores(spec, [np.array(c) for c in cores], dl)
+        assert repr(loss) == repr(want_loss)
+        assert len(grads) == len(want) == spec.num_cores
+        for got, ref in zip(grads, want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        writable = loss_and_core_grads(spec, [np.array(c) for c in cores], obj)
+        assert writable[1].flat.tobytes() == grads.flat.tobytes()
+
+    @pytest.mark.parametrize(
+        "family, fused, rebuilt", [("tucker", 9, 11), ("tucker2", 6, 7)]
+    )
+    def test_reverse_pass_takes_the_forward_accumulators(
+        self, family, fused, rebuilt, rng, monkeypatch
+    ):
+        spec = self.SPECS[family]()
+        cores = random_cores(spec, rng)
+        target = reconstruct(spec, random_cores(spec, rng))
+        obj = MaskedMse(target, as_tensor(np.ones(spec.output_shape)))
+        dl = obj.loss_and_grad(reconstruct(spec, cores))[1]
+        calls = []
+        dot = np.dot
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", counted)
+        loss_and_core_grads(spec, cores, obj)
+        assert len(calls) == fused
+        calls.clear()
+        reconstruct(spec, cores)
+        grad_cores(spec, [np.array(c) for c in cores], dl)
+        assert len(calls) == rebuilt
+
+
+class TestNormsSq:
+    def test_matches_frobenius_norm_sq(self, rng):
+        arrays = [as_tensor(rng.standard_normal(s)) for s in ((3, 4), (5,), (2, 3, 2))]
+        assert norms_sq(arrays) == tuple(frobenius_norm_sq(a) for a in arrays)
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericalError, match="squared norms"):
+            norms_sq([as_tensor([1.0]), as_tensor([1e200])])
+
+
+class TestLossVouchesForOutput:
+    """Inside a gradient pass the forward output is not scanned for
+    finiteness: a non-finite loss raises instead, with no RuntimeWarning."""
+
+    def test_forward_overflow_at_unobserved_entry_raises(self):
+        # entry (0, 0) = 1e400 overflows where the mask is 0; 0 * inf = NaN
+        spec = custom_spec("i,j->ij", [(2,), (2,)])
+        cores = [as_tensor([1e200, 1e-200]), as_tensor([1e200, 1e-200])]
+        obj = MaskedMse(as_tensor(np.zeros((2, 2))), as_tensor([[0.0, 1.0], [1.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^iteration 0: masked mse .* loss nan"):
+                run(spec, cores, obj, AdamConfig(eta=0.01), 2)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_loss_overflow_with_finite_residual_raises(self, noisy):
+        # the residual 1e160 is finite, its square is not
+        spec, cores, obj = scalar_pair_problem(x=1e80, y=1e80, target=0.0)
+        if noisy:
+            obj = NoisyTargetMse(as_tensor([[0.0]]), alpha=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^iteration 0: .*non-finite loss inf"):
+                run(spec, cores, obj, AdamConfig(eta=0.01), 2)
+
+    def test_layered_overflow_raises(self, rng):
+        spec = custom_spec("a,b->ab", [(1,), (1,)])
+        model = LayeredModel(specs=[spec, spec], cores=[random_cores(spec, rng)] * 2)
+        obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
+        grads_of = model.gradient_fn(as_tensor([[1e300]]), obj)
+        flat = [as_tensor([1e10]), as_tensor([1.0]), as_tensor([1.0]), as_tensor([1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite loss"):
+                grads_of(flat)
 
 
 class TestReferenceSteps:

@@ -117,6 +117,30 @@ class TestContract:
         out2 = contract(plan("ij->ji"), [a])
         assert not out2.flags.writeable
 
+    def test_reverse_pass_takes_kept_accumulators_only_for_the_same_arrays(self, rng):
+        p, slots = plan("ia,ajb,bk->ijk"), (0, 1, 2)
+        shapes = [(3, 2), (2, 4, 3), (3, 5)]
+        a, b = ([as_tensor(rng.standard_normal(s)) for s in shapes] for _ in range(2))
+        g = as_tensor(rng.standard_normal((3, 4, 5)))
+
+        def rebuilt(arrays):  # fresh arrays: nothing kept applies to them
+            return contract_grads(p, [np.array(x) for x in arrays], g, slots).flat.tobytes()
+
+        contract(p, a)
+        assert contract_grads(p, b, g, slots).flat.tobytes() == rebuilt(b)
+        contract(p, a)
+        assert contract_grads(p, a, g, slots).flat.tobytes() == rebuilt(a)
+        # nor does a change to the caller's list
+        ops = list(a)
+        contract(p, ops)
+        ops[1] = b[1]
+        assert contract_grads(p, ops, g, slots).flat.tobytes() == rebuilt(ops)
+        # writable arrays may change between the passes, so nothing is kept
+        w = [np.array(x) for x in a]
+        contract(p, w)
+        w[1][...] = b[1]
+        assert contract_grads(p, w, g, slots).flat.tobytes() == rebuilt(w)
+
 
 class TestScalarOps:
     def test_inner_product_by_hand(self):
