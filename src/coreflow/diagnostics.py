@@ -81,9 +81,22 @@ def norm_grad_covariance(core_norms_sq, grad_norms_sq) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())))
 
 
-def trajectory_rows(records: list[StepRecord]) -> list[str]:
+def trajectory_stats(records: list[StepRecord]) -> tuple[list[float], list[float]]:
+    """(Q, Cov) of every record in one pass over the stacked norms; each row
+    reduces as ``norm_deviation``/``norm_grad_covariance`` do, bit for bit."""
+    if not records:
+        return [], []
+    s = np.array([r.core_norms_sq for r in records])
+    g = np.array([r.grad_norms_sq for r in records])
+    dev = s - s.mean(axis=1, keepdims=True)
+    cov = np.mean(dev * (g - g.mean(axis=1, keepdims=True)), axis=1)
+    return np.sum(dev * dev, axis=1).tolist(), cov.tolist()
+
+
+def trajectory_rows(records: list[StepRecord], stats=None) -> list[str]:
     """CSV rows per the documented schema:
     t,loss,q,cov,core_norm_sq_1..K,grad_norm_sq_1..K[,lambda_1..K]
+    ``stats`` is ``trajectory_stats(records)`` when the caller has it.
     """
     if not records:
         return []
@@ -95,9 +108,8 @@ def trajectory_rows(records: list[StepRecord]) -> list[str]:
     if with_lambda:
         header += [f"lambda_{i + 1}" for i in range(k)]
     rows = [",".join(header)]
-    for rec in records:
-        q = norm_deviation(rec.core_norms_sq)
-        cov = norm_grad_covariance(rec.core_norms_sq, rec.grad_norms_sq)
+    qs, covs = stats if stats is not None else trajectory_stats(records)
+    for rec, q, cov in zip(records, qs, covs):
         cells = [str(rec.t), repr(rec.loss), repr(q), repr(cov)]
         cells += [repr(v) for v in rec.core_norms_sq]
         cells += [repr(v) for v in rec.grad_norms_sq]
@@ -107,9 +119,9 @@ def trajectory_rows(records: list[StepRecord]) -> list[str]:
     return rows
 
 
-def write_trajectory_csv(path, records: list[StepRecord]) -> None:
+def write_trajectory_csv(path, records: list[StepRecord], stats=None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in trajectory_rows(records):
+        for row in trajectory_rows(records, stats):
             fh.write(row + "\n")
 
 
@@ -163,7 +175,7 @@ def check_sgd_conservation(
     ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
 
     _, records = run(spec, list(cores), objective, SgdConfig(eta), _SGD_CONSERVATION_STEPS)
-    qs = [norm_deviation(r.core_norms_sq) for r in records]
+    qs = trajectory_stats(records)[0]
     max_step_dq = max(
         (abs(b - a) for a, b in zip(qs[:-1], qs[1:])), default=0.0
     )
@@ -178,6 +190,15 @@ def check_sgd_conservation(
         passed=passed,
         details={"eta_halving_ratio": ratio, "max_step_dq": max_step_dq},
     )
+
+
+def _drift_bounds(records: list[StepRecord], eta: float) -> tuple[list[float], float]:
+    """sum_k drift_k^2 before each record and after the last, drift_k summing
+    eta^2*|gamma_k - gbar| down the records: one add per record, in order."""
+    gamma = np.array([r.grad_norms_sq for r in records])
+    drift = np.cumsum(eta * eta * np.abs(gamma - gamma.mean(axis=1, keepdims=True)), axis=0)
+    *before, final = [0.0] + np.sum(drift * drift, axis=1).tolist()
+    return before, final
 
 
 def check_sgd_balanced_bound(
@@ -196,15 +217,9 @@ def check_sgd_balanced_bound(
     """
     balanced = [c / math.sqrt(frobenius_norm_sq(c)) for c in cores]
     final, records = run(spec, balanced, objective, SgdConfig(eta), _SGD_BALANCED_STEPS)
-    drift = np.zeros(spec.num_cores)
-    checked = []  # (Q, bound) at every recorded step
-    for rec in records:
-        bound = float(np.sum(drift * drift))
-        checked.append((norm_deviation(rec.core_norms_sq), bound))
-        gamma = np.asarray(rec.grad_norms_sq)
-        drift += eta * eta * np.abs(gamma - gamma.mean())
+    before, bound = _drift_bounds(records, eta)
+    checked = list(zip(trajectory_stats(records)[0], before))  # (Q, bound) per record
     q_final = norm_deviation(norms_sq(final))
-    bound = float(np.sum(drift * drift))
     rel_slack, abs_slack = _BALANCED_SLACK
     ok = all(q <= b + (rel_slack * b + abs_slack) for q, b in checked + [(q_final, bound)])
     worst_q, worst_bound = max(checked, key=lambda qb: qb[0], default=(0.0, 0.0))

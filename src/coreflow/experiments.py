@@ -27,6 +27,7 @@ from .diagnostics import (
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
+    trajectory_stats,
     write_trajectory_csv,
 )
 from .errors import ValidationError
@@ -44,6 +45,7 @@ from .model import (
     tt_spec,
     tucker2_spec,
     tucker_spec,
+    _chain,
 )
 from .objective import MaskedMse, NoisyTargetMse, r2_score
 from .optim import norms_sq, run
@@ -167,10 +169,11 @@ def layered_instance(kind: str, seed: int):
                 random_cores(s2, rng, norm_spread=_NORM_SPREAD),
             ],
         )
-        out = model.forward(x)
-        obj = _unit_residual_objective(out, rng)
-        _, dl = obj.loss_and_grad(out)
-        grads = model.core_grads(x, dl)
+        ws = model.matrices()
+        ins = _chain(ws, x)
+        obj = _unit_residual_objective(ins[-1], rng)
+        _, dl = obj.loss_and_grad(ins[-1])
+        grads = model._core_grads(ws, ins, dl)
         if all(_well_conditioned(c, g) for c, g in zip(model.cores, grads)):
             return model, x, obj
     raise RuntimeError(f"no well-conditioned layered {kind} instance for seed {seed}")
@@ -283,35 +286,30 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     order with the noise strength."""
     spec = build_model_spec(cfg.model)
     alphas = cfg.objective.noise_alphas
+    rng = _rng(cfg.seed)
+    truth = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
+    clean = reconstruct(spec, truth)
+    clean = as_tensor(clean / math.sqrt(float(np.mean(clean * clean))))
+    cores = _fig1_init_cores(spec, _rng(cfg.seed + 2))
+    optimizer = build_optimizer(cfg.optimizer)
     q_rates, cov_means, losses = [], [], []
     for alpha in alphas:
-        rng = _rng(cfg.seed)
-        truth = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
-        clean = reconstruct(spec, truth)
-        clean = as_tensor(clean / math.sqrt(float(np.mean(clean * clean))))
         objective = NoisyTargetMse(
             clean_target=clean,
             alpha=alpha,
             seed=cfg.seed + 1,
             resample_each_step=cfg.objective.resample,
         )
-        cores = _fig1_init_cores(spec, _rng(cfg.seed + 2))
-        optimizer = build_optimizer(cfg.optimizer)
         _, records = run(
             spec, cores, objective, optimizer, cfg.optimizer.iters,
             schedule=cfg.optimizer.schedule,
         )
         tag = repr(float(alpha)).replace(".", "p").replace("-", "m")
+        stats = qs, covs = trajectory_stats(records)
         write_trajectory_csv(
-            os.path.join(out_dir, f"trajectory_alpha_{tag}.csv"), records
+            os.path.join(out_dir, f"trajectory_alpha_{tag}.csv"), records, stats
         )
-        q_first, q_last = (
-            norm_deviation(r.core_norms_sq) for r in (records[0], records[-1])
-        )
-        covs = [
-            norm_grad_covariance(r.core_norms_sq, r.grad_norms_sq) for r in records
-        ]
-        q_rates.append((q_first - q_last) / len(records))
+        q_rates.append((qs[0] - qs[-1]) / len(records))
         cov_means.append(float(np.mean(np.abs(covs))))
         losses.append(records[-1].loss)
     q_ordered = all(a < b for a, b in zip(q_rates[:-1], q_rates[1:]))

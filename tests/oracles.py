@@ -152,3 +152,34 @@ def reference_steps(grads_of, cores, cfg, iters, groups=None):
             new.append(shrink * c - base.eta * step)
         cores = new
     return cores, records
+
+
+def per_record_trajectory_rows(records):
+    """Trajectory CSV rows with Q and Cov computed record by record."""
+    from coreflow.diagnostics import norm_deviation, norm_grad_covariance
+
+    k = len(records[0].core_norms_sq)
+    header = ["t", "loss", "q", "cov"]
+    header += [f"core_norm_sq_{i + 1}" for i in range(k)]
+    header += [f"grad_norm_sq_{i + 1}" for i in range(k)]
+    if records[0].lambdas is not None:
+        header += [f"lambda_{i + 1}" for i in range(k)]
+    rows = [",".join(header)]
+    for rec in records:
+        cells = [str(rec.t), repr(rec.loss), repr(norm_deviation(rec.core_norms_sq))]
+        cells.append(repr(norm_grad_covariance(rec.core_norms_sq, rec.grad_norms_sq)))
+        cells += [repr(v) for v in rec.core_norms_sq + rec.grad_norms_sq + (rec.lambdas or ())]
+        rows.append(",".join(cells))
+    return rows
+
+
+def per_record_drift_bounds(records, eta):
+    """The balanced-start drift bound before each record and after the last,
+    accumulated one record at a time into a running per-core drift."""
+    drift = np.zeros(len(records[0].grad_norms_sq))
+    before = []
+    for rec in records:
+        before.append(float(np.sum(drift * drift)))
+        gamma = np.asarray(rec.grad_norms_sq)
+        drift += eta * eta * np.abs(gamma - gamma.mean())
+    return before, float(np.sum(drift * drift))

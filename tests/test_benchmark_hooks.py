@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from coreflow import experiments, model, optim
+from coreflow.config import parse_config_text
 from coreflow.model import random_cores, reconstruct, tucker_spec
 from coreflow.objective import MaskedMse
 from coreflow.optim import AdamConfig, DasConfig, SamConfig
 from coreflow.tensor import as_tensor
+
+from test_experiments import DAS_COMPLETION_CFG, NOISE_SWEEP_CFG
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -84,3 +87,34 @@ def test_traced_step_makes_one_call_per_gradient_pass(cfg, passes, rng):
     finally:
         tracer.uninstall()
     assert calls == [passes * steps] * 2
+
+
+@pytest.mark.parametrize("cfg_text, csvs", [(DAS_COMPLETION_CFG, 1), (NOISE_SWEEP_CFG, 3)])
+def test_one_traced_csv_span_per_csv_written(cfg_text, csvs, tmp_path):
+    """``diagnostics.write_trajectory_csv.ms`` is a mean over these spans:
+    every trajectory CSV goes through the traced writer exactly once."""
+    tracer_mod = load("tracer")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        experiments.run_experiment(parse_config_text(cfg_text), str(tmp_path))
+        calls = tracer.query("diagnostics.write_trajectory_csv")[0]
+    finally:
+        tracer.uninstall()
+    assert calls == csvs == len(list(tmp_path.glob("trajectory*.csv")))
+
+
+@pytest.mark.parametrize("kind", ["tucker2", "scalar"])
+def test_layered_draw_builds_each_layer_matrix_once(kind):
+    """A layered draw reconstructs each layer once and does not go through
+    ``LayeredModel.core_grads``, which rebuilds the matrices."""
+    tracer_mod = load("tracer")
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        experiments.layered_instance(kind, 0)
+        draws = tracer.query("model.random_cores")[0]
+        counts = [tracer.query(n)[0] for n in ("model.reconstruct", "model.layered.core_grads")]
+    finally:
+        tracer.uninstall()
+    assert counts == [draws, 0]

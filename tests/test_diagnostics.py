@@ -16,7 +16,9 @@ from coreflow.diagnostics import (
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
+    _drift_bounds,
     trajectory_rows,
+    trajectory_stats,
 )
 from coreflow import optim
 from coreflow.errors import LengthMismatch, ZeroGradient
@@ -34,6 +36,8 @@ from coreflow.optim import (
     run,
 )
 from coreflow.tensor import as_tensor, frobenius_norm_sq
+
+from oracles import per_record_drift_bounds, per_record_trajectory_rows
 
 
 class TestNormDeviation:
@@ -121,6 +125,54 @@ class TestTrajectorySchema:
         cells = trajectory_rows([rec])[1].split(",")
         assert cells[2] == "128.0"
         assert float(cells[3]) == norm_grad_covariance((2, 10, 18), (1, 2, 3))
+
+
+@st.composite
+def record_runs(draw):
+    """1-40 records of K = 1-9 norms spread over 17 decades; a drawn share of
+    the rows hold K equal norms, where Q is zero and Cov a signed zero."""
+    k, n = draw(st.integers(1, 9)), draw(st.integers(1, 40))
+    equal_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s, g = (rng.uniform(1.0, 10.0, (n, k)) * 10.0 ** rng.integers(-8, 9, (n, k)) for _ in "sg")
+    for arr in (s, g):
+        rows = rng.random(n) < equal_share
+        arr[rows] = arr[rows, :1]
+    return [
+        StepRecord(t, 0.5, tuple(s[t].tolist()), tuple(g[t].tolist())) for t in range(n)
+    ]
+
+
+class TestTrajectoryStats:
+    """The columnar pass gives the per-record functions' floats, bit for bit."""
+
+    @given(record_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_record_functions(self, records):
+        qs, covs = trajectory_stats(records)
+        assert [repr(v) for v in qs] == [
+            repr(norm_deviation(r.core_norms_sq)) for r in records
+        ]
+        assert [repr(v) for v in covs] == [
+            repr(norm_grad_covariance(r.core_norms_sq, r.grad_norms_sq))
+            for r in records
+        ]
+        assert trajectory_rows(records) == per_record_trajectory_rows(records)
+
+    @given(record_runs(), st.sampled_from([1e-5, 1e-3, 0.1, 0.7]))
+    @settings(max_examples=200, deadline=None)
+    def test_drift_bounds_match_per_record_loop(self, records, eta):
+        before, final = _drift_bounds(records, eta)
+        want_before, want_final = per_record_drift_bounds(records, eta)
+        assert [repr(v) for v in before] == [repr(v) for v in want_before]
+        assert repr(final) == repr(want_final)
+
+    def test_empty_run(self):
+        assert trajectory_stats([]) == ([], [])
+
+    def test_precomputed_stats_are_used(self):
+        rec = StepRecord(0, 1.0, (1.0, 2.0), (3.0, 4.0))
+        assert trajectory_rows([rec], ([7.0], [8.0]))[1].split(",")[2:4] == ["7.0", "8.0"]
 
 
 class TestSgdConservation:

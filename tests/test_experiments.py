@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from coreflow import experiments
+from coreflow import diagnostics, experiments
 from coreflow.config import parse_config_text
 from coreflow.experiments import (
     FAMILIES,
@@ -19,8 +21,12 @@ from coreflow.experiments import (
     suite_sam_dynamics,
     suite_sgd_conservation,
 )
+from coreflow.diagnostics import norm_deviation, norm_grad_covariance
 from coreflow.model import reconstruct, tucker_spec
+from coreflow.optim import norms_sq
 from coreflow.tensor import frobenius_norm_sq
+
+from oracles import per_record_drift_bounds, per_record_trajectory_rows
 
 
 def completion_text(**overrides):
@@ -224,3 +230,134 @@ class TestTheoremSuite:
         fresh += suite_das(suite_instances(seeds))
         shared = run_theorem_suite(2).reports
         assert [r.lines() for r in shared] == [r.lines() for r in fresh]
+
+
+NOISE_SWEEP_CFG = """
+experiment tucker2-noise
+seed 7
+model {
+  family tucker2
+  modes 12,10
+  ranks 4,4
+}
+objective {
+  noise_alpha 0.0,0.1,0.3
+}
+optimizer {
+  kind sam
+  base sgd
+  eta 0.0005
+  rho 0.01
+  iters 50
+}
+"""
+
+DAS_COMPLETION_CFG = """
+experiment completion
+seed 4
+model {
+  family tucker
+  modes 6,5,4
+  ranks 2,2,2
+}
+objective {
+  mask_density 0.6
+}
+optimizer {
+  kind das
+  base adam
+  eta 0.01
+  alpha 0.05
+  iters 40
+}
+"""
+
+
+def recording(monkeypatch, module):
+    """Every (final cores, records) that ``module.run`` returns, in order."""
+    runs, real = [], module.run
+
+    def recorded(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(module, "run", recorded)
+    return runs
+
+
+def csv_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestOutputsMatchPerRecordOracle:
+    """Every output that reads Q or Cov equals one computed record by record."""
+
+    def test_noise_sweep_csvs_and_summary(self, tmp_path, monkeypatch):
+        runs = recording(monkeypatch, experiments)
+        cfg = parse_config_text(NOISE_SWEEP_CFG)
+        run_experiment(cfg, str(tmp_path))
+        records = [recs for _, recs in runs]
+        assert len(records) == 3
+        for alpha, recs in zip(cfg.objective.noise_alphas, records):
+            tag = repr(alpha).replace(".", "p")
+            path = tmp_path / f"trajectory_alpha_{tag}.csv"
+            assert csv_lines(path) == per_record_trajectory_rows(recs)
+        rates = [
+            (norm_deviation(r[0].core_norms_sq) - norm_deviation(r[-1].core_norms_sq)) / len(r)
+            for r in records
+        ]
+        covs = [
+            float(np.mean(np.abs(
+                [norm_grad_covariance(x.core_norms_sq, x.grad_norms_sq) for x in r]
+            )))
+            for r in records
+        ]
+        assert csv_lines(tmp_path / "summary.txt") == [
+            "experiment tucker2-noise",
+            "optimizer sam",
+            "iters 50",
+            "seed 7",
+            "alphas 0.0,0.1,0.3",
+            "q_decrease_rates " + ",".join(map(repr, rates)),
+            "cov_magnitudes " + ",".join(map(repr, covs)),
+            "final_losses " + ",".join(repr(r[-1].loss) for r in records),
+            f"q_rate_ordered {rates[0] < rates[1] < rates[2]}",
+            f"cov_ordered {covs[0] < covs[1] < covs[2]}",
+        ]
+
+    def test_das_completion_csv_with_lambdas(self, tmp_path, monkeypatch):
+        runs = recording(monkeypatch, experiments)
+        run_experiment(parse_config_text(DAS_COMPLETION_CFG), str(tmp_path))
+        (_, records), = runs
+        lines = csv_lines(tmp_path / "trajectory.csv")
+        assert lines[0].endswith("lambda_4")  # 3 factors and the core
+        assert lines == per_record_trajectory_rows(records)
+
+    def test_sgd_check_reports(self, monkeypatch):
+        runs = recording(monkeypatch, diagnostics)
+        spec, cores, obj = check_instance("tucker2", 0)
+        eta = 1e-3
+
+        rep = diagnostics.check_sgd_conservation(spec, cores, obj, eta)
+        qs = [norm_deviation(r.core_norms_sq) for r in runs[-1][1]]
+        max_dq = max(abs(b - a) for a, b in zip(qs[:-1], qs[1:]))
+        want = replace(rep, details={**rep.details, "max_step_dq": max_dq})
+        assert rep.lines() == want.lines()
+
+        rep = diagnostics.check_sgd_balanced_bound(spec, cores, obj, eta)
+        final, records = runs[-1]
+        before, bound = per_record_drift_bounds(records, eta)
+        checked = [(norm_deviation(r.core_norms_sq), b) for r, b in zip(records, before)]
+        q_final = norm_deviation(norms_sq(final))
+        rel, abs_ = diagnostics._BALANCED_SLACK
+        worst_q, worst_bound = max(checked, key=lambda qb: qb[0])
+        want = replace(
+            rep,
+            predicted=bound,
+            abs_residual=max(0.0, q_final - bound),
+            rel_residual=q_final / bound,
+            passed=all(q <= b + (rel * b + abs_) for q, b in checked + [(q_final, bound)]),
+            details={"worst_q": worst_q, "bound_at_worst": worst_bound},
+        )
+        assert rep.measured == q_final
+        assert rep.lines() == want.lines()
