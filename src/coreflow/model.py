@@ -72,11 +72,15 @@ class ReconstructionSpec:
         return self._core_slots
 
     def operands(self, cores: list[np.ndarray]) -> list[np.ndarray]:
-        if len(cores) != self.num_cores:
-            raise ShapeMismatch(f"expected {self.num_cores} cores, got {len(cores)}")
-        for core, shape in zip(cores, self.core_shapes):
-            if core.shape != shape:
-                raise ShapeMismatch(f"core shape {core.shape}, spec wants {shape}")
+        """The plan's operands: ``cores`` itself if every slot is a core."""
+        if tuple([core.shape for core in cores]) != self.core_shapes:
+            if len(cores) != self.num_cores:
+                raise ShapeMismatch(f"expected {self.num_cores} cores, got {len(cores)}")
+            for core, shape in zip(cores, self.core_shapes):
+                if core.shape != shape:
+                    raise ShapeMismatch(f"core shape {core.shape}, spec wants {shape}")
+        if len(self._core_slots) == len(self.constants):
+            return cores
         ops = list(self.constants)
         for slot, core in zip(self._core_slots, cores):
             ops[slot] = core

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance, NumericalError
-from .tensor import as_tensor, require_same_shape
+from .tensor import require_same_shape, seal
 
 
 def _squared_error(resid: np.ndarray, normalizer: int, context: str):
@@ -54,7 +54,7 @@ class NoisyTargetMse:
     N has unit-variance Gaussian entries.  With resample_each_step the draw is
     refreshed once per optimizer step (begin_step), so the two gradient passes
     of a perturbation-based step see the same noise; otherwise the draw made at
-    construction is frozen.
+    construction is frozen.  alpha*N is formed once per draw.
     """
 
     clean_target: np.ndarray
@@ -65,16 +65,20 @@ class NoisyTargetMse:
 
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
-        self.noise = as_tensor(self._rng.standard_normal(self.clean_target.shape))
+        self._draw()
+
+    def _draw(self) -> None:
+        self.noise = seal(self._rng.standard_normal(self.clean_target.shape), "noise draw")
+        self._scaled_noise = self.alpha * self.noise
 
     def begin_step(self, t: int) -> None:
         if self.resample_each_step:
-            self.noise = as_tensor(self._rng.standard_normal(self.clean_target.shape))
+            self._draw()
 
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
         require_same_shape(t_hat, self.clean_target, "prediction and target")
         resid = t_hat - self.clean_target
-        resid -= self.alpha * self.noise
+        resid -= self._scaled_noise
         return _squared_error(resid, 1, "noisy mse")
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoreflowError, NumericalError, ZeroCoreNorm
+from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, compile_plan, flat_of, seal
+from .tensor import FlatViews, carried, compile_plan, seal
 
 _TINY_NORM_SQ = 1e-300
 
@@ -141,7 +141,7 @@ def base_step(
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    g = flat_of(grads)
+    g = carried(grads)[0]
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
@@ -152,8 +152,8 @@ def base_step(
         state.flat_momentum = step = cfg.momentum * state.flat_momentum + g
     else:
         step = g
-    new = seal(shrink * flat_of(cores) - eta * step, "optimizer update")
-    return FlatViews(new, [c.shape for c in cores])
+    flat, shapes = carried(cores)
+    return FlatViews(seal(shrink * flat - eta * step, "optimizer update"), shapes)
 
 
 def loss_and_core_grads(spec, cores, objective):
@@ -222,9 +222,10 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
         return base_step(cores, g, cfg.base, state, eta), rec, g
     u = total ** -0.5
+    flat, shapes = carried(cores)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = flat_of(cores) + (cfg.rho * u) * flat_of(g)
-    _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), [c.shape for c in cores]))
+        x = flat + (cfg.rho * u) * carried(g)[0]
+    _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), shapes))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
     return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
 
@@ -239,19 +240,23 @@ def das_scaling_factors(
     """Per-core factors lambda_k = eta*alpha*u*(||g_k||^2 - gbar_l)/||G_k||^2
     with gbar_l the mean squared gradient norm of core k's group and
     u = (K*gbar)^(-1/2) over all K cores (gbar their mean).  Returns the
-    factors, gbar and u; all are 0.0 when every gradient vanishes.
+    factors, gbar and u; all are 0.0 when every gradient vanishes.  The
+    ``groups`` (cores per group, end to end) must cover the K cores.
     """
     s = [float(v) for v in core_norms_sq]
     gamma = [float(v) for v in grad_norms_sq]
     for k, sk in enumerate(s):
         if sk < _TINY_NORM_SQ:
             raise ZeroCoreNorm(f"core {k} has squared norm {sk}")
+    groups = groups or (len(s),)
+    if min(groups) < 1 or sum(groups) != len(s):
+        raise ShapeMismatch(f"groups {tuple(groups)} must be >= 1 and sum to {len(s)} cores")
     gbar = math.fsum(gamma) / len(gamma)
     if gbar == 0.0:
         return [0.0] * len(s), 0.0, 0.0
     u = (len(gamma) * gbar) ** -0.5
     lams: list[float] = []
-    for size in groups or (len(s),):
+    for size in groups:
         group = slice(len(lams), len(lams) + size)
         gbar_l = math.fsum(gamma[group]) / size
         lams += [
@@ -278,8 +283,9 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         state.t, loss, s, gamma,
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
+    flat, shapes = carried(cores)
     factors = np.repeat(np.add(1.0, lams), [c.size for c in cores])
-    scaled = FlatViews(flat_of(cores) * factors, [c.shape for c in cores])
+    scaled = FlatViews(flat * factors, shapes)
     return base_step(scaled, g, cfg.base, state, eta_t), rec, g
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -144,16 +146,26 @@ def _pair(x: str, y: str, summed: str):
 
 
 def _size_pair(step, extents: dict[str, int]):
+    """The step sized for ``extents`` and lowered: None stands for a transpose
+    that is the identity and for a reshape to the shape its array has already."""
     perm_x, perm_y, keep_x, summed, keep_y = step
-    m, k, n = (math.prod(extents[ch] for ch in part) for part in (keep_x, summed, keep_y))
-    return perm_x, perm_y, (m, k), (k, n), tuple(extents[ch] for ch in keep_x + keep_y)
+    x, s, y = (tuple(extents[ch] for ch in part) for part in (keep_x, summed, keep_y))
+    m, k, n = math.prod(x), math.prod(s), math.prod(y)
+    # (what each of the step's five calls would make, what its array has already)
+    calls = ((perm_x, tuple(sorted(perm_x))), (perm_y, tuple(sorted(perm_y))),
+             ((m, k), x + s), ((k, n), s + y), (x + y, (m, n)))
+    return tuple(None if want == have else want for want, have in calls)
 
 
 def _apply_pair(step, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One sized step; skipping a None hands np.dot the same views."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
-    return np.dot(
-        x.transpose(perm_x).reshape(shape_x), y.transpose(perm_y).reshape(shape_y)
-    ).reshape(shape_out)
+    x = x if perm_x is None else x.transpose(perm_x)
+    x = x if shape_x is None else x.reshape(shape_x)
+    y = y if perm_y is None else y.transpose(perm_y)
+    y = y if shape_y is None else y.reshape(shape_y)
+    out = np.dot(x, y)
+    return out if shape_out is None else out.reshape(shape_out)
 
 
 def _perm(labels: str, target: str) -> tuple[int, ...] | None:
@@ -180,7 +192,8 @@ class CompiledPlan:
 
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
-    shapes against the labels.
+    shapes against the labels, and lowered (a transpose or reshape that would
+    not change its array is dropped); ``forward`` keeps them for the reverse pass.
     """
 
     _MAX_SHAPE_SETS = 64
@@ -220,19 +233,17 @@ class CompiledPlan:
             self._reverse.append((op_grad, perm, acc_grad))
         self._first_perm = _perm(grad, labels[0])
         self._sizes: dict[tuple[Shape, ...], tuple] = {}
-        self._kept = None  # (inputs, operands, accumulators) of the last forward
+        self._kept = None  # (inputs, operands, accumulators, sizes) of the last forward
 
     def _sized(self, inputs: list[np.ndarray]) -> tuple:
         """(forward steps, reverse steps, output shape, and the reshape and
         broadcast shapes that give the output gradient the extra labels),
         sized for the shapes of ``inputs``."""
-        if len(inputs) != len(self._diag):
-            raise ShapeMismatch(
-                f"plan has {len(self._diag)} operands, got {len(inputs)}"
-            )
         shapes = tuple([x.shape for x in inputs])
         sizes = self._sizes.get(shapes)
         if sizes is None:
+            if len(inputs) != len(self._diag):
+                raise ShapeMismatch(f"plan has {len(self._diag)} operands, got {len(inputs)}")
             extents = label_extents(self.plan, shapes)
             out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
             sizes = (
@@ -256,19 +267,20 @@ class CompiledPlan:
         return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
 
     def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
-        """Unchecked contraction (maybe a view); keeps its accumulators if no input is writable."""
-        forward = self._sized(inputs)[0]
+        """Unchecked contraction (maybe a view); keeps accumulators and sizes unless an
+        input is writable."""
+        sizes = self._sized(inputs)
         inputs = tuple(inputs)
         ops = self._operands(inputs)
         accs = [ops[0]]
-        for step, nxt in zip(forward, ops[1:]):
+        for step, nxt in zip(sizes[0], ops[1:]):
             accs.append(_apply_pair(step, accs[-1], nxt))
         acc = accs.pop()
         if self._sum_axes:
             acc = acc.sum(axis=self._sum_axes)
         if self._out_perm is not None:
             acc = acc.transpose(self._out_perm)
-        self._kept = None if any(x.flags.writeable for x in inputs) else (inputs, ops, accs)
+        self._kept = None if any(x.flags.writeable for x in inputs) else (inputs, ops, accs, sizes)
         return acc
 
     def gradients(
@@ -276,12 +288,17 @@ class CompiledPlan:
     ) -> list[np.ndarray]:
         """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
         for each s in ``slots`` (ascending), in one reverse pass."""
-        forward, reverse, out_shape, grad_expand, grad_shape = self._sized(inputs)
+        kept = self._kept  # read once: another thread may replace it
+        if kept and len(kept[0]) == len(inputs) and all(map(operator.is_, kept[0], inputs)):
+            _, ops, accs, sizes = kept
+        else:
+            sizes, ops = self._sized(inputs), None
+        forward, reverse, out_shape, grad_expand, grad_shape = sizes
         if grad_out.shape != out_shape:
             raise ShapeMismatch(
                 f"output gradient {grad_out.shape}, plan gives {out_shape}"
             )
-        for s in slots:
+        for s in slots if self._has_diag else ():
             if self._diag[s] is not None:
                 raise LabelError(
                     f"operand {self.plan.operand_labels[s]!r} repeats a label; "
@@ -291,11 +308,8 @@ class CompiledPlan:
             return []
         lowest = slots[0]
         grads: dict[int, np.ndarray] = {}
-        kept = self._kept  # read once: another thread may replace it
         with np.errstate(over="ignore", invalid="ignore"):
-            if kept and all(a is b for a, b in zip(kept[0], inputs)):
-                _, ops, accs = kept
-            else:
+            if ops is None:
                 ops = self._operands(inputs)
                 accs = [ops[0]]
                 for step, nxt in zip(forward[:-1], ops[1:]):
@@ -337,31 +351,38 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     return seal(out, compiled.context)
 
 
+@functools.lru_cache(maxsize=CompiledPlan._MAX_SHAPE_SETS)
+def _layout(shapes: tuple[Shape, ...]):
+    """The (start, stop, shape) of each array of ``shapes`` laid end to end,
+    and the shape of the flat array they fill; worked out once per shapes."""
+    ends = tuple(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return tuple(zip(ends, ends[1:], shapes)), ends[-1:]
+
+
 class FlatViews(tuple):
-    """Arrays end to end in the 1-D array ``flat``, as an immutable tuple of their views."""
+    """Arrays of ``shapes`` end to end in the 1-D array ``flat``, as an immutable tuple of views."""
 
     def __new__(cls, flat: np.ndarray, shapes):
-        views, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            views.append(flat[start : start + size].reshape(shape))
-            start += size
-        self = super().__new__(cls, views)
-        self.__dict__["flat"] = flat
+        shapes = tuple(shapes)
+        spans, flat_shape = _layout(shapes)
+        if flat.shape != flat_shape:
+            raise ShapeMismatch(f"flat array of shape {flat.shape} for {flat_shape[0]} entries")
+        self = super().__new__(cls, [flat[a:b].reshape(shape) for a, b, shape in spans])
+        self.__dict__.update(flat=flat, shapes=shapes)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return FlatViews, (self.flat, [v.shape for v in self])
+        return FlatViews, (self.flat, self.shapes)
 
 
-def flat_of(arrays) -> np.ndarray:
-    """``arrays`` end to end: a FlatViews' own ``flat``, else a copy."""
+def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:
+    """``arrays`` end to end, and their shapes: a FlatViews' own, else a copy."""
     if isinstance(arrays, FlatViews):
-        return arrays.flat
-    return np.concatenate([a.ravel() for a in arrays])
+        return arrays.flat, arrays.shapes
+    return np.concatenate([a.ravel() for a in arrays]), tuple([a.shape for a in arrays])
 
 
 def contract_grads(
@@ -376,7 +397,7 @@ def contract_grads(
     compiled = compile_plan(plan)
     grads = compiled.gradients(inputs, grad_out, slots)
     flat = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
-    return FlatViews(seal(flat, compiled.context + " gradient"), [g.shape for g in grads])
+    return FlatViews(seal(flat, compiled.context + " gradient"), tuple([g.shape for g in grads]))
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

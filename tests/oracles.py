@@ -1,9 +1,12 @@
 """Independent brute-force references the library is checked against.
 
 Everything here is deliberately naive: full index enumeration, python loops,
-no shared code with the package's contraction engine.
+no shared code with the package's contraction engine.  The one exception is
+``unlowered_engine``, which runs that engine with every transpose and reshape
+of its pairwise steps kept: a bitwise reference for the lowered steps.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -30,6 +33,39 @@ def naive_contract(operand_labels, output_labels, inputs):
         else:
             out += term
     return out
+
+
+def unlowered_size_pair(step, extents):
+    """A pairwise step sized with every transpose and reshape kept, even those
+    that leave their array as it is."""
+    perm_x, perm_y, keep_x, summed, keep_y = step
+    m, k, n = (math.prod(extents[ch] for ch in part) for part in (keep_x, summed, keep_y))
+    return perm_x, perm_y, (m, k), (k, n), tuple(extents[ch] for ch in keep_x + keep_y)
+
+
+def unlowered_apply_pair(step, x, y):
+    """A step from ``unlowered_size_pair``: transpose, reshape, dot, reshape."""
+    perm_x, perm_y, shape_x, shape_y, shape_out = step
+    return np.dot(
+        x.transpose(perm_x).reshape(shape_x), y.transpose(perm_y).reshape(shape_y)
+    ).reshape(shape_out)
+
+
+@contextlib.contextmanager
+def unlowered_engine():
+    """The contraction engine with the unlowered sizing and pair step in
+    place of the lowered ones.  Compiled plans are dropped on entry and on
+    exit, so no plan sized one way is run the other way."""
+    from coreflow import tensor
+
+    saved = tensor._size_pair, tensor._apply_pair
+    tensor.compile_plan.cache_clear()
+    tensor._size_pair, tensor._apply_pair = unlowered_size_pair, unlowered_apply_pair
+    try:
+        yield
+    finally:
+        tensor._size_pair, tensor._apply_pair = saved
+        tensor.compile_plan.cache_clear()
 
 
 def finite_difference_core_grads(loss_of_cores, cores, h=1e-5):

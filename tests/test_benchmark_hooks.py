@@ -15,9 +15,9 @@ import pytest
 
 from coreflow import experiments, model, optim
 from coreflow.config import parse_config_text
-from coreflow.model import random_cores, reconstruct, tucker_spec
-from coreflow.objective import MaskedMse
-from coreflow.optim import AdamConfig, DasConfig, SamConfig
+from coreflow.model import random_cores, reconstruct, tucker2_spec, tucker_spec
+from coreflow.objective import MaskedMse, NoisyTargetMse
+from coreflow.optim import AdamConfig, DasConfig, SamConfig, SgdConfig
 from coreflow.tensor import as_tensor
 
 from test_experiments import DAS_COMPLETION_CFG, NOISE_SWEEP_CFG
@@ -71,22 +71,39 @@ def test_plancost_prices_a_step():
 def test_traced_step_makes_one_call_per_gradient_pass(cfg, passes, rng):
     """The benchmark's per-pass spans: each gradient pass of a completion step
     goes once through model.grad_cores and once through the objective."""
-    tracer_mod = load("tracer")
     spec = tucker_spec((5, 4, 3), (2, 2, 2))
     mask = as_tensor((rng.random((5, 4, 3)) < 0.5).astype(float))
     obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), mask)
     steps = 3
+    calls = traced_run_calls(spec, obj, cfg, steps, rng)
+    assert calls == [passes * steps, passes * steps, steps]
+
+
+def test_traced_noise_step_makes_one_call_per_gradient_pass(rng):
+    """The noise sweep's step (tucker2, SAM over SGD, a fresh draw a step)
+    makes two gradient passes and one draw."""
+    spec = tucker2_spec(6, 5, 2, 2)
+    clean = reconstruct(spec, random_cores(spec, rng))
+    obj = NoisyTargetMse(clean, alpha=0.1, seed=3, resample_each_step=True)
+    steps = 3
+    calls = traced_run_calls(spec, obj, SamConfig(1e-2, SgdConfig(1e-3)), steps, rng)
+    assert calls == [2 * steps, 2 * steps, steps]
+
+
+def traced_run_calls(spec, obj, cfg, steps, rng):
+    """Calls inside one traced run of model.grad_cores, objective.loss_and_grad
+    and objective.begin_step."""
+    tracer_mod = load("tracer")
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
         optim.run(spec, random_cores(spec, rng, 0.5), obj, cfg, steps)
-        calls = [
+        return [
             tracer.query(name, in_run=True)[0]
-            for name in ("model.grad_cores", "objective.loss_and_grad")
+            for name in ("model.grad_cores", "objective.loss_and_grad", "objective.begin_step")
         ]
     finally:
         tracer.uninstall()
-    assert calls == [passes * steps] * 2
 
 
 @pytest.mark.parametrize("cfg_text, csvs", [(DAS_COMPLETION_CFG, 1), (NOISE_SWEEP_CFG, 3)])

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from coreflow.config import parse_config_text
 from coreflow.errors import DegenerateVariance, NumericalError, ShapeMismatch
+from coreflow.experiments import run_experiment
 from coreflow.objective import MaskedMse, NoisyTargetMse, r2_score
 from coreflow.tensor import as_tensor
+
+from oracles import unlowered_engine
+from test_experiments import NOISE_SWEEP_CFG
 
 
 def full_mask(shape):
@@ -117,6 +122,36 @@ class TestNoisyTargetMse:
         for a, b in zip(*seq):
             np.testing.assert_array_equal(a, b)
         assert not np.array_equal(seq[0][0], seq[0][1])
+
+    def test_draws_are_the_generators_bit_for_bit(self, rng):
+        # each draw is sealed as is; alpha*N, formed once a draw, gives the
+        # loss and gradient that forming it on every call gave
+        clean = as_tensor(rng.standard_normal((4, 3)))
+        t_hat = as_tensor(rng.standard_normal((4, 3)))
+        obj = NoisyTargetMse(clean, alpha=0.3, seed=11, resample_each_step=True)
+        gen = np.random.Generator(np.random.PCG64(11))
+        for t in range(51):
+            if t:
+                obj.begin_step(t)
+            want = as_tensor(gen.standard_normal((4, 3)))
+            assert obj.noise.tobytes() == want.tobytes()
+            assert not obj.noise.flags.writeable
+            resid = t_hat - clean
+            resid -= 0.3 * want
+            loss, grad = obj.loss_and_grad(t_hat)
+            assert loss == float((resid * resid).sum())
+            assert grad.tobytes() == (resid * 2.0).tobytes()
+
+    def test_sweep_bytes_match_the_unlowered_engine(self, tmp_path):
+        cfg = parse_config_text(NOISE_SWEEP_CFG)
+        run_experiment(cfg, str(tmp_path / "lowered"))
+        with unlowered_engine():
+            run_experiment(cfg, str(tmp_path / "unlowered"))
+        names = sorted(p.name for p in (tmp_path / "lowered").iterdir())
+        assert "summary.txt" in names and len(names) == 4
+        for name in names:
+            got = (tmp_path / "lowered" / name).read_bytes()
+            assert got == (tmp_path / "unlowered" / name).read_bytes(), name
 
     def test_non_finite_prediction_raises(self):
         obj = NoisyTargetMse(as_tensor([[1.0]]), alpha=0.5)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coreflow.errors import NumericalError, ZeroCoreNorm
+from coreflow.errors import NumericalError, ShapeMismatch, ZeroCoreNorm
 from coreflow.model import (
     LayeredModel,
     cp_spec,
@@ -38,7 +38,8 @@ from coreflow.optim import (
     sam_step,
     scheduled_eta,
 )
-from coreflow.tensor import as_tensor, frobenius_inner, frobenius_norm_sq
+from coreflow import tensor
+from coreflow.tensor import FlatViews, as_tensor, frobenius_inner, frobenius_norm_sq
 
 from oracles import (
     reference_steps,
@@ -319,6 +320,16 @@ class TestDas:
             state.adam_m[0], (1 - cfg.base.beta1) * np.asarray(grads[0]), rtol=1e-14
         )
 
+    # three cores; the groups must cover them, each group holding at least one
+    @pytest.mark.parametrize(
+        "groups",
+        [(2, 2), (2,), (0, 3)],
+        ids=["sum-too-large", "sum-too-small", "empty-group"],
+    )
+    def test_groups_must_partition_the_cores(self, groups):
+        with pytest.raises(ShapeMismatch, match=r"groups .* sum to 3 cores"):
+            das_scaling_factors(0.1, 1.0, [1.0, 2.0, 3.0], [4.0, 2.0, 1.0], groups)
+
 
 class TestRunLoop:
     def problem(self, rng):
@@ -587,6 +598,45 @@ class TestFlatViewsCarrier:
             assert all(np.shares_memory(view, back.flat) for view in back)
             for got, want in zip(back, new, strict=True):
                 np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def carrier(rng):
+        cores = random_cores(tucker_spec((5, 4, 3), (2, 3, 2)), rng)
+        cfg = SgdConfig(eta=0.1)
+        return base_step(cores, cores, cfg, init_state(cfg, cores))
+
+    def test_shapes_are_a_tuple_that_cannot_be_replaced(self, rng):
+        new = self.carrier(rng)
+        assert type(new.shapes) is tuple and new.shapes == tuple(v.shape for v in new)
+        with pytest.raises(AttributeError):
+            new.shapes = ()
+
+    def test_views_sit_where_a_loop_would_put_them(self, rng):
+        new = self.carrier(rng)
+        start = 0
+        for view, shape in zip(new, new.shapes, strict=True):
+            size = math.prod(shape)
+            want = new.flat[start:start + size].reshape(shape)
+            start += size
+            assert np.shares_memory(view, new.flat)
+            assert view.__array_interface__ == want.__array_interface__
+        assert start == new.flat.size
+
+    def test_pickle_and_deepcopy_keep_the_shapes(self, rng):
+        new = self.carrier(rng)
+        for back in (pickle.loads(pickle.dumps(new)), copy.deepcopy(new)):
+            assert back.shapes == new.shapes and type(back.shapes) is tuple
+
+    @pytest.mark.parametrize("size", [5, 7, 0])
+    def test_flat_array_of_the_wrong_length_raises(self, size):
+        with pytest.raises(ShapeMismatch, match="for 6 entries"):
+            FlatViews(np.zeros(size), [(2, 2), (2,)])
+
+    def test_layout_cache_is_bounded(self):
+        limit = tensor._layout.cache_info().maxsize
+        for n in range(1, 2 * limit + 2):
+            FlatViews(np.zeros(n), [(n,)])
+        assert 0 < tensor._layout.cache_info().currsize <= limit
 
 
 class TestFusedPass:

@@ -11,6 +11,7 @@ from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
     ContractionPlan,
     as_tensor,
+    compile_plan,
     contract,
     contract_grads,
     frobenius_inner,
@@ -22,7 +23,7 @@ from coreflow.tensor import (
     write_dtf1,
 )
 
-from oracles import naive_contract
+from oracles import naive_contract, unlowered_engine
 
 
 def plan(expr):
@@ -140,6 +141,74 @@ class TestContract:
         contract(p, w)
         w[1][...] = b[1]
         assert contract_grads(p, w, g, slots).flat.tobytes() == rebuilt(w)
+
+
+# Each shipped family's plan, then custom plans: with 3-D and 2-D transposes,
+# outer products and full contractions (whose operands a step must reshape),
+# and a repeated label in the first operand (summed as an extra label after
+# the last step) or in a later one.
+LOWERING_PLANS = [
+    "abc,ia,jb,kc->ijk",
+    "oa,ab,ib->oi",
+    "ia,ajb,bk->ijk",
+    "ia,ajb,bkc,cl->ijkl",
+    "aib,bjc,cka->ijk",
+    "aib,bjc,ckd,dla->ijkl",
+    "jia,kj->aki",
+    "i,j->ij",
+    "ab,c->acb",
+    "i,i->",
+    "ab,ab->",
+    "aab,bc->c",
+    "ab,bcc->a",
+]
+
+
+@st.composite
+def lowering_cases(draw):
+    """A plan of LOWERING_PLANS with extents 1-5, its operands (read-only, or
+    writable copies), an output gradient and ascending slots."""
+    p = plan(draw(st.sampled_from(LOWERING_PLANS)))
+    extents = {ch: draw(st.integers(1, 5)) for ch in sorted(set("".join(p.operand_labels)))}
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    inputs = [
+        as_tensor(rng.standard_normal([extents[ch] for ch in labels]))
+        for labels in p.operand_labels
+    ]
+    if draw(st.booleans()):
+        inputs = [np.array(x) for x in inputs]
+    g = as_tensor(rng.standard_normal([extents[ch] for ch in p.output_labels]))
+    eligible = [i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb)]
+    slots = draw(st.sets(st.sampled_from(eligible), min_size=1))
+    return p, inputs, g, tuple(sorted(slots))
+
+
+class TestLoweredSteps:
+    """Lowered pairwise steps drop the transposes and reshapes that change
+    nothing, and so must give the unlowered engine's bytes."""
+
+    @staticmethod
+    def evaluate(p, inputs, g, slots):
+        out = contract(p, inputs)
+        grads = contract_grads(p, inputs, g, slots)
+        return out.shape, out.tobytes(), [(x.shape, x.tobytes()) for x in grads]
+
+    @settings(max_examples=200, deadline=None)
+    @given(lowering_cases())
+    def test_bytes_match_the_unlowered_engine(self, case):
+        got = self.evaluate(*case)
+        with unlowered_engine():
+            want = self.evaluate(*case)
+        assert got == want
+
+    def test_tucker2_keeps_only_real_2d_transposes(self):
+        forward, reverse = compile_plan(plan("oa,ab,ib->oi"))._sized(
+            [np.zeros((5, 3)), np.zeros((3, 2)), np.zeros((4, 2))]
+        )[:2]
+        steps = forward + [s for op_grad, _, acc_grad in reverse for s in (op_grad, acc_grad)]
+        assert all(shape is None for step in steps for shape in step[2:])
+        perms = [perm for step in steps for perm in step[:2] if perm is not None]
+        assert perms == [(1, 0)] * 4
 
 
 class TestScalarOps:
