@@ -10,6 +10,7 @@ the map is linear in each core.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,12 @@ from .tensor import (
     frobenius_inner,
     frobenius_norm_sq,
     label_extents,
+    quietly,
+    shapes_of,
 )
+
+
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # float64 entries numpy can address
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +68,9 @@ class ReconstructionSpec:
                 raise ShapeMismatch(f"core slot {labels!r} vs shape {shape}")
             if any(d < 1 for d in shape):
                 raise ShapeMismatch(f"core slot {labels!r}: extents must be >= 1, got {shape}")
+        for shape in self.core_shapes + (self.output_shape,):
+            if math.prod(shape) > _MAX_ENTRIES:
+                raise ShapeMismatch(f"shape {shape} has more entries than a float64 array can hold")
 
     @property
     def num_cores(self) -> int:
@@ -73,7 +82,7 @@ class ReconstructionSpec:
 
     def operands(self, cores: list[np.ndarray]) -> list[np.ndarray]:
         """The plan's operands: ``cores`` itself if every slot is a core."""
-        if tuple([core.shape for core in cores]) != self.core_shapes:
+        if shapes_of(cores) != self.core_shapes:
             if len(cores) != self.num_cores:
                 raise ShapeMismatch(f"expected {self.num_cores} cores, got {len(cores)}")
             for core, shape in zip(cores, self.core_shapes):
@@ -372,12 +381,11 @@ class LayeredModel:
                 start += size
             model = replace(self, cores=layers)
             ws = model.matrices()
-            with np.errstate(over="ignore", invalid="ignore"):  # the loss vouches
-                ins = _chain(ws, x)
-                loss, dl = objective.loss_and_grad(ins[-1])
+            ins = _chain(ws, x)
+            loss, dl = objective.loss_and_grad(ins[-1])  # the loss vouches for ins[-1]
             return loss, [g for layer in model._core_grads(ws, ins, dl) for g in layer]
 
-        return grads_of
+        return functools.partial(quietly, grads_of)
 
 
 def _chain(ws: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:

@@ -16,6 +16,8 @@ Every vector a step touches (cores, gradients, the SAM perturbation, the
 optimizer's buffers) is one flat float64 array over all cores end to end,
 checked for finiteness once; cores and gradients travel as ``FlatViews``
 (that array with its per-core views), so a step copies only plain lists.
+``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
+around the step alone; every pass and update inside the step reuses it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, carried, compile_plan, seal
+from .tensor import FlatViews, carried, compile_plan, quietly, seal
 
 _TINY_NORM_SQ = 1e-300
 
@@ -158,8 +160,12 @@ def base_step(
 
 def loss_and_core_grads(spec, cores, objective):
     """Loss and core gradients: one forward pass, vouched for by the loss, and one reverse."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, dl = objective.loss_and_grad(compile_plan(spec.plan).forward(spec.operands(cores)))
+    return quietly(_fused_pass, spec, cores, objective)
+
+
+def _fused_pass(spec, cores, objective):
+    """``loss_and_core_grads`` inside the open error-state scope."""
+    loss, dl = objective.loss_and_grad(compile_plan(spec.plan).forward(spec.operands(cores)))
     return loss, grad_cores(spec, cores, dl)
 
 
@@ -223,8 +229,7 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         return base_step(cores, g, cfg.base, state, eta), rec, g
     u = total ** -0.5
     flat, shapes = carried(cores)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = flat + (cfg.rho * u) * carried(g)[0]
+    x = quietly(lambda: flat + (cfg.rho * u) * carried(g)[0])
     _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), shapes))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
     return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
@@ -327,7 +332,7 @@ def run(
         eta_t = scheduled_eta(base_eta, schedule, t, iters)
         objective.begin_step(t)
         try:
-            cores, rec, _ = step(grads_of, cores, cfg, state, eta_t)
+            cores, rec, _ = quietly(step, grads_of, cores, cfg, state, eta_t)
         except CoreflowError as exc:
             raise type(exc)(f"iteration {t}: {exc}") from exc
         records.append(rec)

@@ -6,6 +6,10 @@ a pure function returning a fresh array (or views of one), and every array it
 returns is checked: a NaN/Inf raises NumericalError instead of propagating.
 Contractions check only their results, since a non-finite intermediate always
 reaches them.  One exception: in a gradient pass the loss vouches for the output.
+Inside coreflow numpy's overflow warnings are off: ``quietly`` enters that
+error state in the outermost coreflow call on a thread (an optimizer step, or
+a public function called on its own) and nested calls reuse it.  A reverse
+pass writes each gradient straight into its slice of one flat array, sealed once.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 import math
 import operator
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,7 @@ def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
         shape = tuple(int(d) for d in shape)
         if any(d < 1 for d in shape):
             raise ShapeMismatch(f"extents must be >= 1, got {shape}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         if arr.size != count:
             raise ShapeMismatch(
                 f"{arr.size} values cannot fill shape {shape} ({count} entries)"
@@ -46,14 +51,38 @@ def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
 def seal(arr: np.ndarray, context: str) -> np.ndarray:
     """A computed array as a tensor: checked finite, C-order (copied only if
     it is not), and read-only."""
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise NumericalError(f"{context} produced a non-finite value")
-    if getattr(arr, "ndim", 0) > 0:
+    if arr.ndim:
         arr = np.ascontiguousarray(arr)
     else:
         arr = np.asarray(arr, dtype=np.float64)  # keep rank-0 rank-0
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
+
+
+class _Scope(threading.local):
+    open = False  # is this thread inside quietly's np.errstate?
+
+
+_scope = _Scope()
+
+
+def quietly(fn, *args):
+    """``fn(*args)`` with numpy's overflow and invalid-value warnings off.
+
+    Only the outermost call on a thread enters ``np.errstate``, which costs
+    more than a small contraction step; a nested call runs inside the scope
+    already open.
+    """
+    if _scope.open:
+        return fn(*args)
+    _scope.open = True
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args)
+    finally:
+        _scope.open = False
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, context: str = "operands") -> None:
@@ -157,15 +186,32 @@ def _size_pair(step, extents: dict[str, int]):
     return tuple(None if want == have else want for want, have in calls)
 
 
-def _apply_pair(step, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One sized step; skipping a None hands np.dot the same views."""
+def _apply_pair(step, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One sized step; skipping a None hands np.dot the same views.  Given
+    ``out``, a C-contiguous float64 array of the result's shape, the product
+    is written into it."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
     x = x if perm_x is None else x.transpose(perm_x)
     x = x if shape_x is None else x.reshape(shape_x)
     y = y if perm_y is None else y.transpose(perm_y)
     y = y if shape_y is None else y.reshape(shape_y)
+    if out is not None:
+        target = out if shape_out is None else out.reshape(len(x), -1)
+        try:
+            np.dot(x, y, out=target)
+        except ValueError:  # np.dot writes only a product of out's dtype; other dtypes are cast
+            np.copyto(target, np.dot(x, y))
+        return out
     out = np.dot(x, y)
     return out if shape_out is None else out.reshape(shape_out)
+
+
+def _product_into(out: np.ndarray, perm, step, x: np.ndarray, y: np.ndarray) -> None:
+    """The step's product, transposed by ``perm``, into ``out``; a transpose costs one copy."""
+    if perm is None:
+        _apply_pair(step, x, y, out)
+    else:
+        np.copyto(out, _apply_pair(step, x, y).transpose(perm))
 
 
 def _perm(labels: str, target: str) -> tuple[int, ...] | None:
@@ -189,6 +235,7 @@ class CompiledPlan:
     incoming gradient, contracted with the accumulator before the step, gives
     operand i's gradient, and contracted with operand i, the gradient passed
     on to that accumulator, taking the accumulators ``forward`` kept if it can.
+    Each gradient's last product lands in its slice of one flat array.
 
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
@@ -207,6 +254,7 @@ class CompiledPlan:
             for lb in ops
         )
         self._has_diag = any(self._diag)
+        self._every_slot = tuple(range(len(ops)))
         labels = ["".join(dict.fromkeys(lb)) for lb in ops]
         out = plan.output_labels
 
@@ -239,7 +287,7 @@ class CompiledPlan:
         """(forward steps, reverse steps, output shape, and the reshape and
         broadcast shapes that give the output gradient the extra labels),
         sized for the shapes of ``inputs``."""
-        shapes = tuple([x.shape for x in inputs])
+        shapes = shapes_of(inputs)
         sizes = self._sizes.get(shapes)
         if sizes is None:
             if len(inputs) != len(self._diag):
@@ -270,7 +318,11 @@ class CompiledPlan:
         """Unchecked contraction (maybe a view); keeps accumulators and sizes unless an
         input is writable."""
         sizes = self._sized(inputs)
-        inputs = tuple(inputs)
+        if isinstance(inputs, FlatViews):  # its views are writable only if its flat is
+            writable = inputs.flat.flags.writeable
+        else:
+            inputs = tuple(inputs)
+            writable = any(x.flags.writeable for x in inputs)
         ops = self._operands(inputs)
         accs = [ops[0]]
         for step, nxt in zip(sizes[0], ops[1:]):
@@ -280,16 +332,21 @@ class CompiledPlan:
             acc = acc.sum(axis=self._sum_axes)
         if self._out_perm is not None:
             acc = acc.transpose(self._out_perm)
-        self._kept = None if any(x.flags.writeable for x in inputs) else (inputs, ops, accs, sizes)
+        self._kept = None if writable else (inputs, ops, accs, sizes)
         return acc
 
     def gradients(
         self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...]
-    ) -> list[np.ndarray]:
+    ) -> "FlatViews":
         """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
-        for each s in ``slots`` (ascending), in one reverse pass."""
+        for each s in ``slots`` (ascending), in one reverse pass, as writable
+        FlatViews of one fresh array: each gradient's last product is written
+        straight into its slice."""
         kept = self._kept  # read once: another thread may replace it
-        if kept and len(kept[0]) == len(inputs) and all(map(operator.is_, kept[0], inputs)):
+        if kept and (
+            kept[0] is inputs
+            or len(kept[0]) == len(inputs) and all(map(operator.is_, kept[0], inputs))
+        ):
             _, ops, accs, sizes = kept
         else:
             sizes, ops = self._sized(inputs), None
@@ -304,29 +361,39 @@ class CompiledPlan:
                     f"operand {self.plan.operand_labels[s]!r} repeats a label; "
                     "it has no gradient"
                 )
-        if not slots:
-            return []
-        lowest = slots[0]
-        grads: dict[int, np.ndarray] = {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            if ops is None:
-                ops = self._operands(inputs)
-                accs = [ops[0]]
-                for step, nxt in zip(forward[:-1], ops[1:]):
-                    accs.append(_apply_pair(step, accs[-1], nxt))
-            grad = grad_out
-            if self._extra:
-                grad = np.broadcast_to(grad.reshape(grad_expand), grad_shape)
-            for i, (op_grad, perm, acc_grad) in zip(range(len(ops) - 1, 0, -1), reverse):
-                if i in slots:
-                    g = _apply_pair(op_grad, accs[i - 1], grad)
-                    grads[i] = g if perm is None else g.transpose(perm)
-                if i == lowest:
-                    break
+        shapes = shapes_of(inputs)
+        if slots != self._every_slot:
+            try:
+                shapes = tuple([shapes[s] for s in slots])
+            except IndexError:
+                raise ShapeMismatch(f"slots {slots} are not ascending operand indices") from None
+        grads = FlatViews(np.empty(_layout(shapes)[1]), shapes)
+        pending = list(zip(slots, grads))  # the reverse pass meets the last slot first
+        if not pending:
+            return grads
+        if ops is None:
+            ops = self._operands(inputs)
+            accs = [ops[0]]
+            for step, nxt in zip(forward[:-1], ops[1:]):
+                accs.append(_apply_pair(step, accs[-1], nxt))
+        grad = grad_out
+        if self._extra:
+            grad = np.broadcast_to(grad.reshape(grad_expand), grad_shape)
+        for i, (op_grad, perm, acc_grad) in zip(range(len(ops) - 1, 0, -1), reverse):
+            if pending[-1][0] == i:
+                _product_into(pending.pop()[1], perm, op_grad, accs[i - 1], grad)
+                if not pending:
+                    return grads
+            if i == 1 and pending[-1][0] == 0:  # this product is operand 0's gradient
+                _product_into(pending.pop()[1], self._first_perm, acc_grad, grad, ops[1])
+            else:
                 grad = _apply_pair(acc_grad, grad, ops[i])
-            if lowest == 0:
-                grads[0] = grad if self._first_perm is None else grad.transpose(self._first_perm)
-        return [grads[s] for s in slots]
+        if len(ops) == 1 and pending[-1][0] == 0:
+            first = grad if self._first_perm is None else grad.transpose(self._first_perm)
+            np.copyto(pending.pop()[1], first)
+        if pending:
+            raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
+        return grads
 
 
 @functools.cache
@@ -344,8 +411,7 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     copied first, so the caller's array stays writable.
     """
     compiled = compile_plan(plan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = compiled.forward(inputs)
+    out = quietly(compiled.forward, inputs)
     if any(out is x for x in inputs):
         out = out.copy()
     return seal(out, compiled.context)
@@ -360,7 +426,11 @@ def _layout(shapes: tuple[Shape, ...]):
 
 
 class FlatViews(tuple):
-    """Arrays of ``shapes`` end to end in the 1-D array ``flat``, as an immutable tuple of views."""
+    """Arrays of ``shapes`` end to end in the 1-D array ``flat``, as an immutable tuple of views.
+
+    The views are read-only exactly when ``flat`` is: coreflow seals ``flat``
+    before it makes the views, or freezes the views when it seals ``flat``.
+    """
 
     def __new__(cls, flat: np.ndarray, shapes):
         shapes = tuple(shapes)
@@ -376,6 +446,11 @@ class FlatViews(tuple):
 
     def __reduce__(self):
         return FlatViews, (self.flat, self.shapes)
+
+
+def shapes_of(arrays) -> tuple[Shape, ...]:
+    """The shapes of ``arrays``: a FlatViews' own, else read from each array."""
+    return arrays.shapes if isinstance(arrays, FlatViews) else tuple([a.shape for a in arrays])
 
 
 def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:
@@ -395,9 +470,11 @@ def contract_grads(
     operands at ``slots`` (ascending), from one reverse pass, as FlatViews of
     one sealed array holding them end to end, checked for finiteness once."""
     compiled = compile_plan(plan)
-    grads = compiled.gradients(inputs, grad_out, slots)
-    flat = np.concatenate([g.ravel() for g in grads]) if grads else np.zeros(0)
-    return FlatViews(seal(flat, compiled.context + " gradient"), tuple([g.shape for g in grads]))
+    grads = quietly(compiled.gradients, inputs, grad_out, slots)
+    seal(grads.flat, compiled.context + " gradient")
+    for view in grads:
+        view.setflags(write=False)
+    return grads
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -43,12 +43,18 @@ def unlowered_size_pair(step, extents):
     return perm_x, perm_y, (m, k), (k, n), tuple(extents[ch] for ch in keep_x + keep_y)
 
 
-def unlowered_apply_pair(step, x, y):
-    """A step from ``unlowered_size_pair``: transpose, reshape, dot, reshape."""
+def unlowered_apply_pair(step, x, y, out=None):
+    """A step from ``unlowered_size_pair``: transpose, reshape, dot, reshape.
+    Given ``out``, the product is copied into it afterwards, so the engine's
+    np.dot straight into ``out`` is checked against a plain np.dot."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
-    return np.dot(
+    product = np.dot(
         x.transpose(perm_x).reshape(shape_x), y.transpose(perm_y).reshape(shape_y)
     ).reshape(shape_out)
+    if out is None:
+        return product
+    np.copyto(out, product)
+    return out
 
 
 @contextlib.contextmanager

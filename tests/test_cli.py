@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -166,6 +171,23 @@ class TestUnusablePaths:
             ["run", cfg, "--out", str(tmp_path / "out")], capsys, source, "cannot read"
         )
 
+    def test_source_extent_too_large_for_int64(self, tmp_path, capsys):
+        (tmp_path / "huge.csv").write_text("# shape: 9999999999999999999999\n1,2\n")
+        text = COMPLETION.format(kind="adam").replace(
+            "mask_density 0.4", "mask_density 0.4\n  source huge.csv"
+        )
+        cfg = write_cfg(tmp_path, text)
+        self.assert_one_line_error(
+            ["run", cfg, "--out", str(tmp_path / "out")], capsys, "huge.csv", "cannot fill"
+        )
+
+    def test_modes_too_large_for_an_array(self, tmp_path, capsys):
+        text = COMPLETION.format(kind="adam").replace("modes 8,8,8", "modes 99999999999999999999,20,20")
+        cfg = write_cfg(tmp_path, text)
+        self.assert_one_line_error(
+            ["run", cfg, "--out", str(tmp_path / "out")], capsys, "more entries"
+        )
+
     def test_run_out_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
         taken = tmp_path / "taken"
@@ -189,6 +211,19 @@ class TestUnusablePaths:
             ["gen", cfg, "--out", str(taken)], capsys, "output directory"
         )
         assert taken.read_text() == ""
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["suite", "--seeds", "0"], 2)])
+    def test_python_dash_m_exit_code(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "coreflow", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == code
+        if code == 2:
+            assert done.stderr == "error: --seeds must be >= 1, got 0\n"
 
 
 class TestSuiteCommand:

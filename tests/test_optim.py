@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -39,7 +41,15 @@ from coreflow.optim import (
     scheduled_eta,
 )
 from coreflow import tensor
-from coreflow.tensor import FlatViews, as_tensor, frobenius_inner, frobenius_norm_sq
+from coreflow.tensor import (
+    ContractionPlan,
+    FlatViews,
+    as_tensor,
+    contract,
+    contract_grads,
+    frobenius_inner,
+    frobenius_norm_sq,
+)
 
 from oracles import (
     reference_steps,
@@ -549,14 +559,14 @@ class TestFlatViewsCarrier:
     copies only the plain lists it builds or is given."""
 
     STEPS = {
-        "adam": (plain_step, AdamConfig(eta=0.01), 1),
-        "sam": (sam_step, SamConfig(rho=0.05, base=AdamConfig(eta=0.01)), 2),
-        "das": (das_step, DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)), 1),
+        "adam": (plain_step, AdamConfig(eta=0.01), 0),
+        "sam": (sam_step, SamConfig(rho=0.05, base=AdamConfig(eta=0.01)), 0),
+        "das": (das_step, DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)), 0),
     }
 
     @pytest.mark.parametrize("name", sorted(STEPS))
     def test_concatenations_in_a_second_step(self, name, rng, monkeypatch):
-        # one per gradient pass; DAS scales the flat cores in one multiply
+        # gradients are written into their carrier; DAS scales the flat cores in one multiply
         step, cfg, want = self.STEPS[name]
         spec = tucker_spec((5, 4, 3), (2, 2, 2))
         cores = random_cores(spec, rng, norm_spread=0.5)
@@ -575,6 +585,16 @@ class TestFlatViewsCarrier:
         monkeypatch.setattr(np, "concatenate", counted)
         step(grads_of, cores, cfg, state)
         assert len(calls) == want
+
+    def test_gradients_are_sealed_views_of_one_array(self, rng):
+        spec = tucker2_spec(5, 4, 3, 2)  # the last core's gradient ends in a transpose
+        cores = random_cores(spec, rng)
+        grads = grad_cores(spec, cores, reconstruct(spec, random_cores(spec, rng)))
+        assert not grads.flat.flags.writeable
+        for view, core in zip(grads, cores, strict=True):
+            assert view.shape == core.shape and np.shares_memory(view, grads.flat)
+            with pytest.raises(ValueError):
+                view[0, 0] = 1.0
 
     def test_carrier_cannot_be_changed(self, rng):
         spec = tucker2_spec(4, 4, 2, 2)
@@ -748,6 +768,132 @@ class TestLossVouchesForOutput:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite loss"):
                 grads_of(flat)
+
+
+class TestErrorStateScope:
+    """numpy's error state is entered once per optimizer step, around the step
+    alone; every public entry point called on its own still turns an overflow
+    into NumericalError without a RuntimeWarning."""
+
+    CONFIGS = {
+        "sgd": SgdConfig(eta=0.01),
+        "adam": AdamConfig(eta=0.01),
+        "sam": SamConfig(rho=0.05, base=AdamConfig(eta=0.01)),
+        "das": DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)),
+    }
+
+    @staticmethod
+    def problem(rng):
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        target = reconstruct(spec, random_cores(spec, rng))
+        obj = MaskedMse(target, as_tensor((rng.random((5, 4, 3)) < 0.6).astype(float)))
+        return spec, random_cores(spec, rng, norm_spread=0.5), obj
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_one_entry_per_step(self, name, rng, monkeypatch):
+        spec, cores, obj = self.problem(rng)
+        entries = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        run(spec, cores, obj, self.CONFIGS[name], 5)
+        assert entries == [{"over": "ignore", "invalid": "ignore"}] * 5
+
+    def test_caller_hooks_keep_the_callers_error_state(self, rng):
+        spec, cores, obj = self.problem(rng)
+        seen = {"begin_step": [], "loss_and_grad": [], "sink": []}
+
+        class Watched(MaskedMse):
+            def begin_step(self, t):
+                seen["begin_step"].append(np.geterr()["over"])
+
+            def loss_and_grad(self, t_hat):
+                seen["loss_and_grad"].append(np.geterr()["over"])
+                return super().loss_and_grad(t_hat)
+
+        watched = Watched(obj.target, obj.mask)
+        with np.errstate(over="raise"):
+            run(spec, cores, watched, self.CONFIGS["sam"], 2,
+                sink=lambda rec: seen["sink"].append(np.geterr()["over"]))
+        assert seen == {
+            "begin_step": ["raise"] * 2, "loss_and_grad": ["ignore"] * 4, "sink": ["raise"] * 2,
+        }
+
+    @staticmethod
+    def overflow_through(entry):
+        """Call ``entry`` on an input that overflows inside it."""
+        big = as_tensor([[1e300]])
+        matmul = ContractionPlan.parse("ij,jk->ik")
+        if entry == "contract":
+            return contract(matmul, [big, big])
+        if entry == "contract_grads":
+            return contract_grads(matmul, [big, big], big, (0, 1))
+        if entry == "grad_cores":
+            spec = custom_spec("ij,jk->ik", [(1, 1), (1, 1)])
+            return grad_cores(spec, [big, big], big)
+        if entry == "loss_and_core_grads":
+            # x*y = 1 is finite, but dloss/dy = 2*(1 + 1e110)*1e200 overflows
+            spec = custom_spec("i,j->ij", [(1,), (1,)])
+            obj = MaskedMse(as_tensor([[-1e110]]), as_tensor([[1.0]]))
+            return loss_and_core_grads(spec, [as_tensor([1e200]), as_tensor([1e-200])], obj)
+        if entry == "sam_step":
+            spec, cores, obj = scalar_pair_problem(x=1.0, y=1.0, target=1.0 - 1e-11)
+            cfg = SamConfig(rho=1e300, base=SgdConfig(eta=0.1))
+            return sam_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+        spec = custom_spec("a,b->ab", [(1,), (1,)])
+        model = LayeredModel(specs=[spec, spec], cores=[[as_tensor([1.0])] * 2] * 2)
+        obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
+        flat = [as_tensor([1e10]), as_tensor([1.0]), as_tensor([1.0]), as_tensor([1.0])]
+        return model.gradient_fn(as_tensor([[1e300]]), obj)(flat)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["contract", "contract_grads", "grad_cores", "loss_and_core_grads", "sam_step",
+         "layered_gradient_fn"],
+    )
+    def test_each_entry_point_on_its_own(self, entry):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                self.overflow_through(entry)
+        assert np.geterr() == before and not tensor._scope.open
+
+    def test_concurrent_runs_match_serial_runs(self, rng):
+        # more threads than cores, all on one spec, so they share its compiled plan
+        spec, _, obj = self.problem(rng)
+        starts = [random_cores(spec, rng, norm_spread=0.5) for _ in self.CONFIGS]
+        jobs = list(zip(starts, self.CONFIGS.values()))
+
+        def once(cores, cfg):
+            final, records = run(spec, cores, obj, cfg, 40)
+            return final.flat.tobytes(), repr([dataclasses.astuple(r) for r in records])
+
+        serial = [once(*job) for job in jobs]
+        results = [None] * len(jobs)
+
+        def worker(i):
+            try:
+                results[i] = once(*jobs[i])
+            except Exception as exc:  # reported by the assertion below
+                results[i] = exc
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
 
 
 class TestReferenceSteps:

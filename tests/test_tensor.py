@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coreflow.errors import FormatError, LabelError, NumericalError, ShapeMismatch
 from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
     ContractionPlan,
+    FlatViews,
     as_tensor,
     compile_plan,
     contract,
@@ -141,6 +142,11 @@ class TestContract:
         contract(p, w)
         w[1][...] = b[1]
         assert contract_grads(p, w, g, slots).flat.tobytes() == rebuilt(w)
+        # and so do the views of a carrier over a writable array
+        carrier = FlatViews(np.concatenate([x.ravel() for x in a]), shapes)
+        contract(p, carrier)
+        carrier[1][...] = b[1]
+        assert contract_grads(p, carrier, g, slots).flat.tobytes() == rebuilt(carrier)
 
 
 # Each shipped family's plan, then custom plans: with 3-D and 2-D transposes,
@@ -200,6 +206,21 @@ class TestLoweredSteps:
         with unlowered_engine():
             want = self.evaluate(*case)
         assert got == want
+
+    @pytest.mark.parametrize("slots", [(1, 0), (0, 0), (1, 1), (-1, 1), (2,), (0, 2)])
+    def test_slots_must_be_ascending_operand_indices(self, slots):
+        # every returned gradient is written by the pass; none is left unset
+        a = as_tensor(np.ones((2, 3)))
+        b = as_tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeMismatch, match="slots"):
+            contract_grads(plan("ij,jk->ik"), [a, b], as_tensor(np.ones((2, 4))), slots)
+
+    def test_integer_operands_give_float64_gradients(self, rng):
+        ints = [rng.integers(-3, 4, (2, 3)), rng.integers(-3, 4, (3, 4))]
+        g = rng.integers(-3, 4, (2, 4))
+        got = contract_grads(plan("ij,jk->ik"), ints, g, (0, 1))
+        want = contract_grads(plan("ij,jk->ik"), [x.astype(float) for x in ints], g.astype(float), (0, 1))
+        assert got.flat.dtype == np.float64 and got.flat.tobytes() == want.flat.tobytes()
 
     def test_tucker2_keeps_only_real_2d_transposes(self):
         forward, reverse = compile_plan(plan("oa,ab,ib->oi"))._sized(
@@ -362,6 +383,12 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: cannot read.*utf-8"):
             reader(path)
 
+    def test_csv_extent_too_large_for_int64(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# shape: 9999999999999999999999\n1,2\n")
+        with pytest.raises(FormatError, match="cannot fill shape"):
+            read_csv_tensor(path)
+
     def test_read_tensor_sniffs_format(self, tmp_path, rng):
         arr = as_tensor(rng.standard_normal((2, 2)))
         bin_path, csv_path = tmp_path / "t.dtf1", tmp_path / "t.csv"
@@ -369,3 +396,50 @@ class TestFileFormats:
         write_csv_tensor(csv_path, arr)
         np.testing.assert_array_equal(read_tensor(bin_path), arr)
         np.testing.assert_array_equal(read_tensor(csv_path), arr)
+
+
+CSV_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(2 ** 62, 2 ** 80).map(str),  # past int64, as the header parser meets them
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "nan", "-inf", "1e999", "0x10", "1_0", "\uff11", "#", ":", "\x00"]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_soup(draw):
+    """CSV text built from tokens that are, or are near to, extents and values."""
+    header = draw(st.sampled_from(["# shape:", "# shape: ", "#shape:", "", "# shape: 2,"]))
+    lines = [header + ",".join(draw(st.lists(CSV_TOKENS, max_size=4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.append(draw(st.sampled_from([",", ", ", " , "])).join(draw(st.lists(CSV_TOKENS, max_size=6))))
+    return "\n".join(lines)
+
+
+class TestReadTensorFuzz:
+    """Whatever the bytes, reading a tensor file either returns a tensor or
+    raises FormatError."""
+
+    @staticmethod
+    def read(path, blob):
+        path.write_bytes(blob)
+        try:
+            read_tensor(path)
+        except FormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=80))
+    def test_bytes_after_the_dtf1_magic(self, tmp_path, payload):
+        self.read(tmp_path / "t.dtf1", b"DTF1" + payload)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary(max_size=80))
+    def test_raw_bytes(self, tmp_path, blob):
+        self.read(tmp_path / "t.bin", blob)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_soup())
+    def test_csv_token_soup(self, tmp_path, text):
+        self.read(tmp_path / "t.csv", text.encode("utf-8"))
