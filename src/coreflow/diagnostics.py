@@ -444,7 +444,7 @@ def check_layerwise_q(
     start = sum(model.groups[:layer])
     return _q_report(
         "layerwise_q_dynamics", {"rho": rho, "eta": eta, "layer": layer},
-        model.gradient_fn(x, objective),
+        gradient_fn(model.spec(x), objective),
         [c for layer_cores in model.cores for c in layer_cores],
         rho, eta, slice(start, start + model.groups[layer]),
     )

@@ -2,7 +2,7 @@
 
 A model is a labelled contraction over K trainable cores (plus optional
 constant operands, e.g. the superdiagonal tensor that turns a Tucker plan
-into CP).  The plan is compiled once into pairwise steps (see
+into CP, or the input x of a layered model).  The plan is compiled once into pairwise steps (see
 ``tensor.CompiledPlan``); the forward pass reconstructs, and one reverse pass
 through the same steps gives every core's gradient, which is exact because
 the map is linear in each core.
@@ -10,10 +10,11 @@ the map is linear in each core.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+import string
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .tensor import (
     frobenius_inner,
     frobenius_norm_sq,
     label_extents,
-    quietly,
     shapes_of,
 )
 
@@ -313,84 +313,61 @@ def random_cores(
 
 
 # ----------------------------------------------------------------------------
-# Fixed two-layer linear composition: output = W2 @ (W1 @ x).
+# Matrix layers of any depth composed as one plan: output = W_D ... W_1 x.
 # ----------------------------------------------------------------------------
+
+def layered_spec(specs: list[ReconstructionSpec], x: np.ndarray) -> ReconstructionSpec:
+    """W_D ... W_1 x as one contraction, where layer l's spec reconstructs the matrix W_l.
+
+    Each layer's plan is relabelled with fresh letters, its column label bound
+    to the row label of the layer below (x's row label for the first layer),
+    and x is appended as a constant slot.  The cores are every layer's cores
+    end to end; two tucker2 layers give ``cd,de,ae,fg,gh,ch,ab->fb``.
+    """
+    needed = 2 + sum(len(set("".join(s.plan.operand_labels))) - 1 for s in specs)
+    if needed > len(string.ascii_letters):
+        raise LabelError(f"the layer chain needs {needed} labels, more than 52")
+    if x.ndim != 2:
+        raise ShapeMismatch(f"layer input x must be a matrix, got shape {x.shape}")
+    fresh = iter(string.ascii_letters).__next__
+    x_labels = fresh() + fresh()
+    row, rows = x_labels[0], x.shape[0]
+    labels, core_shapes, constants = [], [], []
+    for depth, spec in enumerate(specs, 1):
+        ops, out = spec.plan.operand_labels, spec.plan.output_labels
+        if len(out) != 2 or spec.output_shape[1] != rows:
+            raise ShapeMismatch(
+                f"layer {depth} outputs shape {spec.output_shape}, not a matrix of {rows} columns"
+            )
+        names = {out[0]: fresh(), out[1]: row}
+        names.update({ch: fresh() for ch in dict.fromkeys("".join(ops)) if ch not in names})
+        labels += [lb.translate(str.maketrans(names)) for lb in ops]
+        core_shapes += spec.core_shapes
+        constants += spec.constants
+        row, rows = names[out[0]], spec.output_shape[0]
+    return ReconstructionSpec(
+        ContractionPlan((*labels, x_labels), row + x_labels[1]),
+        tuple(core_shapes), (rows, x.shape[1]), (*constants, x), family="layered",
+    )
+
 
 @dataclass
 class LayeredModel:
-    """Layers of independent core models whose matrix outputs compose linearly.
-
-    Layer l reconstructs to a tensor reshaped to ``matrix_shapes[l]``, its first
-    mode by the rest; the model output for input ``x`` is W_D @ ... @ W_1 @ x.
-    """
+    """Layers of independent core models whose matrix outputs compose linearly:
+    the output for input ``x`` is W_D ... W_1 x, one plan (``spec(x)``)."""
 
     specs: list[ReconstructionSpec]
     cores: list[list[np.ndarray]] = field(default_factory=list)
-    matrix_shapes: list[tuple[int, int]] = field(init=False)
-
-    def __post_init__(self):
-        self.matrix_shapes = [
-            (s.output_shape[0], int(np.prod(s.output_shape[1:], dtype=np.int64)))
-            for s in self.specs
-        ]
-        for lower, upper in zip(self.matrix_shapes[:-1], self.matrix_shapes[1:]):
-            if upper[1] != lower[0]:
-                raise ShapeMismatch(
-                    f"layer matrices {lower} -> {upper} do not chain"
-                )
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.specs)
-
-    def matrices(self) -> list[np.ndarray]:
-        return [
-            reconstruct(spec, cores).reshape(shape)
-            for spec, cores, shape in zip(self.specs, self.cores, self.matrix_shapes)
-        ]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return _chain(self.matrices(), x)[-1]
-
-    def core_grads(self, x: np.ndarray, dl_dout: np.ndarray) -> list[list[np.ndarray]]:
-        ws = self.matrices()
-        return self._core_grads(ws, _chain(ws[:-1], x), dl_dout)
-
-    def _core_grads(self, ws, ins, dl_dout) -> list[list[np.ndarray]]:
-        """core_grads from the layer matrices ws and inputs ins (ins[l] feeds layer l)."""
-        dws, upstream = [], dl_dout
-        for l in range(self.num_layers - 1, -1, -1):
-            dws.append(as_tensor((upstream @ ins[l].T).reshape(self.specs[l].output_shape)))
-            upstream = ws[l].T @ upstream
-        return [grad_cores(*layer) for layer in zip(self.specs, self.cores, reversed(dws))]
 
     @property
     def groups(self) -> tuple[int, ...]:
-        """Cores per layer: the layout of the flat core list that
-        ``gradient_fn`` takes, every layer's cores end to end."""
+        """Cores per layer: the layout of ``spec(x)``'s cores, every layer's end to end."""
         return tuple(spec.num_cores for spec in self.specs)
 
-    def gradient_fn(self, x: np.ndarray, objective):
-        """The optimizer steps' gradient callback over the flat core list:
-        flat cores -> (objective's loss at the output for x, flat gradients)."""
+    def spec(self, x: np.ndarray) -> ReconstructionSpec:
+        return layered_spec(self.specs, x)
 
-        def grads_of(flat):
-            layers, start = [], 0
-            for size in self.groups:
-                layers.append(list(flat[start:start + size]))
-                start += size
-            model = replace(self, cores=layers)
-            ws = model.matrices()
-            ins = _chain(ws, x)
-            loss, dl = objective.loss_and_grad(ins[-1])  # the loss vouches for ins[-1]
-            return loss, [g for layer in model._core_grads(ws, ins, dl) for g in layer]
-
-        return functools.partial(quietly, grads_of)
-
-
-def _chain(ws: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
-    """x, then its product with each matrix of ``ws`` in turn."""
-    ins = [x]
-    for w in ws:
-        ins.append(w @ ins[-1])
-    return ins
+    def core_grads(self, x: np.ndarray, dl_dout: np.ndarray) -> list[list[np.ndarray]]:
+        """Each layer's core gradients given dl_dout = df/d(output), from one reverse pass."""
+        grads = iter(grad_cores(self.spec(x), [c for cs in self.cores for c in cs], dl_dout))
+        return [list(itertools.islice(grads, n)) for n in self.groups]

@@ -213,6 +213,45 @@ class TestUnusablePaths:
         assert taken.read_text() == ""
 
 
+DIVERGING = """
+experiment completion
+seed {seed}
+model {{
+  {model}
+}}
+objective {{
+  source synthetic
+  {objective}
+}}
+optimizer {{
+  {optimizer}
+  eta 50
+  iters 3
+}}
+"""
+
+
+class TestDivergingRun:
+    """A completion run whose cores overflow during its last steps ends in one
+    error line and exit 2, without numpy warnings from the post-run work."""
+
+    @pytest.mark.parametrize(
+        "seed, model, objective, optimizer",
+        [
+            (4, "family tucker2\n  modes 5,4\n  ranks 3,2", "mask_density 1e-9",
+             "kind sgd\n  base adam"),
+            (2, "family tucker\n  modes 1,5,2\n  ranks 3,2,3", "", "kind sam\n  base sgd"),
+        ],
+        ids=["scoring-overflows", "reconstruction-overflows"],
+    )
+    def test_one_error_line(self, tmp_path, capsys, seed, model, objective, optimizer):
+        text = DIVERGING.format(seed=seed, model=model, objective=objective, optimizer=optimizer)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["suite", "--seeds", "0"], 2)])
     def test_python_dash_m_exit_code(self, argv, code):

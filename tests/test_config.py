@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coreflow.config import (
     build_model_spec,
@@ -6,7 +8,7 @@ from coreflow.config import (
     parse_config,
     parse_config_text,
 )
-from coreflow.errors import ParseError, ValidationError
+from coreflow.errors import FormatError, ParseError, ValidationError
 from coreflow.optim import AdamConfig, DasConfig, SamConfig, SgdConfig
 
 MINIMAL_NOISE = """
@@ -230,3 +232,83 @@ class TestOptimizerBuilding:
             build_optimizer(self.base_block(eta=-1.0))
         with pytest.raises(ValidationError):
             build_optimizer(self.base_block(kind="sam", rho=0.0))
+
+
+WORDS = st.sampled_from((
+    "completion", "theorem-suite", "tucker", "tt", "adam", "das", "cosine", "synthetic", "x",
+))
+INTS = st.sampled_from(("0", "-1", "1", "2", "3", "99999999999999999999"))
+INT_LISTS = st.sampled_from(
+    ("2,3", "3,2,3", "2,2,2,2", "3", "0,2", "-1,2", "3,,2", "99999999999999999999,2,2")
+)
+SHAPES = st.sampled_from(("2x3,3x2", "3x2,2x4", "3x3", "2", "2x0", "3x-1"))
+FLOATS = st.sampled_from(("0", "-1", "0.5", "1e-3", "2", "1", "0.999", "1e-300"))
+BOOLS = st.sampled_from(("true", "no", "1"))
+AWKWARD = st.sampled_from(("nan", "1e999", "-inf", "2x0", "a,b->ab", ",", "{", "}", "{}", "x", "2.5"))
+CONFIG_BLOCKS = {
+    "": {"seed": INTS, "out": WORDS, "seeds": INTS},
+    "model": {
+        "family": st.sampled_from(("cp", "tucker", "tucker2", "tt", "tr", "custom", "x")),
+        "modes": INT_LISTS,
+        "ranks": INT_LISTS,
+        "plan": st.sampled_from(("ab,bc->ac", "a,b->ab", "ii->i", "ab,bc", "ab->ba")),
+        "shapes": SHAPES,
+    },
+    "objective": {
+        "source": st.sampled_from(("synthetic", "absent.dtf1")),
+        "mask_density": FLOATS,
+        "noise_alpha": INT_LISTS,
+        "resample": BOOLS,
+    },
+    "optimizer": {
+        "kind": st.sampled_from(("sgd", "adam", "sam", "das", "x")),
+        "base": st.sampled_from(("sgd", "adam", "x")),
+        "eta": FLOATS, "rho": FLOATS, "alpha": FLOATS, "momentum": FLOATS, "beta1": FLOATS,
+        "beta2": FLOATS, "epsilon": FLOATS, "weight_decay": FLOATS, "iters": INTS,
+        "schedule": st.sampled_from(("constant", "cosine", "x")),
+    },
+}
+ANY_KEY = sorted({key for block in CONFIG_BLOCKS.values() for key in block} | {"experiment"})
+
+
+def config_lines(values):
+    """Up to five 'key value' lines over the keys of ``values``, each with a value of its kind."""
+    line = st.sampled_from(sorted(values)).flatmap(lambda key: values[key].map(f"{key} {{}}".format))
+    return st.lists(line, max_size=5)
+
+
+STRAY_LINES = st.one_of(
+    st.sampled_from(["{", "}", "x {", "model {", "seed", "", "# note"]),
+    st.builds("{} {}".format, st.sampled_from(ANY_KEY), AWKWARD),
+)
+
+
+@st.composite
+def config_soup(draw):
+    """Config text from the grammar's keys and awkward values: each block with
+    keys of its own and values of their kind, then up to three stray lines (a
+    brace, or any key with an awkward value)."""
+    kind = draw(st.sampled_from(("completion", "tucker2-noise", "theorem-suite", "custom", "x")))
+    lines = [f"experiment {kind}", *draw(config_lines(CONFIG_BLOCKS[""]))]
+    for block, values in list(CONFIG_BLOCKS.items())[1:]:
+        if draw(st.booleans()):
+            first = [f"family {draw(values['family'])}"] if block == "model" else []
+            lines += [f"{block} {{", *first, *draw(config_lines(values)), "}"]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(STRAY_LINES))
+    return "\n".join(lines)
+
+
+class TestConfigFuzz:
+    """Whatever the text, parsing a config and building its model and
+    optimizer succeed or raise ParseError, ValidationError or FormatError."""
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config_soup())
+    def test_only_typed_errors(self, tmp_path, text):
+        try:
+            cfg = parse_config_text(text, base_dir=str(tmp_path))
+            build_model_spec(cfg.model)
+            build_optimizer(cfg.optimizer)
+        except (ParseError, ValidationError, FormatError):
+            pass

@@ -307,7 +307,7 @@ class TestLayerwiseQ:
     def test_passes_on_two_layer_composites(self):
         for kind in ("tucker2", "scalar"):
             model, x, obj = layered_instance(kind, seed=0)
-            for layer in range(model.num_layers):
+            for layer in range(len(model.specs)):
                 rep = check_layerwise_q(model, x, obj, rho=1e-3, eta=1e-6, layer=layer)
                 assert rep.passed, (kind, layer, rep)
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreflow import model as model_module
-from coreflow.errors import ShapeMismatch
+from coreflow.errors import LabelError, ShapeMismatch
 from coreflow.objective import MaskedMse
+from coreflow.optim import gradient_fn
 from coreflow.model import (
     LayeredModel,
     ReconstructionSpec,
@@ -14,6 +14,7 @@ from coreflow.model import (
     cp_spec,
     custom_spec,
     grad_cores,
+    layered_spec,
     random_cores,
     reconstruct,
     reconstruct_with,
@@ -23,6 +24,7 @@ from coreflow.model import (
     tucker_spec,
 )
 from coreflow.tensor import (
+    CompiledPlan,
     ContractionPlan,
     as_tensor,
     contract,
@@ -297,59 +299,105 @@ class TestLayeredModel:
             cores=[random_cores(s1, rng, 0.3), random_cores(s2, rng, 0.3)],
         )
 
+    @staticmethod
+    def flat(model):
+        return [c for layer in model.cores for c in layer]
+
     def test_forward_is_matrix_chain(self, rng):
         model = self.make_model(rng)
         x = as_tensor(rng.standard_normal((3, 5)))
-        w1, w2 = model.matrices()
-        np.testing.assert_allclose(model.forward(x), w2 @ (w1 @ x), rtol=1e-12)
+        w1, w2 = (reconstruct(s, c) for s, c in zip(model.specs, model.cores))
+        out = reconstruct(model.spec(x), self.flat(model))
+        np.testing.assert_allclose(out, w2 @ (w1 @ x), rtol=1e-12)
 
     def test_core_grads_match_finite_differences(self, rng):
         model = self.make_model(rng)
         x = as_tensor(rng.standard_normal((3, 2)))
         y = as_tensor(rng.standard_normal((2, 2)))
+        spec = model.spec(x)
 
         def loss_of(flat):
-            cores = [
-                [as_tensor(c) for c in flat[:3]],
-                [as_tensor(c) for c in flat[3:]],
-            ]
-            m = LayeredModel(specs=model.specs, cores=cores)
-            return float(np.sum((m.forward(x) - y) ** 2))
+            return float(np.sum((reconstruct(spec, flat) - y) ** 2))
 
-        flat = [c for layer in model.cores for c in layer]
+        flat = self.flat(model)
         fd = finite_difference_core_grads(loss_of, flat)
-        dl = as_tensor(2.0 * (model.forward(x) - y))
+        dl = as_tensor(2.0 * (reconstruct(spec, flat) - y))
         analytic = [g for layer in model.core_grads(x, dl) for g in layer]
         for got, ref in zip(analytic, fd):
             denom = np.maximum(np.abs(ref), 1e-6)
             assert np.max(np.abs(got - ref) / denom) < 1e-6
 
     def test_gradient_pass_builds_each_matrix_once(self, rng, monkeypatch):
+        """A layered gradient pass is one forward and one reverse pass of one
+        compiled plan; no layer's matrix is built on its own."""
         model = self.make_model(rng)
         x = as_tensor(rng.standard_normal((3, 2)))
         obj = MaskedMse(as_tensor(rng.standard_normal((2, 2))), as_tensor(np.ones((2, 2))))
-        flat = [c for layer in model.cores for c in layer]
+        spec, flat = model.spec(x), self.flat(model)
         calls = []
-        real = model_module.contract
+        for name in ("forward", "gradients"):
+            def counted(compiled, *args, name=name, real=getattr(CompiledPlan, name)):
+                calls.append((compiled.plan, name))
+                return real(compiled, *args)
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(model_module, "contract", counted)
-        loss, grads = model.gradient_fn(x, obj)(flat)
-        assert len(calls) == model.num_layers
-        dl = obj.loss_and_grad(model.forward(x))[1]
+            monkeypatch.setattr(CompiledPlan, name, counted)
+        loss, grads = gradient_fn(spec, obj)(flat)
+        assert calls == [(spec.plan, "forward"), (spec.plan, "gradients")]
+        monkeypatch.undo()
+        dl = obj.loss_and_grad(reconstruct(spec, flat))[1]
         want = [g for layer in model.core_grads(x, dl) for g in layer]
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
     def test_mismatched_chain_rejected(self, rng):
         s1, s2 = tucker2_spec(4, 3, 2, 2), tucker2_spec(2, 5, 2, 2)
+        model = LayeredModel(
+            specs=[s1, s2],
+            cores=[random_cores(s1, rng), random_cores(s2, rng)],
+        )
         with pytest.raises(ShapeMismatch):
-            LayeredModel(
-                specs=[s1, s2],
-                cores=[random_cores(s1, rng), random_cores(s2, rng)],
-            )
+            model.spec(as_tensor(rng.standard_normal((3, 2))))
+
+
+class TestLayeredSpec:
+    def test_two_tucker2_layers(self):
+        x = as_tensor(np.ones((5, 3)))
+        spec = layered_spec([tucker2_spec(6, 5, 3, 3), tucker2_spec(4, 6, 3, 3)], x)
+        assert spec.plan.expression() == "cd,de,ae,fg,gh,ch,ab->fb"
+        assert spec.output_shape == (4, 3) and spec.constants[-1] is x
+
+    def test_any_depth_with_constant_slots_is_the_matrix_chain(self, rng):
+        fixed = as_tensor(rng.standard_normal((4, 3)))
+        with_constant = ReconstructionSpec(
+            ContractionPlan.parse("ab,bc->ac"), ((2, 4),), (2, 3), constants=(None, fixed)
+        )
+        specs = [
+            tucker2_spec(4, 5, 2, 3), custom_spec("ab,bc->ac", [(3, 2), (2, 4)]), with_constant,
+        ]
+        cores = [random_cores(s, rng) for s in specs]
+        x = as_tensor(rng.standard_normal((5, 2)))
+        want = x
+        for s, c in zip(specs, cores):
+            want = reconstruct(s, c) @ want
+        got = reconstruct(layered_spec(specs, x), [c for layer in cores for c in layer])
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_layer_output_must_be_a_matrix(self):
+        with pytest.raises(ShapeMismatch, match="not a matrix"):
+            layered_spec([tucker_spec((3, 3, 2), (2, 2, 2))], as_tensor(np.ones((2, 1))))
+
+    def test_input_must_be_a_matrix_that_meets_the_first_layer(self):
+        layer = [tucker2_spec(2, 2, 1, 1)]
+        with pytest.raises(ShapeMismatch, match="x must be a matrix"):
+            layered_spec(layer, as_tensor(np.ones(2)))
+        with pytest.raises(ShapeMismatch, match="of 3 columns"):
+            layered_spec(layer, as_tensor(np.ones((3, 1))))
+
+    def test_more_than_52_labels(self):
+        # two labels for x, then three per tucker2 layer: 16 layers take 50
+        x = as_tensor(np.ones((2, 1)))
+        assert layered_spec([tucker2_spec(2, 2, 1, 1)] * 16, x).num_cores == 48
+        with pytest.raises(LabelError, match="needs 53 labels"):
+            layered_spec([tucker2_spec(2, 2, 1, 1)] * 17, x)
 
 
 class TestRandomCores:

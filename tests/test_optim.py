@@ -444,7 +444,7 @@ class TestLayeredSteps:
         flat cores and the record."""
         flat = [c for layer in model.cores for c in layer]
         new, rec, _ = step(
-            model.gradient_fn(x, obj), flat, cfg, init_state(cfg, flat),
+            gradient_fn(model.spec(x), obj), flat, cfg, init_state(cfg, flat),
             groups=model.groups,
         )
         return new, rec
@@ -762,7 +762,7 @@ class TestLossVouchesForOutput:
         spec = custom_spec("a,b->ab", [(1,), (1,)])
         model = LayeredModel(specs=[spec, spec], cores=[random_cores(spec, rng)] * 2)
         obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
-        grads_of = model.gradient_fn(as_tensor([[1e300]]), obj)
+        grads_of = gradient_fn(model.spec(as_tensor([[1e300]])), obj)
         flat = [as_tensor([1e10]), as_tensor([1.0]), as_tensor([1.0]), as_tensor([1.0])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -848,7 +848,7 @@ class TestErrorStateScope:
         model = LayeredModel(specs=[spec, spec], cores=[[as_tensor([1.0])] * 2] * 2)
         obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
         flat = [as_tensor([1e10]), as_tensor([1.0]), as_tensor([1.0]), as_tensor([1.0])]
-        return model.gradient_fn(as_tensor([[1e300]]), obj)(flat)
+        return gradient_fn(model.spec(as_tensor([[1e300]])), obj)(flat)
 
     @pytest.mark.parametrize(
         "entry",
@@ -934,7 +934,7 @@ class TestReferenceSteps:
         )
         x = as_tensor(rng.standard_normal((3, 2)))
         obj = MaskedMse(as_tensor(rng.standard_normal((5, 2))), as_tensor(np.ones((5, 2))))
-        grads_of = model.gradient_fn(x, obj)
+        grads_of = gradient_fn(model.spec(x), obj)
         cfg = DasConfig(alpha=0.05, base=AdamConfig(eta=0.01))
         cores = [c for layer in model.cores for c in layer]
         state, records, flat = init_state(cfg, cores), [], cores
