@@ -187,7 +187,6 @@ def _to_shapes(num, key, value) -> tuple[tuple[int, ...], ...]:
 
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg = ExperimentConfig(kind="")
-    seen_blocks = set()
     setters = {
         "experiment": lambda n, v: setattr(cfg, "kind", v),
         "seed": lambda n, v: setattr(cfg, "seed", _to_int(n, "seed", v)),
@@ -228,12 +227,11 @@ def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
         "optimizer.schedule": lambda n, v: setattr(cfg.optimizer, "schedule", v.lower()),
     }
     statements, blocks_seen = _tokenize(text)
-    seen_blocks.update(blocks_seen)
     for num, key, value in statements:
         if key not in setters:
             raise ParseError(f"line {num}: unknown key {key!r}")
         setters[key](num, value)
-    _validate(cfg, seen_blocks, base_dir)
+    _validate(cfg, blocks_seen | {key for _, key, _ in statements}, base_dir)
     return cfg
 
 
@@ -246,7 +244,9 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _validate(cfg: ExperimentConfig, seen_blocks: set, base_dir: str) -> None:
+def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
+    """Check ``cfg`` and fill in its kind's defaults; ``seen`` holds the
+    block names and the (block-prefixed) keys the text gave."""
     if cfg.kind not in EXPERIMENT_KINDS:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENT_KINDS}, got {cfg.kind!r}"
@@ -255,7 +255,7 @@ def _validate(cfg: ExperimentConfig, seen_blocks: set, base_dir: str) -> None:
         if cfg.suite_seeds < 1:
             raise ValidationError("seeds must be >= 1")
         return
-    if "model" not in seen_blocks:
+    if "model" not in seen:
         raise ValidationError("missing 'model' block")
     if cfg.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {cfg.seed}")
@@ -263,9 +263,13 @@ def _validate(cfg: ExperimentConfig, seen_blocks: set, base_dir: str) -> None:
         cfg.model.family = cfg.model.family or "tucker2"
         cfg.model.modes = cfg.model.modes or (10, 8)
         cfg.model.ranks = cfg.model.ranks or (4, 4)
-        if cfg.objective.noise_alphas == (0.0,):
+        if "objective.noise_alpha" not in seen:
             cfg.objective.noise_alphas = (0.0, 0.1, 0.3)
-    build_model_spec(cfg.model)  # raises on inconsistency
+    spec = build_model_spec(cfg.model)  # raises on inconsistency
+    if cfg.kind == "tucker2-noise" and spec.num_cores != 3:
+        raise ValidationError(
+            f"tucker2-noise needs a model of 3 cores, got {spec.num_cores}"
+        )
     obj = cfg.objective
     if not 0.0 < obj.mask_density <= 1.0:
         raise ValidationError(f"mask_density must be in (0,1], got {obj.mask_density}")

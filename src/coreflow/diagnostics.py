@@ -5,7 +5,9 @@ step from a frozen instance, measure the change in the tracked quantity, and
 compare it against the gradient-flow prediction evaluated at the step's
 start.  Each perturbation-based check also verifies that its residual shrinks
 when the perturbation radius is halved, so the percentage tolerance is not
-load-bearing on its own.
+load-bearing on its own.  The SAM-law checks read those steps from a
+``SamProbe`` (``sam_probe``), taken once per instance and shared by every
+report made from it.
 
 Two residuals are reported.  The raw residual compares the plain one-step
 secant with the prediction.  The flow residual first removes the
@@ -23,19 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch, ZeroGradient
-from .model import LayeredModel, ReconstructionSpec
+from .model import ReconstructionSpec
 from .optim import (
     DasConfig,
     SamConfig,
     SgdConfig,
     StepRecord,
-    das_step,
     gradient_fn,
     init_state,
     norms_sq,
-    plain_step,
     run,
-    sam_step,
+    step_of,
 )
 from .tensor import frobenius_inner, frobenius_norm_sq
 
@@ -152,13 +152,16 @@ class TheoremCheckReport:
         return out
 
 
-def _one_step_sgd_dq(spec, cores, objective, eta: float) -> float:
-    cfg = SgdConfig(eta)
-    q0 = norm_deviation(norms_sq(cores))
-    new, _, _ = plain_step(
-        gradient_fn(spec, objective), cores, cfg, init_state(cfg, cores)
-    )
-    return norm_deviation(norms_sq(new)) - q0
+def _one_steps(grads_of, cores, *cfgs) -> list[tuple]:
+    """One step from ``cores`` per config, each from a fresh state, as
+    (new cores, StepRecord, the gradients the update used).  Every step asks
+    for the gradient at ``cores`` first; it is taken once and handed to all."""
+    first = grads_of(cores)
+
+    def reused(given):
+        return first if given is cores else grads_of(given)
+
+    return [step_of(cfg)(reused, cores, cfg, init_state(cfg, cores)) for cfg in cfgs]
 
 
 def check_sgd_conservation(
@@ -169,13 +172,14 @@ def check_sgd_conservation(
 ) -> TheoremCheckReport:
     """Norm deviation is conserved under plain SGD flow: the discrete
     one-step |dQ| must scale as eta^2, i.e. drop ~4x when eta is halved.
-    Passes when that eta-halving ratio lies in [3.5, 4.5]."""
-    dq_full = _one_step_sgd_dq(spec, cores, objective, eta)
-    dq_half = _one_step_sgd_dq(spec, cores, objective, eta / 2.0)
-    ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
-
+    Passes when that eta-halving ratio lies in [3.5, 4.5].  The full-eta
+    step is the first of the run; only the eta/2 step is taken apart."""
     _, records = run(spec, list(cores), objective, SgdConfig(eta), _SGD_CONSERVATION_STEPS)
     qs = trajectory_stats(records)[0]
+    [(half, _, _)] = _one_steps(gradient_fn(spec, objective), cores, SgdConfig(eta / 2.0))
+    dq_full = qs[1] - qs[0]
+    dq_half = norm_deviation(norms_sq(half)) - qs[0]
+    ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
     max_step_dq = max(
         (abs(b - a) for a, b in zip(qs[:-1], qs[1:])), default=0.0
     )
@@ -185,7 +189,7 @@ def check_sgd_conservation(
         measured=dq_full,
         predicted=0.0,
         abs_residual=abs(dq_full),
-        rel_residual=abs(dq_full) / (1.0 + norm_deviation(norms_sq(cores))),
+        rel_residual=abs(dq_full) / (1.0 + qs[0]),
         params={"eta": eta, "steps": _SGD_CONSERVATION_STEPS},
         passed=passed,
         details={"eta_halving_ratio": ratio, "max_step_dq": max_step_dq},
@@ -249,7 +253,28 @@ def _q_law(eta, rho, u, s0, gamma) -> float:
 
 
 @dataclass(frozen=True)
-class _LawProbe:
+class SamProbe:
+    """One SAM step (plain SGD base) from ``cores`` at ``rho`` and one at
+    rho/2: every one-step SAM-law check of an instance reads these."""
+
+    cores: list
+    rho: float
+    eta: float
+    steps: tuple  # (new cores, StepRecord, g~) at rho, then at rho/2
+
+
+def sam_probe(spec: ReconstructionSpec, cores, objective, rho: float, eta: float) -> SamProbe:
+    """The SAM probe of an instance: three gradient passes, the gradient at
+    ``cores`` once and the perturbed point at each radius."""
+    cfgs = [SamConfig(radius, SgdConfig(eta)) for radius in (rho, rho / 2.0)]
+    steps = _one_steps(gradient_fn(spec, objective), cores, *cfgs)
+    if steps[0][1].zero_gradient:
+        raise ZeroGradient("all core gradients vanish at the probe point")
+    return SamProbe(cores, rho, eta, tuple(steps))
+
+
+@dataclass(frozen=True)
+class _LawMeasurement:
     measured: float  # raw one-step change of the quantity at rho
     predicted: float  # the law at rho
     raw_residual: float  # |measured - predicted|
@@ -258,36 +283,23 @@ class _LawProbe:
     cov: float  # Cov of the group's squared norms and gradient norms
 
 
-def _first_pass_reused(grads_of, cores):
-    """``grads_of`` with its result at ``cores`` taken once, now, and given
-    again for that same list object: a probe's steps all start there."""
-    first = grads_of(cores)
-    return lambda given: first if given is cores else grads_of(given)
-
-
-def _sam_law_probe(
-    grads_of, cores, rho, eta, value, first_order, law, group=slice(None)
-) -> _LawProbe:
-    """One SAM step (plain SGD base) at rho and one at rho/2, measuring a
-    quantity of the squared norms of the cores in ``group`` (a slice of
-    ``cores``): ``value(s)`` is the quantity, ``first_order(s0, ds)`` its
-    first-order change and ``law(eta, rho, u, s0, gamma)`` the change the
-    flow theorem predicts.  The flow part of each squared-norm change is
-    -2*eta*<G_k, g~_k>: the secant with its exactly-known eta^2 term removed.
+def _measure_law(probe: SamProbe, value, first_order, law, group=slice(None)) -> _LawMeasurement:
+    """A quantity of the squared norms of the cores in ``group`` (a slice of
+    the probe's cores) over the probe's two steps: ``value(s)`` is the
+    quantity, ``first_order(s0, ds)`` its first-order change and
+    ``law(eta, rho, u, s0, gamma)`` the change the flow theorem predicts.
+    The flow part of each squared-norm change is -2*eta*<G_k, g~_k>: the
+    secant with its exactly-known eta^2 term removed.
     """
+    eta = probe.eta
     steps = []
-    grads_of = _first_pass_reused(grads_of, cores)
-    for radius in (rho, rho / 2.0):
-        cfg = SamConfig(radius, SgdConfig(eta))
-        new, rec, g_tilde = sam_step(grads_of, cores, cfg, init_state(cfg, cores))
-        if rec.zero_gradient:
-            raise ZeroGradient("all core gradients vanish at the probe point")
+    for radius, (new, rec, g_tilde) in zip((probe.rho, probe.rho / 2.0), probe.steps):
         s0 = np.asarray(rec.core_norms_sq[group])
         gamma = np.asarray(rec.grad_norms_sq[group])
         ds_flow = np.asarray(
             [
                 -2.0 * eta * frobenius_inner(c, gt)
-                for c, gt in zip(cores[group], g_tilde[group])
+                for c, gt in zip(probe.cores[group], g_tilde[group])
             ]
         )
         predicted = law(eta, radius, rec.u, s0, gamma)
@@ -295,7 +307,7 @@ def _sam_law_probe(
         steps.append((new, s0, gamma, predicted, flow_res))
     (new, s0, gamma, predicted, flow_res), (*_, flow_res_h) = steps
     measured = value(np.asarray(norms_sq(new[group]))) - value(s0)
-    return _LawProbe(
+    return _LawMeasurement(
         measured=measured,
         predicted=predicted,
         raw_residual=abs(measured - predicted),
@@ -305,77 +317,59 @@ def _sam_law_probe(
     )
 
 
-def _law_report(check, probe, params, rel, shrink, **details):
+def _law_report(check, law, params, rel, shrink, **details):
     return TheoremCheckReport(
         check=check,
-        measured=probe.measured,
-        predicted=probe.predicted,
-        abs_residual=probe.raw_residual,
+        measured=law.measured,
+        predicted=law.predicted,
+        abs_residual=law.raw_residual,
         rel_residual=rel,
         params=params,
         passed=rel <= _LAW_REL_TOL and _LAW_SHRINK_BAND[0] <= shrink <= _LAW_SHRINK_BAND[1],
         details={
-            "flow_residual": probe.flow_residual,
+            "flow_residual": law.flow_residual,
             "rho_halving_shrink": shrink,
             **details,
         },
     )
 
 
-def _q_report(check, params, grads_of, cores, rho, eta, group) -> TheoremCheckReport:
+def _q_report(check, probe: SamProbe, group, **params) -> TheoremCheckReport:
     """The SAM covariance law for the one-step dQ of the cores in ``group``."""
-    probe = _sam_law_probe(
-        grads_of, cores, rho, eta, norm_deviation, _linearized_dq, _q_law, group
-    )
-    p = probe.predicted
-    rel = probe.raw_residual / abs(p) if p != 0.0 else math.inf
-    return _law_report(check, probe, params, rel, probe.shrink, cov=probe.cov)
+    law = _measure_law(probe, norm_deviation, _linearized_dq, _q_law, group)
+    p = law.predicted
+    rel = law.raw_residual / abs(p) if p != 0.0 else math.inf
+    params = {"rho": probe.rho, "eta": probe.eta, **params}
+    return _law_report(check, law, params, rel, law.shrink, cov=law.cov)
 
 
-def check_sam_q_dynamics(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    rho: float,
-    eta: float,
-) -> TheoremCheckReport:
+def check_sam_q_dynamics(probe: SamProbe) -> TheoremCheckReport:
     """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov.
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    return _q_report(
-        "sam_q_dynamics", {"rho": rho, "eta": eta},
-        gradient_fn(spec, objective), cores, rho, eta, slice(None),
-    )
+    return _q_report("sam_q_dynamics", probe, slice(None))
 
 
-def check_pairwise_sam_dynamics(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    rho: float,
-    eta: float,
-    i: int,
-    j: int,
-) -> TheoremCheckReport:
+def check_pairwise_sam_dynamics(probe: SamProbe, i: int, j: int) -> TheoremCheckReport:
     """One-step change of s_i - s_j vs eta*2*rho*u*(gamma_i - gamma_j).
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
 
     def gap(values):
         return float(values[i] - values[j])
 
-    probe = _sam_law_probe(
-        gradient_fn(spec, objective), cores, rho, eta,
+    law = _measure_law(
+        probe,
         gap,
         lambda s0, ds: gap(ds),
         lambda eta, rho, u, s0, gamma: eta * 2.0 * rho * u * gap(gamma),
     )
-    if probe.predicted == 0.0:
-        rel = 0.0 if probe.measured == 0.0 else math.inf
+    if law.predicted == 0.0:
+        rel = 0.0 if law.measured == 0.0 else math.inf
     else:
-        rel = probe.raw_residual / abs(probe.predicted)
-    shrink = 4.0 if i == j else probe.shrink  # i == j: both residuals are zero
+        rel = law.raw_residual / abs(law.predicted)
+    shrink = 4.0 if i == j else law.shrink  # i == j: both residuals are zero
     return _law_report(
-        "sam_pairwise_dynamics", probe, {"rho": rho, "eta": eta, "i": i, "j": j},
-        rel, shrink,
+        "sam_pairwise_dynamics", law,
+        {"rho": probe.rho, "eta": probe.eta, "i": i, "j": j}, rel, shrink,
     )
 
 
@@ -392,15 +386,13 @@ def check_das_matches_sam(
     s0 = np.asarray(norms_sq(cores))
     q0 = norm_deviation(s0)
 
-    grads_of = _first_pass_reused(gradient_fn(spec, objective), cores)
-    sam_cfg = SamConfig(rho, SgdConfig(eta))
-    new_sam, rec_sam, _ = sam_step(grads_of, cores, sam_cfg, init_state(sam_cfg, cores))
+    (new_sam, rec_sam, _), (new_das, rec_das, _) = _one_steps(
+        gradient_fn(spec, objective), cores,
+        SamConfig(rho, SgdConfig(eta)), DasConfig(rho, SgdConfig(eta)),
+    )
     if rec_sam.zero_gradient:
         raise ZeroGradient("all core gradients vanish at the probe point")
     dq_sam = norm_deviation(norms_sq(new_sam)) - q0
-
-    das_cfg = DasConfig(rho, SgdConfig(eta))
-    new_das, rec_das, _ = das_step(grads_of, cores, das_cfg, init_state(das_cfg, cores))
     dq_das = norm_deviation(norms_sq(new_das)) - q0
 
     rel = abs(dq_das - dq_sam) / abs(dq_sam) if dq_sam != 0.0 else math.inf
@@ -431,20 +423,11 @@ def check_das_matches_sam(
     )
 
 
-def check_layerwise_q(
-    model: LayeredModel,
-    x: np.ndarray,
-    objective,
-    rho: float,
-    eta: float,
-    layer: int,
-) -> TheoremCheckReport:
-    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l.
+def check_layerwise_q(probe: SamProbe, groups, layer: int) -> TheoremCheckReport:
+    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l, on a
+    probe of a layered model whose cores lie end to end ``groups`` per layer.
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    start = sum(model.groups[:layer])
+    start = sum(groups[:layer])
     return _q_report(
-        "layerwise_q_dynamics", {"rho": rho, "eta": eta, "layer": layer},
-        gradient_fn(model.spec(x), objective),
-        [c for layer_cores in model.cores for c in layer_cores],
-        rho, eta, slice(start, start + model.groups[layer]),
+        "layerwise_q_dynamics", probe, slice(start, start + groups[layer]), layer=layer
     )

@@ -27,6 +27,7 @@ from .diagnostics import (
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
+    sam_probe,
     trajectory_stats,
     write_trajectory_csv,
 )
@@ -408,14 +409,14 @@ def suite_sgd_conservation(instances) -> list[TheoremCheckReport]:
 
 
 def suite_sam_dynamics(instances) -> list[TheoremCheckReport]:
-    """Pairwise and global one-step matches at rho=1e-3, eta=1e-5 (tucker2)."""
+    """Pairwise and global one-step matches at rho=1e-3, eta=1e-5 (tucker2),
+    both read from one probe per instance."""
     reports = []
     for seed, (spec, cores, obj) in instances["tucker2"]:
-        pair = check_pairwise_sam_dynamics(
-            spec, cores, obj, rho=1e-3, eta=1e-5, i=0, j=spec.num_cores - 1
-        )
+        probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
+        pair = check_pairwise_sam_dynamics(probe, i=0, j=spec.num_cores - 1)
         reports.append(replace(pair, check=f"sam_pairwise[seed={seed}]"))
-        q = check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+        q = check_sam_q_dynamics(probe)
         reports.append(replace(q, check=f"sam_q_dynamics[seed={seed}]"))
     return reports
 
@@ -425,10 +426,10 @@ def suite_layered(seeds) -> list[TheoremCheckReport]:
     for kind in ("tucker2", "scalar"):
         for seed in seeds:
             model, x, obj = layered_instance(kind, seed)
+            cores = [c for layer_cores in model.cores for c in layer_cores]
+            probe = sam_probe(model.spec(x), cores, obj, rho=1e-3, eta=1e-6)
             for layer in range(len(model.specs)):
-                rep = check_layerwise_q(
-                    model, x, obj, rho=1e-3, eta=1e-6, layer=layer
-                )
+                rep = check_layerwise_q(probe, model.groups, layer)
                 reports.append(
                     replace(rep, check=f"layerwise_q[{kind},seed={seed},layer={layer}]")
                 )

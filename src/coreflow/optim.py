@@ -294,6 +294,15 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     return base_step(scaled, g, cfg.base, state, eta_t), rec, g
 
 
+def step_of(cfg: OptimizerConfig):
+    """The step function that takes ``cfg``."""
+    if isinstance(cfg, SamConfig):
+        return sam_step
+    if isinstance(cfg, DasConfig):
+        return das_step
+    return plain_step
+
+
 # ----------------------------------------------------------------------------
 # Trajectory loop.
 # ----------------------------------------------------------------------------
@@ -318,12 +327,7 @@ def run(
     """Execute ``iters`` optimizer steps, reporting each one to ``sink``."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    if isinstance(cfg, SamConfig):
-        step = sam_step
-    elif isinstance(cfg, DasConfig):
-        step = das_step
-    else:
-        step = plain_step
+    step = step_of(cfg)
     grads_of = gradient_fn(spec, objective)
     state = init_state(cfg, cores)
     records: list[StepRecord] = []

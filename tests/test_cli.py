@@ -94,6 +94,20 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "noise_alpha" in err
 
+    NOISE_SWEEP = "experiment tucker2-noise\nmodel {{\n  {model}\n}}\noptimizer {{\n  iters 3\n}}\n"
+
+    def test_noise_sweep_model_without_three_cores_exits_two(self, tmp_path, capsys):
+        model = "family tucker\n  modes 4,4,4\n  ranks 2,2,2"
+        cfg = write_cfg(tmp_path, self.NOISE_SWEEP.format(model=model))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: tucker2-noise needs a model of 3 cores, got 4\n"
+
+    def test_noise_sweep_runs_a_three_core_cp_model(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.NOISE_SWEEP.format(model="family cp\n  modes 4,4,4\n  ranks 2"))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) in (0, 1)  # 1: sweep unordered
+        assert capsys.readouterr().err == ""
+        assert len(list((tmp_path / "out").glob("trajectory_alpha_*.csv"))) == 3
+
     def test_file_sourced_completion(self, tmp_path):
         target = as_tensor(np.random.default_rng(0).standard_normal((6, 6, 6)))
         data = tmp_path / "target.dtf1"

@@ -9,6 +9,7 @@ from coreflow.config import (
     parse_config_text,
 )
 from coreflow.errors import FormatError, ParseError, ValidationError
+from coreflow.experiments import run_experiment
 from coreflow.optim import AdamConfig, DasConfig, SamConfig, SgdConfig
 
 MINIMAL_NOISE = """
@@ -57,6 +58,28 @@ class TestParsing:
         assert (cfg.optimizer.beta1, cfg.optimizer.beta2) == (0.9, 0.999)
         assert cfg.model.family == "tucker2"
         assert cfg.objective.noise_alphas == (0.0, 0.1, 0.3)
+
+    def test_explicit_zero_noise_alpha_is_kept(self, tmp_path):
+        text = MINIMAL_NOISE + "objective {\n  noise_alpha 0.0\n}\noptimizer {\n  iters 3\n}\n"
+        cfg = parse_config_text(text)
+        assert cfg.objective.noise_alphas == (0.0,)
+        run_experiment(cfg, str(tmp_path))
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["trajectory_alpha_0p0.csv"]
+
+    @pytest.mark.parametrize(
+        "model,cores",
+        [
+            ("family tucker\n  modes 4,4,4\n  ranks 2,2,2", 4),
+            ("family tt\n  modes 3,3,3,3\n  ranks 2,2,2", 4),
+            ("family tr\n  modes 3,3,3,3\n  ranks 2,2,2,2", 4),
+            ("family custom\n  plan ij,jk->ik\n  shapes 3x2,2x3", 2),
+        ],
+        ids=["tucker", "tt-order-4", "tr-order-4", "custom-2"],
+    )
+    def test_noise_sweep_needs_three_cores(self, model, cores):
+        text = f"experiment tucker2-noise\nmodel {{\n  {model}\n}}\n"
+        with pytest.raises(ValidationError, match=f"^tucker2-noise needs a model of 3 cores, got {cores}$"):
+            parse_config_text(text)
 
     def test_full_config_round_trip(self):
         cfg = parse_config_text(FULL)

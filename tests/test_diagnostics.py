@@ -12,15 +12,15 @@ from coreflow.diagnostics import (
     check_sam_q_dynamics,
     check_sgd_balanced_bound,
     check_sgd_conservation,
-    _one_step_sgd_dq,
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
     _drift_bounds,
+    sam_probe,
     trajectory_rows,
     trajectory_stats,
 )
-from coreflow import optim
+from coreflow import experiments, optim
 from coreflow.errors import LengthMismatch, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
 from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct
@@ -38,6 +38,12 @@ from coreflow.optim import (
 from coreflow.tensor import as_tensor, frobenius_norm_sq
 
 from oracles import per_record_drift_bounds, per_record_trajectory_rows
+
+
+def layered_probe(model, x, obj, rho, eta):
+    """The SAM probe of a layered model, its layers' cores end to end."""
+    cores = [c for layer_cores in model.cores for c in layer_cores]
+    return sam_probe(model.spec(x), cores, obj, rho, eta)
 
 
 class TestNormDeviation:
@@ -188,7 +194,7 @@ class TestSgdConservation:
         cores = random_cores(spec, rng, 0.4)
         target = reconstruct(spec, cores)  # zero residual, zero gradient
         obj = MaskedMse(target, as_tensor(np.ones(target.shape)))
-        assert _one_step_sgd_dq(spec, cores, obj, 1e-3) == 0.0
+        assert check_sgd_conservation(spec, cores, obj, eta=1e-3).measured == 0.0
 
     def test_balanced_drift_bound_holds(self):
         spec, cores, obj = check_instance("tucker2", seed=1)
@@ -201,7 +207,7 @@ class TestSamQDynamics:
     def test_passes_on_conditioned_instances(self):
         for seed in range(3):
             spec, cores, obj = check_instance("tucker2", seed)
-            rep = check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+            rep = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5))
             assert rep.passed
             assert rep.rel_residual <= 0.05
             assert 1.5 <= rep.details["rho_halving_shrink"] <= 4.5
@@ -211,7 +217,7 @@ class TestSamQDynamics:
         spec = custom_spec("i,j->ij", [(1,), (1,)])
         cores = [as_tensor([2.0]), as_tensor([2.0])]
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
-        rep = check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+        rep = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5))
         scale = 4.0  # the mean squared core norm
         assert abs(rep.measured) <= 1e-10 * scale
         assert rep.details["cov"] == pytest.approx(0.0)
@@ -221,11 +227,12 @@ class TestSamQDynamics:
         cores = [as_tensor([1.0]), as_tensor([1.0])]
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
         with pytest.raises(ZeroGradient):
-            check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+            sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
 
 
 class TestGradientPasses:
-    """The steps of one probe share the gradient at the unperturbed point."""
+    """The steps of one probe share the gradient at the unperturbed point, and
+    every SAM-law report of an instance reads that instance's one probe."""
 
     def count_passes(self, monkeypatch):
         calls = []
@@ -241,8 +248,28 @@ class TestGradientPasses:
     def test_sam_law_probe_takes_three_passes(self, monkeypatch):
         spec, cores, obj = check_instance("tucker2", 0)
         calls = self.count_passes(monkeypatch)
-        check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-5)
+        probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
         assert len(calls) == 3  # g once, then the perturbed point at rho and rho/2
+        check_sam_q_dynamics(probe)
+        check_pairwise_sam_dynamics(probe, 0, 2)
+        assert len(calls) == 3
+
+    def test_sgd_conservation_takes_twenty_one_passes(self, monkeypatch):
+        spec, cores, obj = check_instance("tucker2", 0)
+        calls = self.count_passes(monkeypatch)
+        check_sgd_conservation(spec, cores, obj, eta=1e-3)
+        assert len(calls) == 21  # the 20-step run, then the eta/2 step
+
+    def test_sam_dynamics_suite_takes_three_passes_per_seed(self, monkeypatch):
+        instances = {"tucker2": [(seed, check_instance("tucker2", seed)) for seed in (0, 1)]}
+        calls = self.count_passes(monkeypatch)
+        assert len(experiments.suite_sam_dynamics(instances)) == 4
+        assert len(calls) == 3 * 2
+
+    def test_layered_suite_takes_three_passes_per_instance(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        assert len(experiments.suite_layered([0, 1])) == 2 * 2 * 2  # kinds, seeds, layers
+        assert len(calls) == 3 * 2 * 2
 
     def test_das_matches_sam_takes_two_passes(self, monkeypatch):
         spec, cores, obj = check_instance("tucker2", 0)
@@ -254,7 +281,7 @@ class TestGradientPasses:
 class TestPairwiseDynamics:
     def test_same_index_is_trivially_zero(self):
         spec, cores, obj = check_instance("tucker2", 0)
-        rep = check_pairwise_sam_dynamics(spec, cores, obj, 1e-3, 1e-5, 1, 1)
+        rep = check_pairwise_sam_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5), 1, 1)
         assert rep.measured == 0.0
         assert rep.predicted == 0.0
         assert rep.passed
@@ -262,15 +289,25 @@ class TestPairwiseDynamics:
     def test_passes_on_conditioned_instances(self):
         for seed in range(3):
             spec, cores, obj = check_instance("tucker2", seed)
-            rep = check_pairwise_sam_dynamics(spec, cores, obj, 1e-3, 1e-5, 0, 2)
+            rep = check_pairwise_sam_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5), 0, 2)
             assert rep.passed
 
     def test_antisymmetric_in_the_pair(self):
         spec, cores, obj = check_instance("tucker2", 4)
-        fwd = check_pairwise_sam_dynamics(spec, cores, obj, 1e-3, 1e-5, 0, 2)
-        rev = check_pairwise_sam_dynamics(spec, cores, obj, 1e-3, 1e-5, 2, 0)
+        probe = sam_probe(spec, cores, obj, 1e-3, 1e-5)
+        fwd = check_pairwise_sam_dynamics(probe, 0, 2)
+        rev = check_pairwise_sam_dynamics(probe, 2, 0)
         assert fwd.measured == pytest.approx(-rev.measured, rel=1e-12)
         assert fwd.predicted == pytest.approx(-rev.predicted, rel=1e-12)
+
+    def test_shared_probe_gives_the_reports_of_separate_probes(self):
+        spec, cores, obj = check_instance("tucker2", 3)
+        shared = sam_probe(spec, cores, obj, 1e-3, 1e-5)
+        pair, q = check_pairwise_sam_dynamics(shared, 0, 2), check_sam_q_dynamics(shared)
+        assert pair.lines() == check_pairwise_sam_dynamics(
+            sam_probe(spec, cores, obj, 1e-3, 1e-5), 0, 2
+        ).lines()
+        assert q.lines() == check_sam_q_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5)).lines()
 
 
 class TestDasMatchesSam:
@@ -297,18 +334,20 @@ class TestDasMatchesSam:
 class TestLayerwiseQ:
     def test_single_layer_matches_flat_check(self):
         spec, cores, obj = check_instance("tucker2", 2)
-        flat = check_sam_q_dynamics(spec, cores, obj, rho=1e-3, eta=1e-6)
+        flat = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6))
         model = LayeredModel(specs=[spec], cores=[list(cores)])
         x = as_tensor(np.eye(spec.output_shape[1]))
-        layered = check_layerwise_q(model, x, obj, rho=1e-3, eta=1e-6, layer=0)
+        probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-6)
+        layered = check_layerwise_q(probe, model.groups, layer=0)
         assert layered.measured == pytest.approx(flat.measured, rel=1e-9)
         assert layered.predicted == pytest.approx(flat.predicted, rel=1e-9)
 
     def test_passes_on_two_layer_composites(self):
         for kind in ("tucker2", "scalar"):
             model, x, obj = layered_instance(kind, seed=0)
+            probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-6)
             for layer in range(len(model.specs)):
-                rep = check_layerwise_q(model, x, obj, rho=1e-3, eta=1e-6, layer=layer)
+                rep = check_layerwise_q(probe, model.groups, layer=layer)
                 assert rep.passed, (kind, layer, rep)
 
     def test_zero_gradient_layer_predicts_zero(self):
@@ -323,7 +362,8 @@ class TestLayerwiseQ:
         )
         x = as_tensor([[1.0]])
         obj = MaskedMse(as_tensor([[2.0]]), as_tensor([[1.0]]))
-        rep = check_layerwise_q(model, x, obj, rho=1e-3, eta=1e-5, layer=0)
+        probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-5)
+        rep = check_layerwise_q(probe, model.groups, layer=0)
         assert rep.predicted == 0.0
         assert abs(rep.measured) <= 1e-12
 
