@@ -271,6 +271,11 @@ def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
             f"tucker2-noise needs a model of 3 cores, got {spec.num_cores}"
         )
     obj = cfg.objective
+    if len(obj.noise_alphas) > 1 and cfg.kind != "tucker2-noise":
+        raise ValidationError(
+            f"noise_alpha takes one value in a {cfg.kind} experiment (a list sweeps "
+            f"only in tucker2-noise), got {len(obj.noise_alphas)}"
+        )
     if not 0.0 < obj.mask_density <= 1.0:
         raise ValidationError(f"mask_density must be in (0,1], got {obj.mask_density}")
     if obj.source != "synthetic":

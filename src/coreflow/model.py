@@ -23,6 +23,7 @@ from .tensor import (
     ContractionPlan,
     Shape,
     as_tensor,
+    compile_plan,
     contract,
     contract_grads,
     frobenius_inner,
@@ -40,6 +41,8 @@ class ReconstructionSpec:
     """A contraction plan with K operand slots bound to trainable cores.
 
     ``constants[i]`` is None for core slots and a fixed tensor otherwise.
+    ``compiled`` is the plan's ``CompiledPlan``, bound once so that a gradient
+    pass does not look it up.
     """
 
     plan: ContractionPlan
@@ -56,6 +59,7 @@ class ReconstructionSpec:
             raise ShapeMismatch("one constants entry per operand slot required")
         core_slots = tuple(i for i, c in enumerate(constants) if c is None)
         object.__setattr__(self, "_core_slots", core_slots)
+        object.__setattr__(self, "compiled", compile_plan(self.plan))
         if len(core_slots) != len(self.core_shapes):
             raise ShapeMismatch(
                 f"{len(core_slots)} core slots but {len(self.core_shapes)} shapes"
@@ -144,7 +148,7 @@ def grad_cores(
     get no gradient."""
     if dl_dt.shape != spec.output_shape:
         raise ShapeMismatch(f"output grad {dl_dt.shape} vs {spec.output_shape}")
-    return contract_grads(spec.plan, spec.operands(cores), dl_dt, spec.core_slots)
+    return contract_grads(spec.compiled, spec.operands(cores), dl_dt, spec.core_slots)
 
 
 def check_scale_invariance(

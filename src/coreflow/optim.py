@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, carried, compile_plan, quietly, seal
+from .tensor import FlatViews, carried, quietly, seal, sizes_of
 
 _TINY_NORM_SQ = 1e-300
 
@@ -132,13 +132,15 @@ def base_step(
     cfg: SgdConfig | AdamConfig,
     state: OptimizerState,
     eta: float | None = None,
+    shapes: tuple | None = None,
 ) -> FlatViews:
     """One SGD/momentum/Adam update.  Weight decay is decoupled: cores are
     shrunk by (1 - eta*wd) separately from the gradient term.
 
     The update is elementwise, so it runs once over all cores laid end to
     end (one numpy call per operation instead of one per core); the new
-    cores are FlatViews of one sealed flat array.
+    cores are FlatViews of one sealed flat array.  Given ``shapes``,
+    ``cores`` is the flat array of cores of those shapes.
     """
     eta = cfg.eta if eta is None else eta
     state.t += 1
@@ -154,7 +156,7 @@ def base_step(
         state.flat_momentum = step = cfg.momentum * state.flat_momentum + g
     else:
         step = g
-    flat, shapes = carried(cores)
+    flat, shapes = carried(cores) if shapes is None else (cores, shapes)
     return FlatViews(seal(shrink * flat - eta * step, "optimizer update"), shapes)
 
 
@@ -165,7 +167,7 @@ def loss_and_core_grads(spec, cores, objective):
 
 def _fused_pass(spec, cores, objective):
     """``loss_and_core_grads`` inside the open error-state scope."""
-    loss, dl = objective.loss_and_grad(compile_plan(spec.plan).forward(spec.operands(cores)))
+    loss, dl = objective.loss_and_grad(spec.compiled.forward(spec.operands(cores)))
     return loss, grad_cores(spec, cores, dl)
 
 
@@ -278,7 +280,7 @@ def das_scaling_factors(
 
 def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     """Multiply core k by (1 + lambda_k), then take the base update with the
-    gradients of the unscaled cores."""
+    gradients of the unscaled cores; the scaled cores go to it as one flat array."""
     eta_t = cfg.base.eta if eta is None else eta
     loss, g = grads_of(cores)
     gamma = norms_sq(g)
@@ -289,9 +291,8 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
     flat, shapes = carried(cores)
-    factors = np.repeat(np.add(1.0, lams), [c.size for c in cores])
-    scaled = FlatViews(flat * factors, shapes)
-    return base_step(scaled, g, cfg.base, state, eta_t), rec, g
+    factors = np.repeat(np.add(1.0, lams), sizes_of(shapes))
+    return base_step(flat * factors, g, cfg.base, state, eta_t, shapes), rec, g
 
 
 def step_of(cfg: OptimizerConfig):

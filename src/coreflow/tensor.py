@@ -10,6 +10,9 @@ Inside coreflow numpy's overflow warnings are off: ``quietly`` enters that
 error state in the outermost coreflow call on a thread (an optimizer step, or
 a public function called on its own) and nested calls reuse it.  A reverse
 pass writes each gradient straight into its slice of one flat array, sealed once.
+A contraction runs as generated code: each plan's pairwise steps, sized for one
+set of operand shapes, are rendered once as straight-line numpy calls (see
+``CompiledPlan``), whose source tracebacks and profilers show under the plan's name.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import linecache
 import math
 import operator
 import struct
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,37 +191,81 @@ def _size_pair(step, extents: dict[str, int]):
     return tuple(None if want == have else want for want, have in calls)
 
 
-def _apply_pair(step, x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One sized step; skipping a None hands np.dot the same views.  Given
-    ``out``, a C-contiguous float64 array of the result's shape, the product
-    is written into it."""
+def _lowered(name: str, perm, shape) -> str:
+    """Source of the array ``name`` transposed by ``perm`` and reshaped to
+    ``shape``, skipping either that is None."""
+    name = name if perm is None else f"{name}.transpose({perm})"
+    return name if shape is None else f"{name}.reshape({shape})"
+
+
+def _render_product(step, x: str, y: str) -> str:
+    """Source of one sized step's product of the arrays named x and y."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
-    x = x if perm_x is None else x.transpose(perm_x)
-    x = x if shape_x is None else x.reshape(shape_x)
-    y = y if perm_y is None else y.transpose(perm_y)
-    y = y if shape_y is None else y.reshape(shape_y)
-    if out is not None:
-        target = out if shape_out is None else out.reshape(len(x), -1)
-        try:
-            np.dot(x, y, out=target)
-        except ValueError:  # np.dot writes only a product of out's dtype; other dtypes are cast
-            np.copyto(target, np.dot(x, y))
-        return out
-    out = np.dot(x, y)
-    return out if shape_out is None else out.reshape(shape_out)
+    dot = f"np.dot({_lowered(x, perm_x, shape_x)}, {_lowered(y, perm_y, shape_y)})"
+    return dot if shape_out is None else f"{dot}.reshape({shape_out})"
 
 
-def _product_into(out: np.ndarray, perm, step, x: np.ndarray, y: np.ndarray) -> None:
+def _render_into(step, x: str, y: str, out: str) -> list[str]:
+    """Statements writing one sized step's product into ``out``, the name of a
+    C-contiguous float64 array of the result's shape."""
+    perm_x, perm_y, shape_x, shape_y, shape_out = step
+    x, y = _lowered(x, perm_x, shape_x), _lowered(y, perm_y, shape_y)
+    lines = []
+    if shape_out is not None:  # np.dot writes only into out viewed as its 2-D product
+        lines.append(f"lhs = {x}")
+        x, out = "lhs", f"{out}.reshape(len(lhs), -1)"
+    return lines + [
+        "try:",
+        f"    np.dot({x}, {y}, out={out})",
+        "except ValueError:  # np.dot writes only a product of out's dtype; copyto casts others",
+        f"    np.copyto({out}, np.dot({x}, {y}))",
+    ]
+
+
+def _render_transposed_into(step, perm, x: str, y: str, out: str) -> list[str]:
     """The step's product, transposed by ``perm``, into ``out``; a transpose costs one copy."""
     if perm is None:
-        _apply_pair(step, x, y, out)
-    else:
-        np.copyto(out, _apply_pair(step, x, y).transpose(perm))
+        return _render_into(step, x, y, out)
+    return [f"np.copyto({out}, {_render_product(step, x, y)}.transpose({perm}))"]
+
+
+def _acc(k: int) -> str:
+    """The name of the accumulator before forward step k+1; the first is operand 0."""
+    return f"a{k}" if k else "x0"
+
+
+def _unpack(names, source: str) -> list[str]:
+    return [f"{', '.join(names)}, = {source}"] if names else []
+
+
+def _compiled(lines: list[str], filename: str, name: str):
+    """The function ``name`` defined by ``lines``, compiled under ``filename``,
+    whose source linecache serves to tracebacks and profilers."""
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), {"np": np}, namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace[name]
 
 
 def _perm(labels: str, target: str) -> tuple[int, ...] | None:
     """The transpose taking ``labels`` to ``target`` order; None if it is the identity."""
     return None if labels == target else tuple(labels.index(ch) for ch in target)
+
+
+class _Sized(NamedTuple):
+    """A plan's steps sized for one set of operand shapes, and its code."""
+
+    forward: list  # sized forward steps
+    reverse: list  # sized (operand gradient, its transpose, accumulator gradient) steps
+    out_shape: Shape
+    grad_expand: Shape  # reshape and broadcast shapes that give the
+    grad_shape: Shape   # output gradient the extra labels
+    shapes: tuple[Shape, ...]  # the operand shapes
+    run_forward: object  # ops -> (output, accumulators kept for the reverse pass)
+    # slots -> (reverse(ops, kept accumulators or None, grad_out, grads), and the
+    # shapes and the flat shape of the gradients it writes)
+    run_reverse: dict
 
 
 class CompiledPlan:
@@ -240,7 +289,11 @@ class CompiledPlan:
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
     shapes against the labels, and lowered (a transpose or reshape that would
-    not change its array is dropped); ``forward`` keeps them for the reverse pass.
+    not change its array is dropped).  The lowered steps are then rendered as
+    straight-line Python, one forward function per shape set and one reverse
+    function per shape set and ``slots``, compiled once under a filename that
+    names the plan and the shapes.  ``forward`` keeps its accumulators for
+    the reverse pass.  A compiled plan pickles as its plan.
     """
 
     _MAX_SHAPE_SETS = 64
@@ -254,7 +307,6 @@ class CompiledPlan:
             for lb in ops
         )
         self._has_diag = any(self._diag)
-        self._every_slot = tuple(range(len(ops)))
         labels = ["".join(dict.fromkeys(lb)) for lb in ops]
         out = plan.output_labels
 
@@ -280,22 +332,24 @@ class CompiledPlan:
             acc_grad, grad = _pair(grad, op, summed)
             self._reverse.append((op_grad, perm, acc_grad))
         self._first_perm = _perm(grad, labels[0])
-        self._sizes: dict[tuple[Shape, ...], tuple] = {}
-        self._kept = None  # (inputs, operands, accumulators, sizes) of the last forward
+        self._sizes: dict[tuple[Shape, ...], _Sized] = {}
+        self._kept = None  # (inputs, operands, accumulators, sized) of the last forward
 
-    def _sized(self, inputs: list[np.ndarray]) -> tuple:
-        """(forward steps, reverse steps, output shape, and the reshape and
-        broadcast shapes that give the output gradient the extra labels),
-        sized for the shapes of ``inputs``."""
+    def __reduce__(self):
+        return compile_plan, (self.plan,)
+
+    def _sized(self, inputs: list[np.ndarray]) -> _Sized:
+        """The steps sized for the shapes of ``inputs``, with their forward code."""
         shapes = shapes_of(inputs)
-        sizes = self._sizes.get(shapes)
-        if sizes is None:
+        sized = self._sizes.get(shapes)
+        if sized is None:
             if len(inputs) != len(self._diag):
                 raise ShapeMismatch(f"plan has {len(self._diag)} operands, got {len(inputs)}")
             extents = label_extents(self.plan, shapes)
             out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
-            sizes = (
-                [_size_pair(step, extents) for step in self._forward],
+            forward = [_size_pair(step, extents) for step in self._forward]
+            sized = _Sized(
+                forward,
                 [
                     (_size_pair(op_grad, extents), perm, _size_pair(acc_grad, extents))
                     for op_grad, perm, acc_grad in self._reverse
@@ -303,11 +357,82 @@ class CompiledPlan:
                 out_shape,
                 out_shape + (1,) * len(self._extra),
                 out_shape + tuple(extents[ch] for ch in self._extra),
+                shapes,
+                _compiled(self._forward_source(forward), self._filename(shapes), "forward"),
+                {},
             )
             if len(self._sizes) >= self._MAX_SHAPE_SETS:
+                for old in self._sizes.values():
+                    for fn in (old.run_forward, *(rev[0] for rev in old.run_reverse.values())):
+                        linecache.cache.pop(fn.__code__.co_filename, None)
                 self._sizes.clear()
-            self._sizes[shapes] = sizes
-        return sizes
+            self._sizes[shapes] = sized
+        return sized
+
+    def _filename(self, shapes, slots=None) -> str:
+        """The filename of the code rendered for ``shapes`` (and ``slots``):
+        ``<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>``."""
+        name = self.plan.expression() + " " + ",".join("x".join(map(str, s)) or "()" for s in shapes)
+        return f"<plan {name}>" if slots is None else f"<plan {name} slots {','.join(map(str, slots))}>"
+
+    def _forward_source(self, forward) -> list[str]:
+        """forward(ops): the output and the accumulators before each step but the first."""
+        n = len(forward) + 1
+        lines = _unpack([f"x{i}" for i in range(n)], "ops")
+        for i, step in enumerate(forward, 1):
+            lines.append(f"a{i} = {_render_product(step, _acc(i - 1), f'x{i}')}")
+        out = _acc(n - 1)
+        if self._sum_axes:
+            out = f"{out}.sum(axis={self._sum_axes})"
+        if self._out_perm is not None:
+            out = f"{out}.transpose({self._out_perm})"
+        kept = "".join(f"a{i}, " for i in range(1, n - 1))
+        return ["def forward(ops):"] + [f"    {ln}" for ln in lines + [f"return {out}, ({kept})"]]
+
+    def _render_reverse(self, sized: _Sized, slots: tuple[int, ...]):
+        """reverse(ops, accs, g, grads), checked against the plan: it writes the
+        gradients of ``slots`` into ``grads``, rebuilding the accumulators it
+        reads if ``accs`` is None.  Returned with the gradients' shapes and flat shape."""
+        try:
+            shapes = tuple([sized.shapes[s] for s in slots])
+        except IndexError:
+            raise ShapeMismatch(f"slots {slots} are not ascending operand indices") from None
+        for s in slots:
+            if self._diag[s] is not None:
+                raise LabelError(
+                    f"operand {self.plan.operand_labels[s]!r} repeats a label; "
+                    "it has no gradient"
+                )
+        n = len(sized.forward) + 1
+        body = []
+        if self._extra:
+            body.append(f"g = np.broadcast_to(g.reshape({sized.grad_expand}), {sized.grad_shape})")
+        pending, read = list(slots), 0  # the reverse pass meets the last slot first
+        for i, (op_grad, perm, acc_grad) in zip(range(n - 1, 0, -1), sized.reverse):
+            if pending and pending[-1] == i:
+                body += _render_transposed_into(op_grad, perm, _acc(i - 1), "g", f"d{pending.pop()}")
+                read = max(read, i - 1)
+            if not pending:
+                break
+            if i == 1 and pending[-1] == 0:  # this product is operand 0's gradient
+                body += _render_transposed_into(acc_grad, self._first_perm, "g", "x1", f"d{pending.pop()}")
+            else:
+                body.append(f"g = {_render_product(acc_grad, 'g', f'x{i}')}")
+        if n == 1 and pending and pending[-1] == 0:
+            body.append(f"np.copyto(d{pending.pop()}, {_lowered('g', self._first_perm, None)})")
+        if pending:
+            raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
+        lines = _unpack([f"x{i}" for i in range(n)], "ops")
+        if read:
+            lines += ["if accs is None:"] + [
+                f"    a{i} = {_render_product(step, _acc(i - 1), f'x{i}')}"
+                for i, step in enumerate(sized.forward[:read], 1)
+            ]
+            lines += ["else:", "    " + _unpack([f"a{i}" for i in range(1, n - 1)], "accs")[0]]
+        lines += _unpack([f"d{s}" for s in slots], "grads") + body
+        source = ["def reverse(ops, accs, g, grads):"] + [f"    {ln}" for ln in lines + ["return"]]
+        run = _compiled(source, self._filename(sized.shapes, slots), "reverse")
+        return run, shapes, _layout(shapes)[1]
 
     def _operands(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
         if not self._has_diag:
@@ -317,23 +442,16 @@ class CompiledPlan:
     def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
         """Unchecked contraction (maybe a view); keeps accumulators and sizes unless an
         input is writable."""
-        sizes = self._sized(inputs)
+        sized = self._sized(inputs)
         if isinstance(inputs, FlatViews):  # its views are writable only if its flat is
             writable = inputs.flat.flags.writeable
         else:
             inputs = tuple(inputs)
             writable = any(x.flags.writeable for x in inputs)
         ops = self._operands(inputs)
-        accs = [ops[0]]
-        for step, nxt in zip(sizes[0], ops[1:]):
-            accs.append(_apply_pair(step, accs[-1], nxt))
-        acc = accs.pop()
-        if self._sum_axes:
-            acc = acc.sum(axis=self._sum_axes)
-        if self._out_perm is not None:
-            acc = acc.transpose(self._out_perm)
-        self._kept = None if writable else (inputs, ops, accs, sizes)
-        return acc
+        out, accs = sized.run_forward(ops)
+        self._kept = None if writable else (inputs, ops, accs, sized)
+        return out
 
     def gradients(
         self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...]
@@ -347,52 +465,19 @@ class CompiledPlan:
             kept[0] is inputs
             or len(kept[0]) == len(inputs) and all(map(operator.is_, kept[0], inputs))
         ):
-            _, ops, accs, sizes = kept
+            _, ops, accs, sized = kept
         else:
-            sizes, ops = self._sized(inputs), None
-        forward, reverse, out_shape, grad_expand, grad_shape = sizes
-        if grad_out.shape != out_shape:
+            sized, ops, accs = self._sized(inputs), None, None
+        if grad_out.shape != sized.out_shape:
             raise ShapeMismatch(
-                f"output gradient {grad_out.shape}, plan gives {out_shape}"
+                f"output gradient {grad_out.shape}, plan gives {sized.out_shape}"
             )
-        for s in slots if self._has_diag else ():
-            if self._diag[s] is not None:
-                raise LabelError(
-                    f"operand {self.plan.operand_labels[s]!r} repeats a label; "
-                    "it has no gradient"
-                )
-        shapes = shapes_of(inputs)
-        if slots != self._every_slot:
-            try:
-                shapes = tuple([shapes[s] for s in slots])
-            except IndexError:
-                raise ShapeMismatch(f"slots {slots} are not ascending operand indices") from None
-        grads = FlatViews(np.empty(_layout(shapes)[1]), shapes)
-        pending = list(zip(slots, grads))  # the reverse pass meets the last slot first
-        if not pending:
-            return grads
-        if ops is None:
-            ops = self._operands(inputs)
-            accs = [ops[0]]
-            for step, nxt in zip(forward[:-1], ops[1:]):
-                accs.append(_apply_pair(step, accs[-1], nxt))
-        grad = grad_out
-        if self._extra:
-            grad = np.broadcast_to(grad.reshape(grad_expand), grad_shape)
-        for i, (op_grad, perm, acc_grad) in zip(range(len(ops) - 1, 0, -1), reverse):
-            if pending[-1][0] == i:
-                _product_into(pending.pop()[1], perm, op_grad, accs[i - 1], grad)
-                if not pending:
-                    return grads
-            if i == 1 and pending[-1][0] == 0:  # this product is operand 0's gradient
-                _product_into(pending.pop()[1], self._first_perm, acc_grad, grad, ops[1])
-            else:
-                grad = _apply_pair(acc_grad, grad, ops[i])
-        if len(ops) == 1 and pending[-1][0] == 0:
-            first = grad if self._first_perm is None else grad.transpose(self._first_perm)
-            np.copyto(pending.pop()[1], first)
-        if pending:
-            raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
+        reverse = sized.run_reverse.get(slots)
+        if reverse is None:
+            reverse = sized.run_reverse[slots] = self._render_reverse(sized, slots)
+        run, shapes, flat_shape = reverse
+        grads = FlatViews(np.empty(flat_shape), shapes)
+        run(self._operands(inputs) if ops is None else ops, accs, grad_out, grads)
         return grads
 
 
@@ -420,9 +505,17 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
 @functools.lru_cache(maxsize=CompiledPlan._MAX_SHAPE_SETS)
 def _layout(shapes: tuple[Shape, ...]):
     """The (start, stop, shape) of each array of ``shapes`` laid end to end,
-    and the shape of the flat array they fill; worked out once per shapes."""
-    ends = tuple(itertools.accumulate(map(math.prod, shapes), initial=0))
-    return tuple(zip(ends, ends[1:], shapes)), ends[-1:]
+    the shape of the flat array they fill, and each array's entry count (a
+    read-only array); worked out once per shapes."""
+    sizes = np.array([math.prod(shape) for shape in shapes], dtype=np.intp)
+    sizes.setflags(write=False)
+    ends = tuple(itertools.accumulate(sizes.tolist(), initial=0))
+    return tuple(zip(ends, ends[1:], shapes)), ends[-1:], sizes
+
+
+def sizes_of(shapes) -> np.ndarray:
+    """The entry count of each array of ``shapes``, from their cached layout."""
+    return _layout(tuple(shapes))[2]
 
 
 class FlatViews(tuple):
@@ -434,7 +527,7 @@ class FlatViews(tuple):
 
     def __new__(cls, flat: np.ndarray, shapes):
         shapes = tuple(shapes)
-        spans, flat_shape = _layout(shapes)
+        spans, flat_shape, _ = _layout(shapes)
         if flat.shape != flat_shape:
             raise ShapeMismatch(f"flat array of shape {flat.shape} for {flat_shape[0]} entries")
         self = super().__new__(cls, [flat[a:b].reshape(shape) for a, b, shape in spans])
@@ -461,15 +554,16 @@ def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:
 
 
 def contract_grads(
-    plan: ContractionPlan,
+    plan: ContractionPlan | CompiledPlan,
     inputs: list[np.ndarray],
     grad_out: np.ndarray,
     slots: tuple[int, ...],
 ) -> FlatViews:
     """Gradients of <contract(plan, inputs), grad_out> with respect to the
     operands at ``slots`` (ascending), from one reverse pass, as FlatViews of
-    one sealed array holding them end to end, checked for finiteness once."""
-    compiled = compile_plan(plan)
+    one sealed array holding them end to end, checked for finiteness once.
+    ``plan`` may be given compiled."""
+    compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
     grads = quietly(compiled.gradients, inputs, grad_out, slots)
     seal(grads.flat, compiled.context + " gradient")
     for view in grads:

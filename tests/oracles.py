@@ -3,7 +3,8 @@
 Everything here is deliberately naive: full index enumeration, python loops,
 no shared code with the package's contraction engine.  The one exception is
 ``unlowered_engine``, which runs that engine with every transpose and reshape
-of its pairwise steps kept: a bitwise reference for the lowered steps.
+of its pairwise steps kept and every product written by a plain np.dot then
+copyto: a bitwise reference for the lowered, rendered steps.
 """
 
 import contextlib
@@ -43,34 +44,40 @@ def unlowered_size_pair(step, extents):
     return perm_x, perm_y, (m, k), (k, n), tuple(extents[ch] for ch in keep_x + keep_y)
 
 
-def unlowered_apply_pair(step, x, y, out=None):
-    """A step from ``unlowered_size_pair``: transpose, reshape, dot, reshape.
-    Given ``out``, the product is copied into it afterwards, so the engine's
-    np.dot straight into ``out`` is checked against a plain np.dot."""
+def unlowered_product(step, x, y):
+    """Source of a step from ``unlowered_size_pair`` on the arrays named x and
+    y: transpose, reshape, dot, reshape."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
-    product = np.dot(
-        x.transpose(perm_x).reshape(shape_x), y.transpose(perm_y).reshape(shape_y)
-    ).reshape(shape_out)
-    if out is None:
-        return product
-    np.copyto(out, product)
-    return out
+    return (
+        f"np.dot({x}.transpose({perm_x}).reshape({shape_x}), "
+        f"{y}.transpose({perm_y}).reshape({shape_y})).reshape({shape_out})"
+    )
+
+
+def unlowered_into(step, x, y, out):
+    """The product copied into the array named ``out`` afterwards, so the
+    engine's np.dot straight into ``out`` is checked against a plain np.dot."""
+    return [f"np.copyto({out}, {unlowered_product(step, x, y)})"]
 
 
 @contextlib.contextmanager
 def unlowered_engine():
-    """The contraction engine with the unlowered sizing and pair step in
-    place of the lowered ones.  Compiled plans are dropped on entry and on
-    exit, so no plan sized one way is run the other way."""
+    """The contraction engine with the unlowered sizing and a plain rendering
+    of each step in place of the lowered ones.  Compiled plans are dropped on
+    entry and on exit, so no plan sized one way is run the other way; a
+    ReconstructionSpec holds its compiled plan, so build specs inside."""
     from coreflow import tensor
 
-    saved = tensor._size_pair, tensor._apply_pair
+    names = ("_size_pair", "_render_product", "_render_into")
+    saved = [getattr(tensor, name) for name in names]
     tensor.compile_plan.cache_clear()
-    tensor._size_pair, tensor._apply_pair = unlowered_size_pair, unlowered_apply_pair
+    for name, oracle in zip(names, (unlowered_size_pair, unlowered_product, unlowered_into)):
+        setattr(tensor, name, oracle)
     try:
         yield
     finally:
-        tensor._size_pair, tensor._apply_pair = saved
+        for name, original in zip(names, saved):
+            setattr(tensor, name, original)
         tensor.compile_plan.cache_clear()
 
 

@@ -94,6 +94,19 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "noise_alpha" in err
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_noise_alpha_list_outside_the_sweep_exits_two(self, tmp_path, capsys, command):
+        # a completion runs at one strength: a list would silently run at its first value
+        text = COMPLETION.format(kind="adam").replace("objective {", "objective {\n  noise_alpha 0.1,0.3")
+        cfg = write_cfg(tmp_path, text.replace("family tucker\n  modes 8,8,8\n  ranks 2,2,2",
+                                               "family tucker2\n  modes 6,5\n  ranks 2,2"))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise_alpha takes one value in a completion experiment "
+            "(a list sweeps only in tucker2-noise), got 2\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     NOISE_SWEEP = "experiment tucker2-noise\nmodel {{\n  {model}\n}}\noptimizer {{\n  iters 3\n}}\n"
 
     def test_noise_sweep_model_without_three_cores_exits_two(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from coreflow.tensor import (
     CompiledPlan,
     ContractionPlan,
     as_tensor,
+    compile_plan,
     contract,
     frobenius_inner,
     frobenius_norm_sq,
@@ -55,6 +59,22 @@ def sum_sq_objective(target):
         return as_tensor(2.0 * (t_hat - target))
 
     return loss, grad
+
+
+class TestSpecCopies:
+    @pytest.mark.parametrize("make", [ALL_FAMILIES[0], ALL_FAMILIES[2]])  # a constant slot; all cores
+    def test_spec_pickles_and_deep_copies_after_a_pass(self, make, rng):
+        """A spec holds its compiled plan, whose rendered code does not pickle;
+        the plan travels as its expression and comes back as the shared plan."""
+        spec = make()
+        cores = random_cores(spec, rng)
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones(spec.output_shape)))
+        loss, grads = gradient_fn(spec, obj)(cores)
+        for back in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert back.compiled is spec.compiled is compile_plan(spec.plan)
+            assert back.core_shapes == spec.core_shapes and back.family == spec.family
+            again = gradient_fn(back, obj)([np.array(c) for c in cores])
+            assert again[0] == loss and again[1].flat.tobytes() == grads.flat.tobytes()
 
 
 class TestReconstruct:

@@ -586,6 +586,29 @@ class TestFlatViewsCarrier:
         step(grads_of, cores, cfg, state)
         assert len(calls) == want
 
+    def test_das_step_builds_two_carriers(self, rng, monkeypatch):
+        # the gradients and the update: the scaled cores reach the update as one flat array
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        cfg = DasConfig(alpha=0.05, base=SgdConfig(eta=0.01, weight_decay=0.1))
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3))))
+        grads_of = gradient_fn(spec, obj)
+        start = random_cores(spec, rng, 0.5)
+        cores, _, _ = das_step(grads_of, start, cfg, init_state(cfg, start))
+        built = []
+        new = FlatViews.__new__
+
+        def counted(cls, *args):
+            built.append(cls)
+            return new(cls, *args)
+
+        monkeypatch.setattr(FlatViews, "__new__", staticmethod(counted))
+        got, rec, g = das_step(grads_of, cores, cfg, init_state(cfg, cores))
+        assert len(built) == 2
+        monkeypatch.undo()
+        factors = np.repeat(np.add(1.0, rec.lambdas), [c.size for c in cores])
+        want = (1.0 - 0.01 * 0.1) * (cores.flat * factors) - 0.01 * g.flat
+        assert got.flat.tobytes() == want.tobytes() and got.shapes == cores.shapes
+
     def test_gradients_are_sealed_views_of_one_array(self, rng):
         spec = tucker2_spec(5, 4, 3, 2)  # the last core's gradient ends in a transpose
         cores = random_cores(spec, rng)

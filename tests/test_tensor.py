@@ -1,4 +1,6 @@
+import linecache
 import re
+import traceback
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from coreflow import tensor
 from coreflow.errors import FormatError, LabelError, NumericalError, ShapeMismatch
 from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
@@ -230,6 +233,68 @@ class TestLoweredSteps:
         assert all(shape is None for step in steps for shape in step[2:])
         perms = [perm for step in steps for perm in step[:2] if perm is not None]
         assert perms == [(1, 0)] * 4
+
+
+class TestRenderedCode:
+    """Each shape set's steps run as generated straight-line functions."""
+
+    @staticmethod
+    def count_compiles(monkeypatch):
+        compiled = []
+
+        def counted(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(tensor, "compile", counted, raising=False)
+        return compiled
+
+    def test_each_shape_set_and_slots_renders_once(self, rng, monkeypatch):
+        p = plan("ia,ajb,bk->ijk")
+        tensor.compile_plan.cache_clear()  # a fresh compiled plan renders from scratch
+        compiled = self.count_compiles(monkeypatch)
+        for shapes in ([(3, 2), (2, 4, 3), (3, 5)], [(2, 2), (2, 3, 2), (2, 4)]):
+            inputs = [as_tensor(rng.standard_normal(s)) for s in shapes]
+            g = as_tensor(rng.standard_normal([shapes[0][0], shapes[1][1], shapes[2][1]]))
+            for _ in range(3):
+                contract(p, inputs)
+                contract_grads(p, inputs, g, (0, 1, 2))
+                contract_grads(p, [np.array(x) for x in inputs], g, (1, 2))
+        assert len(compiled) == 6 and len(set(compiled)) == 6
+
+    def test_clearing_the_shape_sets_clears_the_rendered_code(self, monkeypatch):
+        p = plan("ij,jk->ik")
+        tensor.compile_plan.cache_clear()
+        compiled = self.count_compiles(monkeypatch)
+        bound = tensor.CompiledPlan._MAX_SHAPE_SETS
+
+        def pass_of(n):
+            a, b = as_tensor(np.ones((n, 2))), as_tensor(np.ones((2, 3)))
+            contract(p, [a, b])
+            contract_grads(p, [a, b], as_tensor(np.ones((n, 3))), (0, 1))
+
+        for n in range(1, bound + 1):
+            pass_of(n)
+        assert len(compiled) == 2 * bound
+        first = compiled[:2]
+        pass_of(1)  # still cached
+        assert len(compiled) == 2 * bound
+        pass_of(bound + 1)  # one set too many clears them all
+        assert all(name not in linecache.cache for name in first)
+        pass_of(1)
+        assert len(compiled) == 2 * bound + 4 and compiled[-2:] == first
+
+    def test_code_names_its_plan_and_shapes(self):
+        p = plan("oa,ab,ib->oi")
+        inputs = [as_tensor(np.ones(s)) for s in ((5, 3), (3, 2), (4, 2))]
+        compiled = compile_plan(p)
+        contract_grads(p, inputs, as_tensor(np.ones((5, 4))), (0, 1, 2))
+        reverse = compiled._sized(inputs).run_reverse[(0, 1, 2)][0]
+        with pytest.raises(ValueError) as err:  # gradient arrays of the wrong shape
+            reverse(inputs, None, as_tensor(np.ones((5, 4))), [np.empty((1, 1))] * 3)
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == "<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>"
+        assert frame.name == "reverse" and frame.line.startswith("np.copyto(d2, np.dot(")
 
 
 class TestScalarOps:
