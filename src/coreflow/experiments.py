@@ -8,6 +8,7 @@ repeated run produces byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -54,11 +55,19 @@ from .tensor import as_tensor, frobenius_norm_sq, quietly, read_tensor, write_dt
 FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
 
 
-def _make_out_dir(out_dir: str) -> None:
+@contextlib.contextmanager
+def _writing_into(out_dir: str | None):
+    """The block, which writes into ``out_dir``, made first if one is given; a
+    path the OS refuses (a name too long, a directory where a file goes)
+    raises a ValidationError."""
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ValidationError(f"output directory {out_dir!r}: {exc.strerror}") from exc
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ValidationError(
+            f"output directory {out_dir!r}: cannot write {exc.filename!r}: {exc.strerror}"
+        ) from exc
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -445,32 +454,31 @@ def suite_das(instances) -> list[TheoremCheckReport]:
 
 
 def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> ExperimentResult:
-    if out_dir is not None:
-        _make_out_dir(out_dir)
-    seeds = list(range(num_seeds))
-    instances = suite_instances(seeds)
-    reports = [suite_deviation_forms()]
-    reports += suite_lemma_and_invariance(instances)
-    reports += suite_sgd_conservation(instances)
-    reports += suite_sam_dynamics(instances)
-    reports += suite_layered(seeds)
-    reports += suite_das(instances)
-    passed = all(r.passed for r in reports)
-    summary = {
-        "experiment": "theorem-suite",
-        "seeds": num_seeds,
-        "checks": len(reports),
-        "failures": sum(not r.passed for r in reports),
-        "all_passed": passed,
-    }
-    if out_dir is not None:
-        _write_summary(out_dir, summary)
-        with open(
-            os.path.join(out_dir, "theorem_reports.txt"), "w", encoding="utf-8"
-        ) as fh:
-            for rep in reports:
-                for line in rep.lines():
-                    fh.write(line + "\n")
+    with _writing_into(out_dir):
+        seeds = list(range(num_seeds))
+        instances = suite_instances(seeds)
+        reports = [suite_deviation_forms()]
+        reports += suite_lemma_and_invariance(instances)
+        reports += suite_sgd_conservation(instances)
+        reports += suite_sam_dynamics(instances)
+        reports += suite_layered(seeds)
+        reports += suite_das(instances)
+        passed = all(r.passed for r in reports)
+        summary = {
+            "experiment": "theorem-suite",
+            "seeds": num_seeds,
+            "checks": len(reports),
+            "failures": sum(not r.passed for r in reports),
+            "all_passed": passed,
+        }
+        if out_dir is not None:
+            _write_summary(out_dir, summary)
+            with open(
+                os.path.join(out_dir, "theorem_reports.txt"), "w", encoding="utf-8"
+            ) as fh:
+                for rep in reports:
+                    for line in rep.lines():
+                        fh.write(line + "\n")
     return ExperimentResult(
         kind="theorem-suite", summary=summary, passed=passed, reports=reports
     )
@@ -478,34 +486,34 @@ def run_theorem_suite(num_seeds: int = 10, out_dir: str | None = None) -> Experi
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     out_dir = out_dir or cfg.out
-    _make_out_dir(out_dir)
-    if cfg.kind in ("completion", "custom"):  # custom models share the pipeline
-        return run_completion(cfg, out_dir)
-    if cfg.kind == "tucker2-noise":
-        return run_tucker2_noise(cfg, out_dir)
-    if cfg.kind == "theorem-suite":
-        return run_theorem_suite(cfg.suite_seeds, out_dir)
+    with _writing_into(out_dir):
+        if cfg.kind in ("completion", "custom"):  # custom models share the pipeline
+            return run_completion(cfg, out_dir)
+        if cfg.kind == "tucker2-noise":
+            return run_tucker2_noise(cfg, out_dir)
+        if cfg.kind == "theorem-suite":
+            return run_theorem_suite(cfg.suite_seeds, out_dir)
     raise ValidationError(f"unknown experiment kind {cfg.kind!r}")
 
 
 def generate_to_files(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """The `gen` subcommand: synthetic target (and mask) written as DTF1."""
     out_dir = out_dir or cfg.out
-    _make_out_dir(out_dir)
-    spec = build_model_spec(cfg.model)
-    target, truth = generate_synthetic(spec, cfg.seed, cfg.objective.noise_alphas[0])
-    target_path = os.path.join(out_dir, "target.dtf1")
-    write_dtf1(target_path, target)
-    written = {"target": target_path}
-    if cfg.objective.mask_density < 1.0:
-        mask = sample_mask(
-            target.shape, cfg.objective.mask_density, _rng(cfg.seed + 1)
-        )
-        mask_path = os.path.join(out_dir, "mask.dtf1")
-        write_dtf1(mask_path, mask)
-        written["mask"] = mask_path
-    for idx, core in enumerate(truth):
-        path = os.path.join(out_dir, f"truth_core_{idx + 1}.dtf1")
-        write_dtf1(path, core)
-        written[f"truth_core_{idx + 1}"] = path
-    return written
+    with _writing_into(out_dir):
+        spec = build_model_spec(cfg.model)
+        target, truth = generate_synthetic(spec, cfg.seed, cfg.objective.noise_alphas[0])
+        target_path = os.path.join(out_dir, "target.dtf1")
+        write_dtf1(target_path, target)
+        written = {"target": target_path}
+        if cfg.objective.mask_density < 1.0:
+            mask = sample_mask(
+                target.shape, cfg.objective.mask_density, _rng(cfg.seed + 1)
+            )
+            mask_path = os.path.join(out_dir, "mask.dtf1")
+            write_dtf1(mask_path, mask)
+            written["mask"] = mask_path
+        for idx, core in enumerate(truth):
+            path = os.path.join(out_dir, f"truth_core_{idx + 1}.dtf1")
+            write_dtf1(path, core)
+            written[f"truth_core_{idx + 1}"] = path
+        return written

@@ -141,14 +141,16 @@ def hole_plan(spec: ReconstructionSpec, m: int) -> ContractionPlan:
 
 
 def grad_cores(
-    spec: ReconstructionSpec, cores: list[np.ndarray], dl_dt: np.ndarray
+    spec: ReconstructionSpec, cores: list[np.ndarray], dl_dt: np.ndarray, kept=None
 ) -> list[np.ndarray]:
     """Per-core gradients of f(reconstruct(cores)) given dl_dt = df/d(output),
     from one reverse pass through the plan's pairwise steps; constant slots
-    get no gradient."""
+    get no gradient.  ``kept`` is the reverse pass's share of
+    ``spec.compiled.forward`` on these cores' operands; without it the pass
+    runs that forward itself."""
     if dl_dt.shape != spec.output_shape:
         raise ShapeMismatch(f"output grad {dl_dt.shape} vs {spec.output_shape}")
-    return contract_grads(spec.compiled, spec.operands(cores), dl_dt, spec.core_slots)
+    return contract_grads(spec.compiled, spec.operands(cores), dl_dt, spec.core_slots, kept)
 
 
 def check_scale_invariance(

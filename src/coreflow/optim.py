@@ -166,9 +166,11 @@ def loss_and_core_grads(spec, cores, objective):
 
 
 def _fused_pass(spec, cores, objective):
-    """``loss_and_core_grads`` inside the open error-state scope."""
-    loss, dl = objective.loss_and_grad(spec.compiled.forward(spec.operands(cores)))
-    return loss, grad_cores(spec, cores, dl)
+    """``loss_and_core_grads`` inside the open error-state scope; the forward
+    pass hands its accumulators to the reverse pass."""
+    out, kept = spec.compiled.forward(spec.operands(cores))
+    loss, dl = objective.loss_and_grad(out)
+    return loss, grad_cores(spec, cores, dl, kept)
 
 
 def gradient_fn(spec: ReconstructionSpec, objective):

@@ -22,7 +22,6 @@ import functools
 import itertools
 import linecache
 import math
-import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -256,15 +255,14 @@ def _perm(labels: str, target: str) -> tuple[int, ...] | None:
 class _Sized(NamedTuple):
     """A plan's steps sized for one set of operand shapes, and its code."""
 
-    forward: list  # sized forward steps
     reverse: list  # sized (operand gradient, its transpose, accumulator gradient) steps
     out_shape: Shape
     grad_expand: Shape  # reshape and broadcast shapes that give the
     grad_shape: Shape   # output gradient the extra labels
     shapes: tuple[Shape, ...]  # the operand shapes
-    run_forward: object  # ops -> (output, accumulators kept for the reverse pass)
-    # slots -> (reverse(ops, kept accumulators or None, grad_out, grads), and the
-    # shapes and the flat shape of the gradients it writes)
+    run_forward: object  # ops -> (output, the accumulators the reverse pass reads)
+    # slots -> (reverse(ops, accumulators, grad_out, grads), and the shapes and
+    # the flat shape of the gradients it writes)
     run_reverse: dict
 
 
@@ -283,7 +281,8 @@ class CompiledPlan:
     output into the gradient of every requested operand slot: at step i the
     incoming gradient, contracted with the accumulator before the step, gives
     operand i's gradient, and contracted with operand i, the gradient passed
-    on to that accumulator, taking the accumulators ``forward`` kept if it can.
+    on to that accumulator.  The accumulators are the forward pass's own,
+    handed over by the caller: ``forward`` returns them with its output.
     Each gradient's last product lands in its slice of one flat array.
 
     Axes and permutations are fixed per plan; the sizes of each step are
@@ -292,8 +291,8 @@ class CompiledPlan:
     not change its array is dropped).  The lowered steps are then rendered as
     straight-line Python, one forward function per shape set and one reverse
     function per shape set and ``slots``, compiled once under a filename that
-    names the plan and the shapes.  ``forward`` keeps its accumulators for
-    the reverse pass.  A compiled plan pickles as its plan.
+    names the plan and the shapes.  A compiled plan keeps no state of any
+    call, so one plan serves every caller and thread; it pickles as its plan.
     """
 
     _MAX_SHAPE_SETS = 64
@@ -333,7 +332,6 @@ class CompiledPlan:
             self._reverse.append((op_grad, perm, acc_grad))
         self._first_perm = _perm(grad, labels[0])
         self._sizes: dict[tuple[Shape, ...], _Sized] = {}
-        self._kept = None  # (inputs, operands, accumulators, sized) of the last forward
 
     def __reduce__(self):
         return compile_plan, (self.plan,)
@@ -349,7 +347,6 @@ class CompiledPlan:
             out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
             forward = [_size_pair(step, extents) for step in self._forward]
             sized = _Sized(
-                forward,
                 [
                     (_size_pair(op_grad, extents), perm, _size_pair(acc_grad, extents))
                     for op_grad, perm, acc_grad in self._reverse
@@ -391,8 +388,9 @@ class CompiledPlan:
 
     def _render_reverse(self, sized: _Sized, slots: tuple[int, ...]):
         """reverse(ops, accs, g, grads), checked against the plan: it writes the
-        gradients of ``slots`` into ``grads``, rebuilding the accumulators it
-        reads if ``accs`` is None.  Returned with the gradients' shapes and flat shape."""
+        gradients of ``slots`` into ``grads``, reading the accumulators ``accs``
+        that the forward pass on ``ops`` returned.  Returned with the
+        gradients' shapes and flat shape."""
         try:
             shapes = tuple([sized.shapes[s] for s in slots])
         except IndexError:
@@ -403,15 +401,14 @@ class CompiledPlan:
                     f"operand {self.plan.operand_labels[s]!r} repeats a label; "
                     "it has no gradient"
                 )
-        n = len(sized.forward) + 1
+        n = len(sized.shapes)
         body = []
         if self._extra:
             body.append(f"g = np.broadcast_to(g.reshape({sized.grad_expand}), {sized.grad_shape})")
-        pending, read = list(slots), 0  # the reverse pass meets the last slot first
+        pending = list(slots)  # the reverse pass meets the last slot first
         for i, (op_grad, perm, acc_grad) in zip(range(n - 1, 0, -1), sized.reverse):
             if pending and pending[-1] == i:
                 body += _render_transposed_into(op_grad, perm, _acc(i - 1), "g", f"d{pending.pop()}")
-                read = max(read, i - 1)
             if not pending:
                 break
             if i == 1 and pending[-1] == 0:  # this product is operand 0's gradient
@@ -423,12 +420,7 @@ class CompiledPlan:
         if pending:
             raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
         lines = _unpack([f"x{i}" for i in range(n)], "ops")
-        if read:
-            lines += ["if accs is None:"] + [
-                f"    a{i} = {_render_product(step, _acc(i - 1), f'x{i}')}"
-                for i, step in enumerate(sized.forward[:read], 1)
-            ]
-            lines += ["else:", "    " + _unpack([f"a{i}" for i in range(1, n - 1)], "accs")[0]]
+        lines += _unpack([f"a{i}" for i in range(1, n - 1)], "accs")
         lines += _unpack([f"d{s}" for s in slots], "grads") + body
         source = ["def reverse(ops, accs, g, grads):"] + [f"    {ln}" for ln in lines + ["return"]]
         run = _compiled(source, self._filename(sized.shapes, slots), "reverse")
@@ -439,35 +431,23 @@ class CompiledPlan:
             return inputs
         return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
 
-    def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
-        """Unchecked contraction (maybe a view); keeps accumulators and sizes unless an
-        input is writable."""
+    def forward(self, inputs: list[np.ndarray]):
+        """Unchecked contraction (maybe a view), and what its reverse pass reads:
+        (operands, accumulators, sized steps), to hand to ``gradients``."""
         sized = self._sized(inputs)
-        if isinstance(inputs, FlatViews):  # its views are writable only if its flat is
-            writable = inputs.flat.flags.writeable
-        else:
-            inputs = tuple(inputs)
-            writable = any(x.flags.writeable for x in inputs)
         ops = self._operands(inputs)
         out, accs = sized.run_forward(ops)
-        self._kept = None if writable else (inputs, ops, accs, sized)
-        return out
+        return out, (ops, accs, sized)
 
     def gradients(
-        self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...]
+        self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...], kept=None
     ) -> "FlatViews":
         """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
         for each s in ``slots`` (ascending), in one reverse pass, as writable
         FlatViews of one fresh array: each gradient's last product is written
-        straight into its slice."""
-        kept = self._kept  # read once: another thread may replace it
-        if kept and (
-            kept[0] is inputs
-            or len(kept[0]) == len(inputs) and all(map(operator.is_, kept[0], inputs))
-        ):
-            _, ops, accs, sized = kept
-        else:
-            sized, ops, accs = self._sized(inputs), None, None
+        straight into its slice.  ``kept`` is what ``forward`` returned with
+        its output for these inputs; without it the pass runs ``forward`` first."""
+        ops, accs, sized = self.forward(inputs)[1] if kept is None else kept
         if grad_out.shape != sized.out_shape:
             raise ShapeMismatch(
                 f"output gradient {grad_out.shape}, plan gives {sized.out_shape}"
@@ -477,7 +457,7 @@ class CompiledPlan:
             reverse = sized.run_reverse[slots] = self._render_reverse(sized, slots)
         run, shapes, flat_shape = reverse
         grads = FlatViews(np.empty(flat_shape), shapes)
-        run(self._operands(inputs) if ops is None else ops, accs, grad_out, grads)
+        run(ops, accs, grad_out, grads)
         return grads
 
 
@@ -496,7 +476,7 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     copied first, so the caller's array stays writable.
     """
     compiled = compile_plan(plan)
-    out = quietly(compiled.forward, inputs)
+    out = quietly(compiled.forward, inputs)[0]
     if any(out is x for x in inputs):
         out = out.copy()
     return seal(out, compiled.context)
@@ -558,13 +538,15 @@ def contract_grads(
     inputs: list[np.ndarray],
     grad_out: np.ndarray,
     slots: tuple[int, ...],
+    kept=None,
 ) -> FlatViews:
     """Gradients of <contract(plan, inputs), grad_out> with respect to the
     operands at ``slots`` (ascending), from one reverse pass, as FlatViews of
     one sealed array holding them end to end, checked for finiteness once.
-    ``plan`` may be given compiled."""
+    ``plan`` may be given compiled.  ``kept``, the reverse pass's share of
+    ``CompiledPlan.forward(inputs)``, spares the pass its own forward."""
     compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
-    grads = quietly(compiled.gradients, inputs, grad_out, slots)
+    grads = quietly(compiled.gradients, inputs, grad_out, slots, kept)
     seal(grads.flat, compiled.context + " gradient")
     for view in grads:
         view.setflags(write=False)

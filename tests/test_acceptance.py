@@ -10,12 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from coreflow.config import parse_config_text
+from coreflow.config import build_model_spec, build_optimizer, parse_config_text
 from coreflow.diagnostics import norm_deviation, norm_deviation_pairwise
 from coreflow.experiments import (
     FAMILIES,
     check_instance,
+    generate_synthetic,
     run_experiment,
+    sample_mask,
     suite_das,
     suite_deviation_forms,
     suite_instances,
@@ -25,6 +27,8 @@ from coreflow.experiments import (
     suite_sgd_conservation,
 )
 from coreflow.model import grad_cores, reconstruct, reconstruct_with
+from coreflow.objective import MaskedMse
+from coreflow.optim import run
 from coreflow.tensor import as_tensor
 
 SEEDS = list(range(10))
@@ -257,12 +261,34 @@ def test_11_completion_near_tie(completion_runs):
     _passline(11, f"completion near-tie (r2: {r2})")
 
 
-def test_12_runtime_ordering(completion_runs):
+def test_12_runtime_ordering():
     """Per-step wall time on the completion workload: the scaling optimizer
-    costs at most 1.3x the base, the perturbation optimizer at least 1.6x."""
-    base = completion_runs["adam"]["seconds_per_step"]
-    sam_ratio = completion_runs["sam"]["seconds_per_step"] / base
-    das_ratio = completion_runs["das"]["seconds_per_step"] / base
+    costs at most 1.3x the base, the perturbation optimizer at least 1.6x.
+
+    The three optimizers take turns on one instance in one process: 30
+    rounds of one block of 200 steps each.  A block reads its fastest step,
+    and each ratio is the median over rounds of that round's ratio, so a
+    stretch in which a shared host runs slow moves a round, not the reading."""
+    cfgs = {k: parse_config_text(COMPLETION_CFG.format(kind=k)) for k in ("adam", "sam", "das")}
+    cfg = cfgs["adam"]
+    spec = build_model_spec(cfg.model)
+    target, _ = generate_synthetic(spec, cfg.seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
+    objective = MaskedMse(target, sample_mask(target.shape, cfg.objective.mask_density, rng))
+    cores = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
+
+    def fastest_step(kind):
+        ticks = []
+        run(spec, cores, objective, build_optimizer(cfgs[kind].optimizer), 201,
+            sink=lambda record: ticks.append(time.perf_counter()))
+        return float(np.min(np.diff(ticks)))
+
+    ratios = {"sam": [], "das": []}
+    for _ in range(30):
+        fastest = {kind: fastest_step(kind) for kind in cfgs}
+        for kind, seen in ratios.items():
+            seen.append(fastest[kind] / fastest["adam"])
+    sam_ratio, das_ratio = (float(np.median(ratios[k])) for k in ("sam", "das"))
     assert das_ratio <= 1.3, f"scaling overhead ratio {das_ratio:.2f}"
     assert sam_ratio >= 1.6, f"perturbation ratio {sam_ratio:.2f}"
     _passline(12, f"runtime ordering (sam {sam_ratio:.2f}x, das {das_ratio:.2f}x)")

@@ -32,6 +32,16 @@ optimizer {{
 """
 
 
+# Each family at a small shape, as the body of a config's model block.
+SMALL_MODELS = {
+    "cp": "family cp\n  modes 4,3,5\n  ranks 2",
+    "tucker": "family tucker\n  modes 4,3,5\n  ranks 2,2,2",
+    "tucker2": "family tucker2\n  modes 5,4\n  ranks 2,3",
+    "tt": "family tt\n  modes 3,4,3\n  ranks 2,2",
+    "tr": "family tr\n  modes 3,4,3\n  ranks 2,2,2",
+}
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -50,10 +60,15 @@ class TestRunCommand:
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("t,loss,q,cov,core_norm_sq_1")
 
-    def test_byte_identical_reruns(self, tmp_path):
+    @pytest.mark.parametrize("family", sorted(SMALL_MODELS))
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "sam", "das"])
+    def test_byte_identical_reruns(self, tmp_path, kind, family):
         # summary.txt carries wall-clock timing, so determinism is asserted on
         # the trajectory alone
-        cfg = write_cfg(tmp_path, COMPLETION.format(kind="das"))
+        text = COMPLETION.format(kind=kind).replace("iters 300", "iters 20")
+        text = text.replace("family tucker\n  modes 8,8,8\n  ranks 2,2,2", SMALL_MODELS[family])
+        assert SMALL_MODELS[family] in text
+        cfg = write_cfg(tmp_path, text)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["run", cfg, "--out", str(out1)]) == 0
         assert main(["run", cfg, "--out", str(out2)]) == 0
@@ -239,6 +254,36 @@ class TestUnusablePaths:
         )
         assert taken.read_text() == ""
 
+    def assert_refused_outputs(self, argv_for, squatted, tmp_path, capsys):
+        """``argv_for(out)`` with ``out`` a name too long for the OS, then with
+        ``out`` a directory holding a directory where the file ``squatted``
+        goes: each ends in one ``error:`` line naming the refused path and exit 2."""
+        long_name = str(tmp_path / ("x" * 300))
+        self.assert_one_line_error(
+            argv_for(long_name), capsys, "output directory", "File name too long"
+        )
+        out = tmp_path / "out"
+        (out / squatted).mkdir(parents=True)
+        self.assert_one_line_error(
+            argv_for(str(out)), capsys, "output directory", squatted, "Is a directory"
+        )
+
+    def test_run_outputs_the_os_refuses(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam").replace("iters 300", "iters 3"))
+        self.assert_refused_outputs(
+            lambda out: ["run", cfg, "--out", out], "trajectory.csv", tmp_path, capsys
+        )
+
+    def test_suite_outputs_the_os_refuses(self, tmp_path, capsys):
+        self.assert_refused_outputs(
+            lambda out: ["suite", "--seeds", "1", "--out", out], "theorem_reports.txt", tmp_path, capsys
+        )
+
+    def test_gen_outputs_the_os_refuses(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
+        self.assert_refused_outputs(
+            lambda out: ["gen", cfg, "--out", out], "target.dtf1", tmp_path, capsys
+        )
 
 DIVERGING = """
 experiment completion

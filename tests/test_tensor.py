@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coreflow import tensor
 from coreflow.errors import FormatError, LabelError, NumericalError, ShapeMismatch
+from coreflow.model import grad_cores, reconstruct, tucker2_spec
 from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
     ContractionPlan,
@@ -122,34 +123,57 @@ class TestContract:
         out2 = contract(plan("ij->ji"), [a])
         assert not out2.flags.writeable
 
-    def test_reverse_pass_takes_kept_accumulators_only_for_the_same_arrays(self, rng):
+    def test_reverse_pass_never_reads_a_stale_forward(self, rng):
+        # a standalone gradient pass runs its own forward, so no change to the
+        # operands since the caller's last contraction can leak into it
         p, slots = plan("ia,ajb,bk->ijk"), (0, 1, 2)
         shapes = [(3, 2), (2, 4, 3), (3, 5)]
         a, b = ([as_tensor(rng.standard_normal(s)) for s in shapes] for _ in range(2))
         g = as_tensor(rng.standard_normal((3, 4, 5)))
 
-        def rebuilt(arrays):  # fresh arrays: nothing kept applies to them
+        def fresh(arrays):
             return contract_grads(p, [np.array(x) for x in arrays], g, slots).flat.tobytes()
 
         contract(p, a)
-        assert contract_grads(p, b, g, slots).flat.tobytes() == rebuilt(b)
+        assert contract_grads(p, b, g, slots).flat.tobytes() == fresh(b)
         contract(p, a)
-        assert contract_grads(p, a, g, slots).flat.tobytes() == rebuilt(a)
-        # nor does a change to the caller's list
+        assert contract_grads(p, a, g, slots).flat.tobytes() == fresh(a)
+        # a change to the caller's list
         ops = list(a)
         contract(p, ops)
         ops[1] = b[1]
-        assert contract_grads(p, ops, g, slots).flat.tobytes() == rebuilt(ops)
-        # writable arrays may change between the passes, so nothing is kept
+        assert contract_grads(p, ops, g, slots).flat.tobytes() == fresh(ops)
+        # writable arrays changed in place
         w = [np.array(x) for x in a]
         contract(p, w)
         w[1][...] = b[1]
-        assert contract_grads(p, w, g, slots).flat.tobytes() == rebuilt(w)
-        # and so do the views of a carrier over a writable array
+        assert contract_grads(p, w, g, slots).flat.tobytes() == fresh(w)
+        # the views of a carrier over a writable array
         carrier = FlatViews(np.concatenate([x.ravel() for x in a]), shapes)
         contract(p, carrier)
         carrier[1][...] = b[1]
-        assert contract_grads(p, carrier, g, slots).flat.tobytes() == rebuilt(carrier)
+        assert contract_grads(p, carrier, g, slots).flat.tobytes() == fresh(carrier)
+        # read-only views of writable arrays changed through their bases
+        bases = [np.array(x) for x in a]
+        views = [read_only_view(x) for x in bases]
+        contract(p, views)
+        bases[1][...] = b[1]
+        assert contract_grads(p, views, g, slots).flat.tobytes() == fresh(views)
+        # the same through a spec's reconstruction and its core gradients
+        spec = tucker2_spec(5, 4, 3, 2)
+        bases = [rng.standard_normal(s) for s in spec.core_shapes]
+        views = [read_only_view(x) for x in bases]
+        dl = as_tensor(rng.standard_normal(spec.output_shape))
+        reconstruct(spec, views)
+        bases[0][...] = rng.standard_normal(bases[0].shape)
+        want = grad_cores(spec, [np.array(x) for x in views], dl)
+        assert grad_cores(spec, views, dl).flat.tobytes() == want.flat.tobytes()
+
+
+def read_only_view(x):
+    view = x.view()
+    view.setflags(write=False)
+    return view
 
 
 # Each shipped family's plan, then custom plans: with 3-D and 2-D transposes,
@@ -226,13 +250,17 @@ class TestLoweredSteps:
         assert got.flat.dtype == np.float64 and got.flat.tobytes() == want.flat.tobytes()
 
     def test_tucker2_keeps_only_real_2d_transposes(self):
-        forward, reverse = compile_plan(plan("oa,ab,ib->oi"))._sized(
+        sized = compile_plan(plan("oa,ab,ib->oi"))._sized(
             [np.zeros((5, 3)), np.zeros((3, 2)), np.zeros((4, 2))]
-        )[:2]
-        steps = forward + [s for op_grad, _, acc_grad in reverse for s in (op_grad, acc_grad)]
+        )
+        steps = [s for op_grad, _, acc_grad in sized.reverse for s in (op_grad, acc_grad)]
         assert all(shape is None for step in steps for shape in step[2:])
         perms = [perm for step in steps for perm in step[:2] if perm is not None]
-        assert perms == [(1, 0)] * 4
+        assert perms == [(1, 0)] * 3
+        # the forward steps are kept only as code: one 2-D transpose, no reshape
+        forward = "".join(linecache.getlines(sized.run_forward.__code__.co_filename))
+        assert forward.count(".transpose(") == forward.count(".transpose((1, 0))") == 1
+        assert ".reshape(" not in forward
 
 
 class TestRenderedCode:
@@ -290,8 +318,9 @@ class TestRenderedCode:
         compiled = compile_plan(p)
         contract_grads(p, inputs, as_tensor(np.ones((5, 4))), (0, 1, 2))
         reverse = compiled._sized(inputs).run_reverse[(0, 1, 2)][0]
+        ops, accs, _ = compiled.forward(inputs)[1]
         with pytest.raises(ValueError) as err:  # gradient arrays of the wrong shape
-            reverse(inputs, None, as_tensor(np.ones((5, 4))), [np.empty((1, 1))] * 3)
+            reverse(ops, accs, as_tensor(np.ones((5, 4))), [np.empty((1, 1))] * 3)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert frame.filename == "<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>"
         assert frame.name == "reverse" and frame.line.startswith("np.copyto(d2, np.dot(")
