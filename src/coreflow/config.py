@@ -265,6 +265,10 @@ def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
         cfg.model.ranks = cfg.model.ranks or (4, 4)
         if "objective.noise_alpha" not in seen:
             cfg.objective.noise_alphas = (0.0, 0.1, 0.3)
+        alphas = cfg.objective.noise_alphas  # one trajectory file and rank per strength
+        if alphas[0] < 0 or any(a >= b for a, b in zip(alphas, alphas[1:])):
+            raise ValidationError("noise_alpha must be >= 0 and strictly ascending in "
+                                  f"tucker2-noise, got {','.join(map(repr, alphas))}")
     spec = build_model_spec(cfg.model)  # raises on inconsistency
     if cfg.kind == "tucker2-noise" and spec.num_cores != 3:
         raise ValidationError(

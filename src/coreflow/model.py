@@ -146,11 +146,12 @@ def grad_cores(
     """Per-core gradients of f(reconstruct(cores)) given dl_dt = df/d(output),
     from one reverse pass through the plan's pairwise steps; constant slots
     get no gradient.  ``kept`` is the reverse pass's share of
-    ``spec.compiled.forward`` on these cores' operands; without it the pass
-    runs that forward itself."""
+    ``spec.compiled.forward`` on these cores' operands (which it holds);
+    without it the pass runs that forward itself."""
     if dl_dt.shape != spec.output_shape:
         raise ShapeMismatch(f"output grad {dl_dt.shape} vs {spec.output_shape}")
-    return contract_grads(spec.compiled, spec.operands(cores), dl_dt, spec.core_slots, kept)
+    ops = spec.operands(cores) if kept is None else kept[0]
+    return contract_grads(spec.compiled, ops, dl_dt, spec.core_slots, kept)
 
 
 def check_scale_invariance(
@@ -187,8 +188,13 @@ def check_directional_identity(
     dl_dt: np.ndarray,
 ) -> float:
     """Residual of <reconstruct(..., v, ...), dl_dt> == <v, grad_m>."""
+    return _directional_residual(spec, cores, m, v, dl_dt, grad_cores(spec, cores, dl_dt)[m])
+
+
+def _directional_residual(spec, cores, m, v, dl_dt, grad_m) -> float:
+    """``check_directional_identity`` given core m's gradient ``grad_m``."""
     lhs = frobenius_inner(reconstruct_with(spec, cores, m, v), dl_dt)
-    rhs = frobenius_inner(v, grad_cores(spec, cores, dl_dt)[m])
+    rhs = frobenius_inner(v, grad_m)
     return abs(lhs - rhs) / (1.0 + abs(rhs))
 
 

@@ -1,4 +1,5 @@
-"""Scalar losses over the reconstructed tensor, and evaluation metrics."""
+"""Scalar losses over the reconstructed tensor, and evaluation metrics.  A
+noisy target redrawn every step draws many steps' noise in one call."""
 
 from __future__ import annotations
 
@@ -54,7 +55,9 @@ class NoisyTargetMse:
     N has unit-variance Gaussian entries.  With resample_each_step the draw is
     refreshed once per optimizer step (begin_step), so the two gradient passes
     of a perturbation-based step see the same noise; otherwise the draw made at
-    construction is frozen.  alpha*N is formed once per draw.
+    construction is frozen.  Redrawn noise is drawn _BLOCK_BYTES at a time (at
+    least a step's), in one call that gives the bits of a call per step, sealed
+    and scaled by alpha once; ``noise`` is a read-only row of the block.
     """
 
     clean_target: np.ndarray
@@ -62,14 +65,23 @@ class NoisyTargetMse:
     seed: int = 0
     resample_each_step: bool = False
     noise: np.ndarray = field(init=False)
+    _BLOCK_BYTES = 1 << 17  # a constant, not a field
 
     def __post_init__(self):
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
+        rows = self._BLOCK_BYTES // max(self.clean_target.nbytes, 1)
+        self._shape = (max(rows, 1) if self.resample_each_step else 1, *self.clean_target.shape)
+        self._rows = iter(())
         self._draw()
 
     def _draw(self) -> None:
-        self.noise = seal(self._rng.standard_normal(self.clean_target.shape), "noise draw")
-        self._scaled_noise = self.alpha * self.noise
+        """The next row of the block, and of alpha times it; a new block when used up."""
+        row = next(self._rows, None)
+        if row is None:
+            block = seal(self._rng.standard_normal(self._shape), "noise draw")
+            self._rows = zip(block, self.alpha * block)
+            row = next(self._rows)
+        self.noise, self._scaled_noise = row
 
     def begin_step(self, t: int) -> None:
         if self.resample_each_step:

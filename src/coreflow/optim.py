@@ -15,7 +15,8 @@ of its group (layer).
 Every vector a step touches (cores, gradients, the SAM perturbation, the
 optimizer's buffers) is one flat float64 array over all cores end to end,
 checked for finiteness once; cores and gradients travel as ``FlatViews``
-(that array with its per-core views), so a step copies only plain lists.
+(that array with its per-core views), so a step copies only plain lists: a
+plain step builds two carriers (gradients, update), a SAM step four.
 ``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
 around the step alone; every pass and update inside the step reuses it.
 """
@@ -157,7 +158,9 @@ def base_step(
     else:
         step = g
     flat, shapes = carried(cores) if shapes is None else (cores, shapes)
-    return FlatViews(seal(shrink * flat - eta * step, "optimizer update"), shapes)
+    if shrink != 1.0:  # 1.0 * x is x bit for bit
+        flat = shrink * flat
+    return FlatViews(seal(flat - eta * step, "optimizer update"), shapes)
 
 
 def loss_and_core_grads(spec, cores, objective):

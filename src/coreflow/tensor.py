@@ -9,10 +9,11 @@ reaches them.  One exception: in a gradient pass the loss vouches for the output
 Inside coreflow numpy's overflow warnings are off: ``quietly`` enters that
 error state in the outermost coreflow call on a thread (an optimizer step, or
 a public function called on its own) and nested calls reuse it.  A reverse
-pass writes each gradient straight into its slice of one flat array, sealed once.
-A contraction runs as generated code: each plan's pairwise steps, sized for one
-set of operand shapes, are rendered once as straight-line numpy calls (see
-``CompiledPlan``), whose source tracebacks and profilers show under the plan's name.
+pass writes each gradient straight into its slice of one flat array, which it
+seals itself.  A contraction runs as generated code: each plan's pairwise steps,
+sized for one set of operand shapes, are rendered once as straight-line numpy
+calls (see ``CompiledPlan``), shown by tracebacks and profilers under the plan's
+name.  ``FlatViews`` builds its views with code rendered once per shape tuple.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def seal(arr: np.ndarray, context: str) -> np.ndarray:
         arr = np.ascontiguousarray(arr)
     else:
         arr = np.asarray(arr, dtype=np.float64)  # keep rank-0 rank-0
-    arr.setflags(write=False)
+    arr.setflags(False)  # write=False; numpy parses a positional flag faster than a keyword
     return arr
 
 
@@ -443,10 +444,10 @@ class CompiledPlan:
         self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...], kept=None
     ) -> "FlatViews":
         """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
-        for each s in ``slots`` (ascending), in one reverse pass, as writable
-        FlatViews of one fresh array: each gradient's last product is written
-        straight into its slice.  ``kept`` is what ``forward`` returned with
-        its output for these inputs; without it the pass runs ``forward`` first."""
+        for each s in ``slots`` (ascending), in one reverse pass, as FlatViews
+        of one fresh array, sealed: each gradient's last product is written
+        straight into its slice.  ``kept`` is what ``forward`` returned with its
+        output for these inputs; without it the pass runs ``forward`` first."""
         ops, accs, sized = self.forward(inputs)[1] if kept is None else kept
         if grad_out.shape != sized.out_shape:
             raise ShapeMismatch(
@@ -458,6 +459,9 @@ class CompiledPlan:
         run, shapes, flat_shape = reverse
         grads = FlatViews(np.empty(flat_shape), shapes)
         run(ops, accs, grad_out, grads)
+        seal(grads.flat, self.context + " gradient")
+        for view in grads:
+            view.setflags(False)
         return grads
 
 
@@ -484,13 +488,16 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=CompiledPlan._MAX_SHAPE_SETS)
 def _layout(shapes: tuple[Shape, ...]):
-    """The (start, stop, shape) of each array of ``shapes`` laid end to end,
-    the shape of the flat array they fill, and each array's entry count (a
-    read-only array); worked out once per shapes."""
+    """``views(flat)``: straight-line code giving the arrays of ``shapes`` end to
+    end in ``flat`` as views; the flat array's shape; and each array's entry
+    count (a read-only array).  Rendered once per shapes; linecache never holds
+    the code, so it leaves with its cache entry."""
     sizes = np.array([math.prod(shape) for shape in shapes], dtype=np.intp)
     sizes.setflags(write=False)
     ends = tuple(itertools.accumulate(sizes.tolist(), initial=0))
-    return tuple(zip(ends, ends[1:], shapes)), ends[-1:], sizes
+    spans = zip(ends, ends[1:], shapes)
+    views = "".join(f"flat[{a}:{b}].reshape({tuple(map(int, s))}), " for a, b, s in spans)
+    return eval(f"lambda flat: ({views})", {}), ends[-1:], sizes
 
 
 def sizes_of(shapes) -> np.ndarray:
@@ -507,10 +514,10 @@ class FlatViews(tuple):
 
     def __new__(cls, flat: np.ndarray, shapes):
         shapes = tuple(shapes)
-        spans, flat_shape, _ = _layout(shapes)
+        views, flat_shape, _ = _layout(shapes)
         if flat.shape != flat_shape:
             raise ShapeMismatch(f"flat array of shape {flat.shape} for {flat_shape[0]} entries")
-        self = super().__new__(cls, [flat[a:b].reshape(shape) for a, b, shape in spans])
+        self = super().__new__(cls, views(flat))
         self.__dict__.update(flat=flat, shapes=shapes)
         return self
 
@@ -546,11 +553,7 @@ def contract_grads(
     ``plan`` may be given compiled.  ``kept``, the reverse pass's share of
     ``CompiledPlan.forward(inputs)``, spares the pass its own forward."""
     compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
-    grads = quietly(compiled.gradients, inputs, grad_out, slots, kept)
-    seal(grads.flat, compiled.context + " gradient")
-    for view in grads:
-        view.setflags(write=False)
-    return grads
+    return quietly(compiled.gradients, inputs, grad_out, slots, kept)
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -232,3 +232,27 @@ def per_record_drift_bounds(records, eta):
         gamma = np.asarray(rec.grad_norms_sq)
         drift += eta * eta * np.abs(gamma - gamma.mean())
     return before, float(np.sum(drift * drift))
+
+
+class PerStepNoisyTargetMse:
+    """``NoisyTargetMse`` as a draw per step: one ``standard_normal`` call of
+    the target's shape at construction and, resampling, one more at every
+    ``begin_step``, with alpha*N formed on every loss."""
+
+    def __init__(self, clean_target, alpha, seed=0, resample_each_step=False):
+        self.clean_target, self.alpha = clean_target, alpha
+        self.resample_each_step = resample_each_step
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.noise = self.rng.standard_normal(clean_target.shape)
+
+    def begin_step(self, t):
+        if self.resample_each_step:
+            self.noise = self.rng.standard_normal(self.clean_target.shape)
+
+    def loss_and_grad(self, t_hat):
+        resid = t_hat - self.clean_target
+        resid -= self.alpha * self.noise
+        loss = float((resid * resid).sum())
+        if not math.isfinite(loss):
+            raise ValueError(f"non-finite loss {loss!r}")
+        return loss, resid * 2.0

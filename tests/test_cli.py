@@ -130,6 +130,16 @@ class TestRunCommand:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: tucker2-noise needs a model of 3 cores, got 4\n"
 
+    def test_noise_sweep_with_a_repeated_strength_exits_two(self, tmp_path, capsys):
+        # both runs would write trajectory_alpha_0p1.csv
+        text = self.NOISE_SWEEP.format(model="family tucker2\n  modes 5,4\n  ranks 2,2")
+        cfg = write_cfg(tmp_path, text + "objective {\n  noise_alpha 0.1,0.1\n}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: noise_alpha must be >= 0 and strictly ascending in tucker2-noise, got 0.1,0.1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_noise_sweep_runs_a_three_core_cp_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.NOISE_SWEEP.format(model="family cp\n  modes 4,4,4\n  ranks 2"))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) in (0, 1)  # 1: sweep unordered

@@ -66,6 +66,16 @@ class TestParsing:
         run_experiment(cfg, str(tmp_path))
         assert [p.name for p in tmp_path.glob("*.csv")] == ["trajectory_alpha_0p0.csv"]
 
+    @pytest.mark.parametrize("alphas", ["0.1,0.1", "0.3,0.1", "-0.0,0.0", "-0.1,0.2", "-0.1"])
+    def test_noise_sweep_strengths_must_ascend_from_zero(self, alphas):
+        # a repeated strength would overwrite its trajectory file; an unordered
+        # list would fail the orderings the sweep reports
+        text = MINIMAL_NOISE + f"objective {{\n  noise_alpha {alphas}\n}}\n"
+        got = ",".join(repr(float(a)) for a in alphas.split(","))
+        want = f"^noise_alpha must be >= 0 and strictly ascending in tucker2-noise, got {got}$"
+        with pytest.raises(ValidationError, match=want):
+            parse_config_text(text)
+
     @pytest.mark.parametrize(
         "model,cores",
         [

@@ -24,7 +24,7 @@ from coreflow.experiments import (
 from coreflow.diagnostics import norm_deviation, norm_grad_covariance
 from coreflow.model import reconstruct, tucker_spec
 from coreflow.optim import norms_sq
-from coreflow.tensor import frobenius_norm_sq
+from coreflow.tensor import CompiledPlan, frobenius_norm_sq
 
 from oracles import per_record_drift_bounds, per_record_trajectory_rows
 
@@ -218,6 +218,37 @@ class TestTheoremSuite:
         run_theorem_suite(2)
         assert len(calls) == 10  # 5 families x 2 seeds
         assert set(calls) == {(f, s) for f in FAMILIES for s in (0, 1)}
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        """Every forward ("forward") and reverse pass ("reverse" if handed
+        its forward's accumulators, else "standalone"), in order."""
+        calls = []
+        forward, gradients = CompiledPlan.forward, CompiledPlan.gradients
+
+        def counted_forward(compiled, inputs):
+            calls.append("forward")
+            return forward(compiled, inputs)
+
+        def counted_gradients(compiled, inputs, grad_out, slots, kept=None):
+            calls.append("standalone" if kept is None else "reverse")
+            return gradients(compiled, inputs, grad_out, slots, kept)
+
+        monkeypatch.setattr(CompiledPlan, "forward", counted_forward)
+        monkeypatch.setattr(CompiledPlan, "gradients", counted_gradients)
+        return calls
+
+    def test_a_draw_hands_its_forward_to_its_reverse_pass(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        check_instance("tucker2", 0)
+        assert calls == ["forward", "reverse"] * 2  # seed 0 rejects its first draw
+
+    def test_lemma_and_invariance_take_one_pass_per_instance(self, monkeypatch):
+        instances = suite_instances([0, 1])
+        calls = self.count_passes(monkeypatch)
+        assert len(suite_lemma_and_invariance(instances)) == 2 * len(FAMILIES)
+        # every core's gradient of an instance from one pass, not one pass per core
+        assert [c for c in calls if c != "forward"] == ["reverse"] * 2 * len(FAMILIES)
 
     def test_shared_instances_give_the_same_reports(self):
         # each section handed its own freshly drawn instances, as if alone

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from coreflow import experiments
 from coreflow.config import parse_config_text
 from coreflow.errors import DegenerateVariance, NumericalError, ShapeMismatch
 from coreflow.experiments import run_experiment
 from coreflow.objective import MaskedMse, NoisyTargetMse, r2_score
 from coreflow.tensor import as_tensor
 
-from oracles import unlowered_engine
+from oracles import PerStepNoisyTargetMse, unlowered_engine
 from test_experiments import NOISE_SWEEP_CFG
 
 
@@ -101,13 +102,32 @@ class TestNoisyTargetMse:
         assert loss == pytest.approx(float(np.sum(resid**2)), rel=1e-12)
         np.testing.assert_allclose(grad, 2.0 * resid, rtol=1e-12)
 
-    def test_frozen_mode_keeps_one_draw(self, rng):
+    @staticmethod
+    def count_draws(monkeypatch):
+        """The shape of every ``standard_normal`` call a NoisyTargetMse built
+        after this makes."""
+        shapes, real = [], np.random.Generator
+
+        class Counted:
+            def __init__(self, bit_generator):
+                self.gen = real(bit_generator)
+
+            def standard_normal(self, shape):
+                shapes.append(tuple(shape))
+                return self.gen.standard_normal(shape)
+
+        monkeypatch.setattr(np.random, "Generator", Counted)
+        return shapes
+
+    def test_frozen_mode_keeps_one_draw(self, rng, monkeypatch):
         clean = as_tensor(rng.standard_normal((2, 2)))
+        draws = self.count_draws(monkeypatch)
         obj = NoisyTargetMse(clean, alpha=1.0, seed=3, resample_each_step=False)
         draw = obj.noise.copy()
         obj.begin_step(0)
         obj.begin_step(1)
         np.testing.assert_array_equal(obj.noise, draw)
+        assert draws == [(1, 2, 2)]
 
     def test_resampling_is_seeded_and_reproducible(self, rng):
         clean = as_tensor(rng.standard_normal((2, 2)))
@@ -141,6 +161,38 @@ class TestNoisyTargetMse:
             loss, grad = obj.loss_and_grad(t_hat)
             assert loss == float((resid * resid).sum())
             assert grad.tobytes() == (resid * 2.0).tobytes()
+
+    # (target shape, steps a block of 128 KiB holds)
+    BLOCKS = [((4, 3), 1365), ((5461,), 3), ((128, 64), 2), ((16385,), 1)]
+
+    @pytest.mark.parametrize("shape, rows", BLOCKS, ids=["small", "3-rows", "2-rows", "over-the-cap"])
+    def test_blocks_give_the_bits_of_a_draw_per_step(self, rng, monkeypatch, shape, rows):
+        assert NoisyTargetMse._BLOCK_BYTES == 1 << 17
+        clean = as_tensor(rng.standard_normal(shape))
+        draws = self.count_draws(monkeypatch)
+        obj = NoisyTargetMse(clean, alpha=0.3, seed=11, resample_each_step=True)
+        monkeypatch.undo()
+        gen = np.random.Generator(np.random.PCG64(11))
+        for t in range(50):
+            if t:
+                obj.begin_step(t)
+            assert obj.noise.tobytes() == gen.standard_normal(shape).tobytes()
+            assert not obj.noise.flags.writeable
+        assert draws == [(rows, *shape)] * -(-50 // rows)  # one call per block
+
+    # the shipped blocks (136 steps of the 12x10 target), and blocks of 7 steps
+    @pytest.mark.parametrize("block_bytes", [NoisyTargetMse._BLOCK_BYTES, 7 * 12 * 10 * 8])
+    def test_sweep_bytes_match_one_draw_per_step(self, tmp_path, monkeypatch, block_bytes):
+        cfg = parse_config_text(NOISE_SWEEP_CFG)
+        monkeypatch.setattr(NoisyTargetMse, "_BLOCK_BYTES", block_bytes)
+        run_experiment(cfg, str(tmp_path / "blocks"))
+        monkeypatch.setattr(experiments, "NoisyTargetMse", PerStepNoisyTargetMse)
+        run_experiment(cfg, str(tmp_path / "per-step"))
+        names = sorted(p.name for p in (tmp_path / "blocks").glob("trajectory_alpha_*.csv"))
+        assert len(names) == 3
+        for name in names:
+            got = (tmp_path / "blocks" / name).read_bytes()
+            assert got == (tmp_path / "per-step" / name).read_bytes(), name
 
     def test_sweep_bytes_match_the_unlowered_engine(self, tmp_path):
         cfg = parse_config_text(NOISE_SWEEP_CFG)

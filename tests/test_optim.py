@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import linecache
 import math
 import pickle
 import sys
@@ -609,6 +610,31 @@ class TestFlatViewsCarrier:
         want = (1.0 - 0.01 * 0.1) * (cores.flat * factors) - 0.01 * g.flat
         assert got.flat.tobytes() == want.tobytes() and got.shapes == cores.shapes
 
+    @pytest.mark.parametrize(
+        "step, cfg, carriers",
+        [
+            (plain_step, SgdConfig(eta=0.01), 2),  # the gradients and the update
+            (sam_step, SamConfig(rho=0.05, base=SgdConfig(eta=0.01)), 4),  # and x + rho*u*g, g~
+        ],
+        ids=["plain", "sam"],
+    )
+    def test_step_builds_its_carriers(self, rng, monkeypatch, step, cfg, carriers):
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3))))
+        grads_of = gradient_fn(spec, obj)
+        start = random_cores(spec, rng, 0.5)
+        cores, _, _ = step(grads_of, start, cfg, init_state(cfg, start))
+        built = []
+        new = FlatViews.__new__
+
+        def counted(cls, *args):
+            built.append(cls)
+            return new(cls, *args)
+
+        monkeypatch.setattr(FlatViews, "__new__", staticmethod(counted))
+        step(grads_of, cores, cfg, init_state(cfg, cores))
+        assert len(built) == carriers
+
     def test_gradients_are_sealed_views_of_one_array(self, rng):
         spec = tucker2_spec(5, 4, 3, 2)  # the last core's gradient ends in a transpose
         cores = random_cores(spec, rng)
@@ -676,10 +702,13 @@ class TestFlatViewsCarrier:
             FlatViews(np.zeros(size), [(2, 2), (2,)])
 
     def test_layout_cache_is_bounded(self):
+        # the rendered view code lives only in the cache: linecache keeps none of it
         limit = tensor._layout.cache_info().maxsize
+        registered = set(linecache.cache)
         for n in range(1, 2 * limit + 2):
             FlatViews(np.zeros(n), [(n,)])
         assert 0 < tensor._layout.cache_info().currsize <= limit
+        assert set(linecache.cache) <= registered
 
 
 class TestFusedPass:

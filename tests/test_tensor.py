@@ -242,6 +242,18 @@ class TestLoweredSteps:
         with pytest.raises(ShapeMismatch, match="slots"):
             contract_grads(plan("ij,jk->ik"), [a, b], as_tensor(np.ones((2, 4))), slots)
 
+    def test_gradients_on_their_own_are_sealed(self, rng):
+        # the reverse pass seals its carrier itself, not only through contract_grads
+        inputs = [as_tensor(rng.standard_normal(s)) for s in ((2, 3), (3, 4))]
+        compiled = compile_plan(plan("ij,jk->ik"))
+        grads = compiled.gradients(inputs, as_tensor(rng.standard_normal((2, 4))), (0, 1))
+        assert not grads.flat.flags.writeable
+        assert [view.flags.writeable for view in grads] == [False, False]
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalError, match="'ij,jk->ik' gradient produced a non-finite"
+        ):
+            compiled.gradients(inputs, np.full((2, 4), np.inf), (0, 1))
+
     def test_integer_operands_give_float64_gradients(self, rng):
         ints = [rng.integers(-3, 4, (2, 3)), rng.integers(-3, 4, (3, 4))]
         g = rng.integers(-3, 4, (2, 4))
