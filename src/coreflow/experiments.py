@@ -291,9 +291,7 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     order with the noise strength."""
     spec = build_model_spec(cfg.model)
     alphas = cfg.objective.noise_alphas
-    rng = _rng(cfg.seed)
-    truth = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
-    clean = reconstruct(spec, truth)
+    clean = generate_synthetic(spec, cfg.seed)[0]
     clean = as_tensor(clean / math.sqrt(float(np.mean(clean * clean))))
     cores = _fig1_init_cores(spec, _rng(cfg.seed + 2))
     optimizer = build_optimizer(cfg.optimizer)

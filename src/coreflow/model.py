@@ -29,6 +29,7 @@ from .tensor import (
     frobenius_inner,
     frobenius_norm_sq,
     label_extents,
+    quietly,
     shapes_of,
 )
 
@@ -41,8 +42,8 @@ class ReconstructionSpec:
     """A contraction plan with K operand slots bound to trainable cores.
 
     ``constants[i]`` is None for core slots and a fixed tensor otherwise.
-    ``compiled`` is the plan's ``CompiledPlan``, bound once so that a gradient
-    pass does not look it up.
+    ``compiled`` is the plan's ``CompiledPlan``, bound once so that a fused
+    gradient pass does not look it up.
     """
 
     plan: ContractionPlan
@@ -145,13 +146,12 @@ def grad_cores(
 ) -> list[np.ndarray]:
     """Per-core gradients of f(reconstruct(cores)) given dl_dt = df/d(output),
     from one reverse pass through the plan's pairwise steps; constant slots
-    get no gradient.  ``kept`` is the reverse pass's share of
-    ``spec.compiled.forward`` on these cores' operands (which it holds);
-    without it the pass runs that forward itself."""
-    if dl_dt.shape != spec.output_shape:
-        raise ShapeMismatch(f"output grad {dl_dt.shape} vs {spec.output_shape}")
-    ops = spec.operands(cores) if kept is None else kept[0]
-    return contract_grads(spec.compiled, ops, dl_dt, spec.core_slots, kept)
+    get no gradient.  ``kept`` is what ``spec.compiled.forward`` returned for
+    these cores' operands, handed to the reverse pass as it is; without it
+    the pass is a standalone ``contract_grads``, its own forward first."""
+    if kept is None:
+        return contract_grads(spec.plan, spec.operands(cores), dl_dt, spec.core_slots)
+    return quietly(spec.compiled.gradients, kept, dl_dt, spec.core_slots)
 
 
 def check_scale_invariance(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,11 +186,11 @@ def gradient_fn(spec: ReconstructionSpec, objective):
     return grads_of
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Per-iteration measurements of one step, taken at the step's start.
 
-    Scalars only: a run keeps the record of every step.  ``u`` is the
+    Scalars only: a run keeps the record of every step, and builds one per
+    step (a named tuple builds faster than a frozen dataclass).  ``u`` is the
     normalizer SAM and DAS share, 0.0 for a plain step or a zero gradient.
     """
 

@@ -210,16 +210,10 @@ def _render_into(step, x: str, y: str, out: str) -> list[str]:
     C-contiguous float64 array of the result's shape."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
     x, y = _lowered(x, perm_x, shape_x), _lowered(y, perm_y, shape_y)
-    lines = []
-    if shape_out is not None:  # np.dot writes only into out viewed as its 2-D product
-        lines.append(f"lhs = {x}")
-        x, out = "lhs", f"{out}.reshape(len(lhs), -1)"
-    return lines + [
-        "try:",
-        f"    np.dot({x}, {y}, out={out})",
-        "except ValueError:  # np.dot writes only a product of out's dtype; copyto casts others",
-        f"    np.copyto({out}, np.dot({x}, {y}))",
-    ]
+    if shape_out is None:
+        return [f"np.dot({x}, {y}, out={out})"]
+    # np.dot writes only into out viewed as its 2-D product
+    return [f"lhs = {x}", f"np.dot(lhs, {y}, out={out}.reshape(len(lhs), -1))"]
 
 
 def _render_transposed_into(step, perm, x: str, y: str, out: str) -> list[str]:
@@ -282,9 +276,11 @@ class CompiledPlan:
     output into the gradient of every requested operand slot: at step i the
     incoming gradient, contracted with the accumulator before the step, gives
     operand i's gradient, and contracted with operand i, the gradient passed
-    on to that accumulator.  The accumulators are the forward pass's own,
-    handed over by the caller: ``forward`` returns them with its output.
-    Each gradient's last product lands in its slice of one flat array.
+    on to that accumulator.  The reverse pass reads only what ``forward``
+    returned with its output (operands, accumulators, sized steps), handed
+    over by the caller.  Every reverse product involves the float64 output
+    gradient, so each gradient's last product is one ``np.dot(..., out=)``
+    into its slice of one flat float64 array (or one copy of a transpose).
 
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
@@ -433,22 +429,22 @@ class CompiledPlan:
         return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
 
     def forward(self, inputs: list[np.ndarray]):
-        """Unchecked contraction (maybe a view), and what its reverse pass reads:
-        (operands, accumulators, sized steps), to hand to ``gradients``."""
+        """Unchecked contraction (maybe a view), and ``kept``, what its reverse
+        pass reads: (operands, accumulators, sized steps), to hand to ``gradients``."""
         sized = self._sized(inputs)
         ops = self._operands(inputs)
         out, accs = sized.run_forward(ops)
         return out, (ops, accs, sized)
 
-    def gradients(
-        self, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...], kept=None
-    ) -> "FlatViews":
-        """Gradients of <contraction, grad_out> with respect to ``inputs[s]``
-        for each s in ``slots`` (ascending), in one reverse pass, as FlatViews
-        of one fresh array, sealed: each gradient's last product is written
-        straight into its slice.  ``kept`` is what ``forward`` returned with its
-        output for these inputs; without it the pass runs ``forward`` first."""
-        ops, accs, sized = self.forward(inputs)[1] if kept is None else kept
+    def gradients(self, kept, grad_out: np.ndarray, slots: tuple[int, ...]) -> "FlatViews":
+        """Gradients of <contraction, grad_out> with respect to operand s for
+        each s in ``slots`` (ascending), in one reverse pass, as FlatViews of
+        one fresh float64 array, sealed: each gradient's last product is
+        written straight into its slice.  ``kept`` is what ``forward`` returned
+        with its output; it is all the pass reads of the operands.  ``grad_out``
+        is taken as float64."""
+        ops, accs, sized = kept
+        grad_out = np.asarray(grad_out, dtype=np.float64)
         if grad_out.shape != sized.out_shape:
             raise ShapeMismatch(
                 f"output gradient {grad_out.shape}, plan gives {sized.out_shape}"
@@ -474,12 +470,14 @@ def compile_plan(plan: ContractionPlan) -> CompiledPlan:
 def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     """Evaluate the plan by pairwise reductions in left-to-right order.
 
-    See CompiledPlan for the evaluation order.  The result is checked for
-    finiteness once; an overflow inside raises NumericalError here.  A result
-    that is an input itself (a plan that only passes an operand through) is
-    copied first, so the caller's array stays writable.
+    See CompiledPlan for the evaluation order.  Operands enter as float64 (a
+    float64 array is not copied), so the result is float64.  It is checked
+    for finiteness once; an overflow inside raises NumericalError here.  A
+    result that is an input itself (a plan that only passes an operand
+    through) is copied first, so the caller's array stays writable.
     """
     compiled = compile_plan(plan)
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
     out = quietly(compiled.forward, inputs)[0]
     if any(out is x for x in inputs):
         out = out.copy()
@@ -541,19 +539,16 @@ def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:
 
 
 def contract_grads(
-    plan: ContractionPlan | CompiledPlan,
-    inputs: list[np.ndarray],
-    grad_out: np.ndarray,
-    slots: tuple[int, ...],
-    kept=None,
+    plan: ContractionPlan, inputs: list[np.ndarray], grad_out: np.ndarray, slots: tuple[int, ...]
 ) -> FlatViews:
     """Gradients of <contract(plan, inputs), grad_out> with respect to the
-    operands at ``slots`` (ascending), from one reverse pass, as FlatViews of
-    one sealed array holding them end to end, checked for finiteness once.
-    ``plan`` may be given compiled.  ``kept``, the reverse pass's share of
-    ``CompiledPlan.forward(inputs)``, spares the pass its own forward."""
-    compiled = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
-    return quietly(compiled.gradients, inputs, grad_out, slots, kept)
+    operands at ``slots`` (ascending), as FlatViews of one sealed float64
+    array holding them end to end, checked for finiteness once.  A standalone
+    pass: its own forward, then the reverse pass, inside one error scope.
+    Operands enter as float64, as in ``contract``."""
+    compiled = compile_plan(plan)
+    inputs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    return quietly(lambda: compiled.gradients(compiled.forward(inputs)[1], grad_out, slots))
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -221,8 +221,8 @@ class TestTheoremSuite:
 
     @staticmethod
     def count_passes(monkeypatch):
-        """Every forward ("forward") and reverse pass ("reverse" if handed
-        its forward's accumulators, else "standalone"), in order."""
+        """Every forward ("forward") and reverse pass ("reverse"), in order; a
+        standalone pass shows up as an extra "forward" before its reverse."""
         calls = []
         forward, gradients = CompiledPlan.forward, CompiledPlan.gradients
 
@@ -230,9 +230,9 @@ class TestTheoremSuite:
             calls.append("forward")
             return forward(compiled, inputs)
 
-        def counted_gradients(compiled, inputs, grad_out, slots, kept=None):
-            calls.append("standalone" if kept is None else "reverse")
-            return gradients(compiled, inputs, grad_out, slots, kept)
+        def counted_gradients(compiled, kept, grad_out, slots):
+            calls.append("reverse")
+            return gradients(compiled, kept, grad_out, slots)
 
         monkeypatch.setattr(CompiledPlan, "forward", counted_forward)
         monkeypatch.setattr(CompiledPlan, "gradients", counted_gradients)

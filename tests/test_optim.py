@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import linecache
 import math
 import pickle
@@ -923,7 +922,7 @@ class TestErrorStateScope:
 
         def once(cores, cfg):
             final, records = run(spec, cores, obj, cfg, 40)
-            return final.flat.tobytes(), repr([dataclasses.astuple(r) for r in records])
+            return final.flat.tobytes(), repr([tuple(r) for r in records])
 
         serial = [once(*job) for job in jobs]
         results = [None] * len(jobs)
@@ -964,7 +963,7 @@ class TestReferenceSteps:
         assert len(cores) == len(ref_cores)
         for got, want in zip(cores, ref_cores):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert repr([dataclasses.astuple(r) for r in records]) == repr(ref_records)
+        assert repr([tuple(r) for r in records]) == repr(ref_records)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_run_matches_reference(self, name, rng):

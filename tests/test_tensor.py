@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coreflow import tensor
 from coreflow.errors import FormatError, LabelError, NumericalError, ShapeMismatch
-from coreflow.model import grad_cores, reconstruct, tucker2_spec
+from coreflow.model import grad_cores, reconstruct, tt_spec, tucker2_spec
 from coreflow.optim import SgdConfig, base_step, init_state
 from coreflow.tensor import (
     ContractionPlan,
@@ -246,13 +246,13 @@ class TestLoweredSteps:
         # the reverse pass seals its carrier itself, not only through contract_grads
         inputs = [as_tensor(rng.standard_normal(s)) for s in ((2, 3), (3, 4))]
         compiled = compile_plan(plan("ij,jk->ik"))
-        grads = compiled.gradients(inputs, as_tensor(rng.standard_normal((2, 4))), (0, 1))
+        grads = compiled.gradients(compiled.forward(inputs)[1], as_tensor(rng.standard_normal((2, 4))), (0, 1))
         assert not grads.flat.flags.writeable
         assert [view.flags.writeable for view in grads] == [False, False]
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericalError, match="'ij,jk->ik' gradient produced a non-finite"
         ):
-            compiled.gradients(inputs, np.full((2, 4), np.inf), (0, 1))
+            compiled.gradients(compiled.forward(inputs)[1], np.full((2, 4), np.inf), (0, 1))
 
     def test_integer_operands_give_float64_gradients(self, rng):
         ints = [rng.integers(-3, 4, (2, 3)), rng.integers(-3, 4, (3, 4))]
@@ -336,6 +336,56 @@ class TestRenderedCode:
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert frame.filename == "<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>"
         assert frame.name == "reverse" and frame.line.startswith("np.copyto(d2, np.dot(")
+
+
+    @pytest.mark.parametrize(
+        "expr",
+        # the shipped families' plans, two tucker2 layers composed, and repeated labels
+        LOWERING_PLANS[:6] + ["cd,de,ae,fg,gh,ch,ab->fb", "aab,bc->c", "ab,bcc->a"],
+    )
+    def test_each_gradient_write_is_one_product_into_place(self, expr, rng):
+        # every reverse product is float64, so no write needs a fallback
+        p = plan(expr)
+        extents = {ch: 2 + i for i, ch in enumerate(sorted(set("".join(p.operand_labels))))}
+        inputs = [as_tensor(rng.standard_normal([extents[ch] for ch in lb])) for lb in p.operand_labels]
+        g = as_tensor(rng.standard_normal([extents[ch] for ch in p.output_labels]))
+        eligible = tuple(i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb))
+        for slots in [eligible] + [(s,) for s in eligible]:
+            contract_grads(p, inputs, g, slots)
+            reverse = compile_plan(p)._sized(inputs).run_reverse[slots][0]
+            filename = reverse.__code__.co_filename
+            assert filename.startswith("<plan ") and f" slots {','.join(map(str, slots))}>" in filename
+            source = [ln.strip() for ln in linecache.getlines(filename)]
+            assert not any(re.search(r"\btry\b", ln) for ln in source)
+            for s in slots:
+                writes = [ln for ln in source if re.search(rf"\bd{s}\b", ln) and "= grads" not in ln]
+                assert len(writes) == 1, writes
+                assert re.fullmatch(
+                    rf"np\.dot\(.*, out=d{s}(\.reshape\(len\(lhs\), -1\))?\)"
+                    rf"|np\.copyto\(d{s}, .*\.transpose\(\([\d, ]+\)\)\)",
+                    writes[0],
+                ), writes[0]
+
+
+class TestFloat64Operands:
+    """Operands of any real dtype enter ``contract``, ``reconstruct`` and
+    ``contract_grads`` as float64, so every result is float64."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_results_match_float64_copies_bitwise(self, dtype, rng):
+        p = plan("ia,ajb,bk->ijk")
+        spec = tt_spec((3, 4, 5), (2, 3))
+        ops = [(4 * rng.standard_normal(s)).astype(dtype) for s in spec.core_shapes]
+        g = (4 * rng.standard_normal(spec.output_shape)).astype(dtype)
+        as64 = [x.astype(np.float64) for x in ops]
+        pairs = [
+            (contract(p, ops), contract(p, as64)),
+            (reconstruct(spec, ops), reconstruct(spec, as64)),
+            (contract_grads(p, ops, g, (0, 1, 2)).flat,
+             contract_grads(p, as64, g.astype(np.float64), (0, 1, 2)).flat),
+        ]
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 class TestScalarOps:
