@@ -52,45 +52,52 @@ _SGD_BALANCED_STEPS = 100
 _BALANCED_SLACK = (1e-9, 1e-18)  # relative, absolute
 
 
-def norm_deviation(core_norms_sq) -> float:
-    """Sum of squared deviations of the squared core norms from their mean."""
+def _rows(core_norms_sq) -> np.ndarray:
+    """Float64 norms, K >= 1 of them along the last axis: one row per set of cores."""
     s = np.asarray(core_norms_sq, dtype=np.float64)
-    if s.size < 1:
+    if s.ndim == 0 or s.shape[-1] < 1:
         raise LengthMismatch("need at least one core norm")
-    dev = s - s.mean()
-    return float(np.sum(dev * dev))
+    return s
 
 
-def norm_deviation_pairwise(core_norms_sq) -> float:
-    """Equivalent pairwise form: (1/2K) * sum_{i,j} (s_i - s_j)^2."""
-    s = np.asarray(core_norms_sq, dtype=np.float64)
-    if s.size < 1:
-        raise LengthMismatch("need at least one core norm")
-    diffs = s[:, None] - s[None, :]
-    return float(np.sum(diffs * diffs)) / (2.0 * s.size)
+def norm_deviation(core_norms_sq) -> float | np.ndarray:
+    """Sum of squared deviations of the squared core norms from their mean.
+    Reduces the last axis: a 1-D input gives a float, a (rows, K) stack an
+    array of one value per row, each bit for bit that row's own float."""
+    s = _rows(core_norms_sq)
+    dev = s - s.mean(axis=-1, keepdims=True)
+    q = np.sum(dev * dev, axis=-1)
+    return float(q) if s.ndim == 1 else q
 
 
-def norm_grad_covariance(core_norms_sq, grad_norms_sq) -> float:
-    """Population covariance (1/K) * sum (x_k - xbar)(y_k - ybar)."""
-    x = np.asarray(core_norms_sq, dtype=np.float64)
-    y = np.asarray(grad_norms_sq, dtype=np.float64)
-    if x.size != y.size:
-        raise LengthMismatch(f"lengths {x.size} and {y.size} differ")
-    if x.size < 1:
-        raise LengthMismatch("need at least one pair")
-    return float(np.mean((x - x.mean()) * (y - y.mean())))
+def norm_deviation_pairwise(core_norms_sq) -> float | np.ndarray:
+    """Equivalent pairwise form: (1/2K) * sum_{i,j} (s_i - s_j)^2, per row as
+    ``norm_deviation``."""
+    s = _rows(core_norms_sq)
+    diffs = s[..., :, None] - s[..., None, :]
+    q = np.sum(diffs * diffs, axis=(-2, -1)) / (2.0 * s.shape[-1])
+    return float(q) if s.ndim == 1 else q
+
+
+def norm_grad_covariance(core_norms_sq, grad_norms_sq) -> float | np.ndarray:
+    """Population covariance (1/K) * sum (x_k - xbar)(y_k - ybar) of two
+    arrays of one shape, per row as ``norm_deviation``."""
+    x, y = _rows(core_norms_sq), _rows(grad_norms_sq)
+    if x.shape != y.shape:
+        raise LengthMismatch(f"shapes {x.shape} and {y.shape} differ")
+    dx, dy = x - x.mean(axis=-1, keepdims=True), y - y.mean(axis=-1, keepdims=True)
+    cov = np.mean(dx * dy, axis=-1)
+    return float(cov) if x.ndim == 1 else cov
 
 
 def trajectory_stats(records: list[StepRecord]) -> tuple[list[float], list[float]]:
-    """(Q, Cov) of every record in one pass over the stacked norms; each row
-    reduces as ``norm_deviation``/``norm_grad_covariance`` do, bit for bit."""
+    """(Q, Cov) of every record: ``norm_deviation`` and ``norm_grad_covariance``
+    of the records' norms stacked one row per record, bit for bit per record."""
     if not records:
         return [], []
     s = np.array([r.core_norms_sq for r in records])
     g = np.array([r.grad_norms_sq for r in records])
-    dev = s - s.mean(axis=1, keepdims=True)
-    cov = np.mean(dev * (g - g.mean(axis=1, keepdims=True)), axis=1)
-    return np.sum(dev * dev, axis=1).tolist(), cov.tolist()
+    return norm_deviation(s).tolist(), norm_grad_covariance(s, g).tolist()
 
 
 def trajectory_rows(records: list[StepRecord], stats=None) -> list[str]:

@@ -9,6 +9,7 @@ repeated run produces byte-identical outputs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import time
@@ -50,7 +51,7 @@ from .model import (
 )
 from .objective import MaskedMse, NoisyTargetMse, r2_score
 from .optim import norms_sq, run
-from .tensor import as_tensor, frobenius_norm_sq, quietly, read_tensor, write_dtf1
+from .tensor import as_tensor, frobenius_norm_sq, quietly, read_tensor, seal, write_dtf1
 
 FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
 
@@ -83,7 +84,8 @@ def generate_synthetic(
     truth = [as_tensor(rng.standard_normal(shape)) for shape in spec.core_shapes]
     target = reconstruct(spec, truth)
     if noise_alpha != 0.0:
-        target = as_tensor(target + noise_alpha * rng.standard_normal(target.shape))
+        noisy = quietly(lambda: target + noise_alpha * rng.standard_normal(target.shape))
+        target = seal(noisy, f"the target at noise_alpha {noise_alpha!r}")
     return target, truth
 
 
@@ -109,12 +111,12 @@ def sample_mask(shape, density: float, rng: np.random.Generator) -> np.ndarray:
 # distance from stationarity.
 # ----------------------------------------------------------------------------
 
-_CHECK_SPECS = {
-    "cp": lambda: cp_spec((4, 3, 3), 3),
-    "tucker": lambda: tucker_spec((3, 3, 2), (2, 2, 2)),
-    "tucker2": lambda: tucker2_spec(6, 5, 3, 3),
-    "tt": lambda: tt_spec((3, 3, 2), (2, 3)),
-    "tr": lambda: tr_spec((3, 2, 3), (2, 2, 2)),
+_CHECK_SPECS = {  # each built once, on first use: a spec is immutable
+    "cp": functools.cache(lambda: cp_spec((4, 3, 3), 3)),
+    "tucker": functools.cache(lambda: tucker_spec((3, 3, 2), (2, 2, 2))),
+    "tucker2": functools.cache(lambda: tucker2_spec(6, 5, 3, 3)),
+    "tt": functools.cache(lambda: tt_spec((3, 3, 2), (2, 3))),
+    "tr": functools.cache(lambda: tr_spec((3, 2, 3), (2, 2, 2))),
 }
 
 _NORM_SPREAD = 0.35
@@ -144,9 +146,8 @@ def check_instance(family: str, seed: int):
     """A (spec, cores, objective) triple on which the one-step checks are
     well-posed; deterministic in (family, seed)."""
     rng = _rng(seed)
-    make = _CHECK_SPECS[family]
+    spec = _CHECK_SPECS[family]()
     for _ in range(_MAX_DRAWS):
-        spec = make()
         cores = random_cores(spec, rng, norm_spread=_NORM_SPREAD)
         out, kept = quietly(spec.compiled.forward, spec.operands(cores))  # checked by the objective
         obj = _unit_residual_objective(out, rng)
@@ -172,10 +173,11 @@ def layered_instance(kind: str, seed: int):
         x = as_tensor(rng.standard_normal(x_shape))
         cores = [random_cores(s, rng, norm_spread=_NORM_SPREAD) for s in (s1, s2)]
         model = LayeredModel([s1, s2], cores)
-        out = reconstruct(model.spec(x), [c for layer in cores for c in layer])
+        spec = model.spec(x)
+        out, kept = quietly(spec.compiled.forward, spec.operands([c for cs in cores for c in cs]))
         obj = _unit_residual_objective(out, rng)
         _, dl = obj.loss_and_grad(out)
-        if all(_well_conditioned(*layer) for layer in zip(model.cores, model.core_grads(x, dl))):
+        if all(_well_conditioned(*layer) for layer in zip(cores, model.core_grads(x, dl, kept))):
             return model, x, obj
     raise RuntimeError(f"no well-conditioned layered {kind} instance for seed {seed}")
 
@@ -385,12 +387,12 @@ def suite_deviation_forms() -> TheoremCheckReport:
     """The direct and pairwise norm-deviation forms agree, including on the
     worked norms {2, 10, 18} -> 128."""
     rng = _rng(_DEVIATION_FORM_SEED)
-    worst = 0.0
+    stacks: dict[int, list] = {}  # K -> the vectors of K norms, a stack per form call
     for _ in range(_DEVIATION_FORM_COUNT):
         k = int(rng.integers(2, 9))
-        s = rng.uniform(0.1, 10.0, k)
-        a, b = norm_deviation(s), norm_deviation_pairwise(s)
-        worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+        stacks.setdefault(k, []).append(rng.uniform(0.1, 10.0, k))
+    pairs = [(norm_deviation(rows), norm_deviation_pairwise(rows)) for rows in stacks.values()]
+    worst = max(float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300))) for a, b in pairs)
     exact = abs(norm_deviation([2, 10, 18]) - 128.0) + abs(
         norm_deviation_pairwise([2, 10, 18]) - 128.0
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance, NumericalError
-from .tensor import require_same_shape, seal
+from .tensor import quietly, require_same_shape, seal
 
 
 def _squared_error(resid: np.ndarray, normalizer: int, context: str):
@@ -79,7 +79,7 @@ class NoisyTargetMse:
         row = next(self._rows, None)
         if row is None:
             block = seal(self._rng.standard_normal(self._shape), "noise draw")
-            self._rows = zip(block, self.alpha * block)
+            self._rows = zip(block, quietly(np.multiply, self.alpha, block))
             row = next(self._rows)
         self.noise, self._scaled_noise = row
 

@@ -222,6 +222,33 @@ def per_record_trajectory_rows(records):
     return rows
 
 
+def per_vector_deviation_forms():
+    """The suite's deviation-forms report, each random norm vector run through
+    the direct and pairwise forms on its own."""
+    from coreflow.diagnostics import TheoremCheckReport, norm_deviation, norm_deviation_pairwise
+
+    rng = np.random.Generator(np.random.PCG64(0))
+    worst = 0.0
+    for _ in range(1000):
+        k = int(rng.integers(2, 9))
+        s = rng.uniform(0.1, 10.0, k)
+        a, b = norm_deviation(s), norm_deviation_pairwise(s)
+        worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
+    exact = abs(norm_deviation([2, 10, 18]) - 128.0) + abs(
+        norm_deviation_pairwise([2, 10, 18]) - 128.0
+    )
+    return TheoremCheckReport(
+        check="deviation_direct_vs_pairwise",
+        measured=worst,
+        predicted=0.0,
+        abs_residual=worst,
+        rel_residual=worst,
+        params={"count": 1000},
+        passed=worst <= 1e-10 and exact == 0.0,
+        details={"worked_example_residual": exact},
+    )
+
+
 def per_record_drift_bounds(records, eta):
     """The balanced-start drift bound before each record and after the last,
     accumulated one record at a time into a running per-core drift."""

@@ -18,7 +18,7 @@ from coreflow.config import parse_config_text
 from coreflow.model import random_cores, reconstruct, tucker2_spec, tucker_spec
 from coreflow.objective import MaskedMse, NoisyTargetMse
 from coreflow.optim import AdamConfig, DasConfig, SamConfig, SgdConfig
-from coreflow.tensor import as_tensor
+from coreflow.tensor import CompiledPlan, as_tensor
 
 from test_experiments import DAS_COMPLETION_CFG, NOISE_SWEEP_CFG
 
@@ -122,16 +122,24 @@ def test_one_traced_csv_span_per_csv_written(cfg_text, csvs, tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
-def test_layered_draw_builds_each_layer_matrix_once(kind):
-    """A layered draw reconstructs its one composite plan once and takes the
+def test_layered_draw_builds_each_layer_matrix_once(kind, monkeypatch):
+    """A layered draw runs its one composite plan's forward once and takes the
     per-layer gradients from one ``LayeredModel.core_grads``."""
+    forwards = []
+    real_forward = CompiledPlan.forward
+
+    def counted_forward(compiled, inputs):
+        forwards.append(compiled.plan)
+        return real_forward(compiled, inputs)
+
+    monkeypatch.setattr(CompiledPlan, "forward", counted_forward)
     tracer_mod = load("tracer")
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        experiments.layered_instance(kind, 0)
+        model, x, _ = experiments.layered_instance(kind, 0)
         draws = tracer.query("model.random_cores")[0] // 2  # one call per layer
-        counts = [tracer.query(n)[0] for n in ("model.reconstruct", "model.layered.core_grads")]
+        grads = tracer.query("model.layered.core_grads")[0]
     finally:
         tracer.uninstall()
-    assert counts == [draws, draws]
+    assert [forwards.count(model.spec(x).plan), grads] == [draws, draws]

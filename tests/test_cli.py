@@ -140,6 +140,26 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    HUGE_NOISE = COMPLETION.format(kind="adam")
+    HUGE_NOISE = HUGE_NOISE.replace("objective {", "objective {\n  noise_alpha 1e308")
+    HUGE_NOISE_SWEEP = NOISE_SWEEP.format(model="family tucker2\n  modes 5,4\n  ranks 2,2")
+    HUGE_NOISE_SWEEP += "objective {\n  noise_alpha 0.0,1e308\n}\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", HUGE_NOISE, "the target at noise_alpha 1e+308 produced a non-finite value"),
+            ("gen", HUGE_NOISE, "the target at noise_alpha 1e+308 produced a non-finite value"),
+            ("run", HUGE_NOISE_SWEEP, "iteration 0: noisy mse produced a non-finite loss inf"),
+        ],
+        ids=["run-completion", "gen", "run-tucker2-noise"],
+    )
+    def test_overflowing_noise_is_one_error_line(self, tmp_path, capsys, command, text, message):
+        # the noise is scaled with numpy's overflow warnings off, as every step is
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_noise_sweep_runs_a_three_core_cp_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.NOISE_SWEEP.format(model="family cp\n  modes 4,4,4\n  ranks 2"))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) in (0, 1)  # 1: sweep unordered

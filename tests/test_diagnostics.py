@@ -110,6 +110,44 @@ class TestCovariance:
             norm_grad_covariance([1.0, 2.0], [1.0])
 
 
+@st.composite
+def norm_stacks(draw):
+    """A (rows, K) pair of stacks, K = 1-8 and 0-50 rows, of norms spread over
+    17 decades."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rng.uniform(1.0, 10.0, (n, k)) * 10.0 ** rng.integers(-8, 9, (n, k)) for _ in "sg"]
+
+
+class TestStackedStatistics:
+    """A stack of norm vectors reduces its last axis: one value per row, bit
+    for bit the 1-D call on that row."""
+
+    @given(norm_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_equals_its_own_call(self, stacks):
+        s, g = stacks
+        for stacked, one_row in [
+            (norm_deviation(s), [norm_deviation(row) for row in s]),
+            (norm_deviation_pairwise(s), [norm_deviation_pairwise(row) for row in s]),
+            (norm_grad_covariance(s, g), [norm_grad_covariance(a, b) for a, b in zip(s, g)]),
+        ]:
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(s),)
+            assert [repr(v) for v in stacked.tolist()] == [repr(v) for v in one_row]
+            assert all(type(v) is float for v in one_row)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0), ()])
+    def test_no_norms_along_the_last_axis(self, shape):
+        s = np.ones(shape)
+        for stat in (norm_deviation, norm_deviation_pairwise, lambda v: norm_grad_covariance(v, v)):
+            with pytest.raises(LengthMismatch):
+                stat(s)
+
+    def test_stacks_of_different_shapes(self):
+        with pytest.raises(LengthMismatch):
+            norm_grad_covariance(np.ones((3, 2)), np.ones((2, 2)))
+
+
 class TestTrajectorySchema:
     def test_header_and_row_layout(self):
         rec = StepRecord(0, 1.5, (1.0, 2.0), (0.5, 0.25))

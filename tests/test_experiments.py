@@ -26,7 +26,7 @@ from coreflow.model import reconstruct, tucker_spec
 from coreflow.optim import norms_sq
 from coreflow.tensor import CompiledPlan, frobenius_norm_sq
 
-from oracles import per_record_drift_bounds, per_record_trajectory_rows
+from oracles import per_record_drift_bounds, per_record_trajectory_rows, per_vector_deviation_forms
 
 
 def completion_text(**overrides):
@@ -242,6 +242,22 @@ class TestTheoremSuite:
         calls = self.count_passes(monkeypatch)
         check_instance("tucker2", 0)
         assert calls == ["forward", "reverse"] * 2  # seed 0 rejects its first draw
+
+    @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
+    def test_a_layered_draw_hands_its_forward_to_its_reverse_pass(self, kind, monkeypatch):
+        draws = []
+        real = experiments.LayeredModel
+        monkeypatch.setattr(experiments, "LayeredModel", lambda *a: draws.append(1) or real(*a))
+        calls = self.count_passes(monkeypatch)
+        layered_instance(kind, 0)
+        assert calls == ["forward", "reverse"] * len(draws)
+
+    def test_each_family_builds_one_check_spec(self):
+        for family in FAMILIES:
+            assert check_instance(family, 0)[0] is check_instance(family, 1)[0]
+
+    def test_deviation_forms_match_the_per_vector_loop(self):
+        assert suite_deviation_forms().lines() == per_vector_deviation_forms().lines()
 
     def test_lemma_and_invariance_take_one_pass_per_instance(self, monkeypatch):
         instances = suite_instances([0, 1])
