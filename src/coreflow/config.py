@@ -282,6 +282,9 @@ def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
         )
     if not 0.0 < obj.mask_density <= 1.0:
         raise ValidationError(f"mask_density must be in (0,1], got {obj.mask_density}")
+    if cfg.kind == "tucker2-noise" and (obj.source != "synthetic" or obj.mask_density < 1.0):
+        raise ValidationError("tucker2-noise fits a synthetic target on every entry, got "
+                              f"source {obj.source!r} and mask_density {obj.mask_density!r}")
     if obj.source != "synthetic":
         path = obj.source
         if not os.path.isabs(path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 import time
@@ -33,15 +34,15 @@ from .diagnostics import (
     trajectory_stats,
     write_trajectory_csv,
 )
-from .errors import ValidationError
+from .errors import CoreflowError, ValidationError
 from .model import (
-    LayeredModel,
     ReconstructionSpec,
     _directional_residual,
     check_scale_invariance,
     cp_spec,
     custom_spec,
     grad_cores,
+    layered_spec,
     random_cores,
     reconstruct,
     tr_spec,
@@ -136,50 +137,49 @@ def _well_conditioned(cores, grads) -> bool:
     return abs(corr) >= _MIN_CORR and rel_spread >= _MIN_REL_SPREAD
 
 
-def _unit_residual_objective(out: np.ndarray, rng: np.random.Generator) -> MaskedMse:
-    resid = rng.standard_normal(out.shape)
-    resid /= math.sqrt(float(np.mean(resid * resid)))
-    return MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
+def _conditioned_draw(draw, seed: int, what: str):
+    """The first draw whose every layer passes _well_conditioned, as (spec, cores,
+    objective).  ``draw(rng)`` gives the spec and its layers' specs (a family is
+    one layer), whose cores are drawn next and laid end to end.  One forward sets
+    the unit-residual target; one reverse pass reads that forward's accumulators."""
+    rng = _rng(seed)
+    for _ in range(_MAX_DRAWS):
+        spec, layer_specs = draw(rng)
+        layers = [random_cores(s, rng, norm_spread=_NORM_SPREAD) for s in layer_specs]
+        cores = [c for layer in layers for c in layer]
+        out, kept = quietly(spec.compiled.forward, spec.operands(cores))  # checked by the objective
+        resid = rng.standard_normal(out.shape)
+        resid /= math.sqrt(float(np.mean(resid * resid)))
+        obj = MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
+        _, dl = obj.loss_and_grad(out)
+        grads = iter(grad_cores(spec, cores, dl, kept))
+        if all(_well_conditioned(layer, list(itertools.islice(grads, len(layer)))) for layer in layers):
+            return spec, cores, obj
+    raise RuntimeError(f"no well-conditioned {what} instance for seed {seed}")
 
 
 def check_instance(family: str, seed: int):
     """A (spec, cores, objective) triple on which the one-step checks are
     well-posed; deterministic in (family, seed)."""
-    rng = _rng(seed)
     spec = _CHECK_SPECS[family]()
-    for _ in range(_MAX_DRAWS):
-        cores = random_cores(spec, rng, norm_spread=_NORM_SPREAD)
-        out, kept = quietly(spec.compiled.forward, spec.operands(cores))  # checked by the objective
-        obj = _unit_residual_objective(out, rng)
-        _, dl = obj.loss_and_grad(out)
-        if _well_conditioned(cores, grad_cores(spec, cores, dl, kept)):
-            return spec, cores, obj
-    raise RuntimeError(f"no well-conditioned {family} instance for seed {seed}")
+    return _conditioned_draw(lambda rng: (spec, [spec]), seed, family)
 
 
 def layered_instance(kind: str, seed: int):
-    """A two-layer composite (model, x, objective): tucker2 matrices or
-    products of scalar cores, conditioned like check_instance per layer."""
-    rng = _rng(seed)
+    """A two-layer composite W_2 W_1 x of tucker2 matrices or scalar products,
+    conditioned per layer, as (spec, cores, objective, groups): the draw's one
+    ``layered_spec``, both layers' cores end to end and each layer's count."""
     if kind == "tucker2":
-        s1, s2 = tucker2_spec(6, 5, 3, 3), tucker2_spec(4, 6, 3, 3)
-        x_shape = (5, 3)
+        specs, x_shape = (tucker2_spec(6, 5, 3, 3), tucker2_spec(4, 6, 3, 3)), (5, 3)
     elif kind == "scalar":
-        s1 = s2 = custom_spec("a,b->ab", [(1,), (1,)])
-        x_shape = (1, 1)
+        specs, x_shape = (custom_spec("a,b->ab", [(1,), (1,)]),) * 2, (1, 1)
     else:
         raise ValueError(f"unknown layered kind {kind!r}")
-    for _ in range(_MAX_DRAWS):
-        x = as_tensor(rng.standard_normal(x_shape))
-        cores = [random_cores(s, rng, norm_spread=_NORM_SPREAD) for s in (s1, s2)]
-        model = LayeredModel([s1, s2], cores)
-        spec = model.spec(x)
-        out, kept = quietly(spec.compiled.forward, spec.operands([c for cs in cores for c in cs]))
-        obj = _unit_residual_objective(out, rng)
-        _, dl = obj.loss_and_grad(out)
-        if all(_well_conditioned(*layer) for layer in zip(cores, model.core_grads(x, dl, kept))):
-            return model, x, obj
-    raise RuntimeError(f"no well-conditioned layered {kind} instance for seed {seed}")
+    spec, cores, obj = _conditioned_draw(
+        lambda rng: (layered_spec(specs, as_tensor(rng.standard_normal(x_shape))), specs),
+        seed, f"layered {kind}",
+    )
+    return spec, cores, obj, tuple(s.num_cores for s in specs)
 
 
 # ----------------------------------------------------------------------------
@@ -299,16 +299,12 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     optimizer = build_optimizer(cfg.optimizer)
     q_rates, cov_means, losses = [], [], []
     for alpha in alphas:
-        objective = NoisyTargetMse(
-            clean_target=clean,
-            alpha=alpha,
-            seed=cfg.seed + 1,
-            resample_each_step=cfg.objective.resample,
-        )
-        _, records = run(
-            spec, cores, objective, optimizer, cfg.optimizer.iters,
-            schedule=cfg.optimizer.schedule,
-        )
+        try:
+            objective = NoisyTargetMse(clean, alpha, cfg.seed + 1, cfg.objective.resample)
+            _, records = run(spec, cores, objective, optimizer, cfg.optimizer.iters,
+                             schedule=cfg.optimizer.schedule)
+        except CoreflowError as exc:  # the same error type, naming the strength that failed
+            raise type(exc)(f"noise_alpha {float(alpha)!r}: {exc}") from exc
         tag = repr(float(alpha)).replace(".", "p").replace("-", "m")
         stats = qs, covs = trajectory_stats(records)
         write_trajectory_csv(
@@ -433,14 +429,14 @@ def suite_sam_dynamics(instances) -> list[TheoremCheckReport]:
 
 
 def suite_layered(seeds) -> list[TheoremCheckReport]:
+    """Layer-wise Q laws (rho=1e-3, eta=1e-6) from one probe of each composite spec."""
     reports = []
     for kind in ("tucker2", "scalar"):
         for seed in seeds:
-            model, x, obj = layered_instance(kind, seed)
-            cores = [c for layer_cores in model.cores for c in layer_cores]
-            probe = sam_probe(model.spec(x), cores, obj, rho=1e-3, eta=1e-6)
-            for layer in range(len(model.specs)):
-                rep = check_layerwise_q(probe, model.groups, layer)
+            spec, cores, obj, groups = layered_instance(kind, seed)
+            probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6)
+            for layer in range(len(groups)):
+                rep = check_layerwise_q(probe, groups, layer)
                 reports.append(
                     replace(rep, check=f"layerwise_q[{kind},seed={seed},layer={layer}]")
                 )

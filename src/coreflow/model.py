@@ -379,8 +379,8 @@ class LayeredModel:
     def spec(self, x: np.ndarray) -> ReconstructionSpec:
         return layered_spec(self.specs, x)
 
-    def core_grads(self, x: np.ndarray, dl_dout: np.ndarray, kept=None) -> list[list[np.ndarray]]:
-        """Each layer's core gradients given dl_dout = df/d(output), from one reverse pass
-        that reads ``kept`` (``spec(x)``'s forward) as ``grad_cores`` does, if given."""
-        grads = iter(grad_cores(self.spec(x), [c for cs in self.cores for c in cs], dl_dout, kept))
+    def core_grads(self, x: np.ndarray, dl_dout: np.ndarray) -> list[list[np.ndarray]]:
+        """Each layer's core gradients given dl_dout = df/d(output), from one
+        standalone gradient pass of ``spec(x)``."""
+        grads = iter(grad_cores(self.spec(x), [c for cs in self.cores for c in cs], dl_dout))
         return [list(itertools.islice(grads, n)) for n in self.groups]

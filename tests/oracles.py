@@ -249,6 +249,38 @@ def per_vector_deviation_forms():
     )
 
 
+def layered_model_draw(kind, seed):
+    """``experiments.layered_instance`` as a ``LayeredModel`` loop of its own,
+    as (x, cores end to end, objective): each draw is x, then each layer's
+    cores, then the unit residual; the draw is kept when every layer's cores
+    and ``core_grads`` pass the suite's conditioning."""
+    from coreflow import experiments
+    from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct, tucker2_spec
+    from coreflow.objective import MaskedMse
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "tucker2":
+        s1, s2 = tucker2_spec(6, 5, 3, 3), tucker2_spec(4, 6, 3, 3)
+        x_shape = (5, 3)
+    else:
+        s1 = s2 = custom_spec("a,b->ab", [(1,), (1,)])
+        x_shape = (1, 1)
+    for _ in range(experiments._MAX_DRAWS):
+        x = rng.standard_normal(x_shape)
+        layers = [random_cores(s, rng, norm_spread=experiments._NORM_SPREAD) for s in (s1, s2)]
+        model = LayeredModel([s1, s2], layers)
+        cores = [c for layer in layers for c in layer]
+        out = reconstruct(model.spec(x), cores)
+        resid = rng.standard_normal(out.shape)
+        resid /= math.sqrt(float(np.mean(resid * resid)))
+        obj = MaskedMse(out - resid, np.ones(out.shape))
+        _, dl = obj.loss_and_grad(out)
+        layer_grads = model.core_grads(x, dl)
+        if all(experiments._well_conditioned(c, g) for c, g in zip(layers, layer_grads)):
+            return x, cores, obj
+    raise RuntimeError(f"no well-conditioned layered {kind} instance for seed {seed}")
+
+
 def per_record_drift_bounds(records, eta):
     """The balanced-start drift bound before each record and after the last,
     accumulated one record at a time into a running per-core drift."""

@@ -123,8 +123,8 @@ def test_one_traced_csv_span_per_csv_written(cfg_text, csvs, tmp_path):
 
 @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
 def test_layered_draw_builds_each_layer_matrix_once(kind, monkeypatch):
-    """A layered draw runs its one composite plan's forward once and takes the
-    per-layer gradients from one ``LayeredModel.core_grads``."""
+    """A layered draw runs its one composite plan's forward once and takes
+    every layer's gradients from one ``grad_cores`` pass."""
     forwards = []
     real_forward = CompiledPlan.forward
 
@@ -137,9 +137,9 @@ def test_layered_draw_builds_each_layer_matrix_once(kind, monkeypatch):
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        model, x, _ = experiments.layered_instance(kind, 0)
+        spec, _, _, _ = experiments.layered_instance(kind, 0)
         draws = tracer.query("model.random_cores")[0] // 2  # one call per layer
-        grads = tracer.query("model.layered.core_grads")[0]
+        grads = tracer.query("model.grad_cores")[0]
     finally:
         tracer.uninstall()
-    assert [forwards.count(model.spec(x).plan), grads] == [draws, draws]
+    assert [forwards.count(spec.plan), grads] == [draws, draws]

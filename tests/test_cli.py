@@ -140,6 +140,25 @@ class TestRunCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "line, got",
+        [
+            ("source target.dtf1", "source 'target.dtf1' and mask_density 1.0"),
+            ("mask_density 0.5", "source 'synthetic' and mask_density 0.5"),
+        ],
+        ids=["source", "mask_density"],
+    )
+    def test_noise_sweep_rejects_the_objective_keys_it_ignores(self, tmp_path, capsys, line, got):
+        # the sweep always fits a synthetic target on every entry
+        write_dtf1(tmp_path / "target.dtf1", as_tensor(np.ones((5, 4))))
+        text = self.NOISE_SWEEP.format(model="family tucker2\n  modes 5,4\n  ranks 2,2")
+        cfg = write_cfg(tmp_path, text + f"objective {{\n  {line}\n}}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tucker2-noise fits a synthetic target on every entry, got {got}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     HUGE_NOISE = COMPLETION.format(kind="adam")
     HUGE_NOISE = HUGE_NOISE.replace("objective {", "objective {\n  noise_alpha 1e308")
     HUGE_NOISE_SWEEP = NOISE_SWEEP.format(model="family tucker2\n  modes 5,4\n  ranks 2,2")
@@ -150,7 +169,8 @@ class TestRunCommand:
         [
             ("run", HUGE_NOISE, "the target at noise_alpha 1e+308 produced a non-finite value"),
             ("gen", HUGE_NOISE, "the target at noise_alpha 1e+308 produced a non-finite value"),
-            ("run", HUGE_NOISE_SWEEP, "iteration 0: noisy mse produced a non-finite loss inf"),
+            ("run", HUGE_NOISE_SWEEP,
+             "noise_alpha 1e+308: iteration 0: noisy mse produced a non-finite loss inf"),
         ],
         ids=["run-completion", "gen", "run-tucker2-noise"],
     )

@@ -382,10 +382,10 @@ class TestLayerwiseQ:
 
     def test_passes_on_two_layer_composites(self):
         for kind in ("tucker2", "scalar"):
-            model, x, obj = layered_instance(kind, seed=0)
-            probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-6)
-            for layer in range(len(model.specs)):
-                rep = check_layerwise_q(probe, model.groups, layer=layer)
+            spec, cores, obj, groups = layered_instance(kind, seed=0)
+            probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6)
+            for layer in range(len(groups)):
+                rep = check_layerwise_q(probe, groups, layer=layer)
                 assert rep.passed, (kind, layer, rep)
 
     def test_zero_gradient_layer_predicts_zero(self):

@@ -22,11 +22,17 @@ from coreflow.experiments import (
     suite_sgd_conservation,
 )
 from coreflow.diagnostics import norm_deviation, norm_grad_covariance
-from coreflow.model import reconstruct, tucker_spec
+from coreflow.errors import NumericalError
+from coreflow.model import ReconstructionSpec, reconstruct, tucker_spec
 from coreflow.optim import norms_sq
 from coreflow.tensor import CompiledPlan, frobenius_norm_sq
 
-from oracles import per_record_drift_bounds, per_record_trajectory_rows, per_vector_deviation_forms
+from oracles import (
+    layered_model_draw,
+    per_record_drift_bounds,
+    per_record_trajectory_rows,
+    per_vector_deviation_forms,
+)
 
 
 def completion_text(**overrides):
@@ -171,6 +177,13 @@ optimizer {
             first_rows.append(cells[4:4 + k])
         assert first_rows[0] == first_rows[1]
 
+    def test_a_failing_strength_keeps_its_error_type_and_is_named(self, tmp_path):
+        text = NOISE_SWEEP_CFG.replace("noise_alpha 0.0,0.1,0.3", "noise_alpha 0.0,1e308")
+        assert "1e308" in text
+        with pytest.raises(NumericalError, match=r"^noise_alpha 1e\+308: iteration 0: ") as err:
+            run_experiment(parse_config_text(text), str(tmp_path))
+        assert isinstance(err.value.__cause__, NumericalError)
+
 
 class TestInstanceFactories:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -188,12 +201,24 @@ class TestInstanceFactories:
 
     @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
     def test_layered_instances_are_deterministic(self, kind):
-        m1, x1, _ = layered_instance(kind, seed=2)
-        m2, x2, _ = layered_instance(kind, seed=2)
-        np.testing.assert_array_equal(x1, x2)
-        for l1, l2 in zip(m1.cores, m2.cores):
-            for a, b in zip(l1, l2):
-                np.testing.assert_array_equal(a, b)
+        s1, c1, _, g1 = layered_instance(kind, seed=2)
+        s2, c2, _, g2 = layered_instance(kind, seed=2)
+        np.testing.assert_array_equal(s1.constants[-1], s2.constants[-1])  # x
+        assert g1 == g2 and len(c1) == len(c2) == sum(g1)
+        for a, b in zip(c1, c2):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 10])
+    @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
+    def test_layered_draw_matches_a_layered_model_loop(self, kind, seed):
+        # the same draws in the same order, kept by the same per-layer conditioning;
+        # tucker2 rejects 1 draw at seed 7 and 2 at seed 10
+        x, cores, obj = layered_model_draw(kind, seed)
+        spec, got_cores, got_obj, groups = layered_instance(kind, seed)
+        assert spec.constants[-1].tobytes() == x.tobytes()
+        assert groups == ((3, 3) if kind == "tucker2" else (2, 2))
+        assert [c.tobytes() for c in got_cores] == [c.tobytes() for c in cores]
+        assert got_obj.target.tobytes() == obj.target.tobytes()
 
 
 class TestTheoremSuite:
@@ -246,11 +271,24 @@ class TestTheoremSuite:
     @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
     def test_a_layered_draw_hands_its_forward_to_its_reverse_pass(self, kind, monkeypatch):
         draws = []
-        real = experiments.LayeredModel
-        monkeypatch.setattr(experiments, "LayeredModel", lambda *a: draws.append(1) or real(*a))
+        real = experiments.layered_spec
+        monkeypatch.setattr(experiments, "layered_spec", lambda *a: draws.append(1) or real(*a))
         calls = self.count_passes(monkeypatch)
         layered_instance(kind, 0)
         assert calls == ["forward", "reverse"] * len(draws)
+
+    def test_a_layered_draw_builds_one_composite_spec(self, monkeypatch):
+        built, draws = [], []
+        post_init, random_cores = ReconstructionSpec.__post_init__, experiments.random_cores
+        monkeypatch.setattr(
+            ReconstructionSpec, "__post_init__", lambda spec: built.append(spec.family) or post_init(spec)
+        )
+        monkeypatch.setattr(
+            experiments, "random_cores", lambda *a, **k: draws.append(1) or random_cores(*a, **k)
+        )
+        suite_layered(range(4))
+        assert len(draws) >= 2 * 2 * 4  # two layers a draw, a draw per kind and seed at least
+        assert built.count("layered") == len(draws) // 2  # rejected draws too
 
     def test_each_family_builds_one_check_spec(self):
         for family in FAMILIES:
