@@ -5,6 +5,7 @@ Grammar (one statement per line, ``#`` starts a comment):
     experiment completion        # tucker2-noise | completion | theorem-suite | custom
     seed 42
     out results
+    # seeds 10                   # theorem-suite: how many seeds it checks
 
     model {
       family tucker              # cp | tucker | tucker2 | tt | tr | custom
@@ -185,52 +186,49 @@ def _to_shapes(num, key, value) -> tuple[tuple[int, ...], ...]:
     return tuple(shapes)
 
 
+def _text(num, key, value) -> str:
+    return value
+
+
+def _lower(num, key, value) -> str:
+    return value.lower()
+
+
+# Each key's field and parser; the block is the key's prefix (none for a
+# top-level key).  A parser gets the line number, the key's last part (for
+# its messages) and the value.
+_KEYS = {
+    "experiment": ("kind", _text),
+    "seed": ("seed", _to_int),
+    "out": ("out", _text),
+    "seeds": ("suite_seeds", _to_int),
+    "model.family": ("family", _text),
+    "model.modes": ("modes", _to_ints),
+    "model.ranks": ("ranks", _to_ints),
+    "model.plan": ("plan", _text),
+    "model.shapes": ("shapes", _to_shapes),
+    "objective.source": ("source", _text),
+    "objective.mask_density": ("mask_density", _to_float),
+    "objective.noise_alpha": ("noise_alphas", _to_floats),
+    "objective.resample": ("resample", _to_bool),
+    "optimizer.kind": ("kind", _lower),
+    "optimizer.base": ("base", _lower),
+    **{f"optimizer.{name}": (name, _to_float) for name in (
+        "eta", "rho", "alpha", "momentum", "beta1", "beta2", "epsilon", "weight_decay")},
+    "optimizer.iters": ("iters", _to_int),
+    "optimizer.schedule": ("schedule", _lower),
+}
+
+
 def parse_config_text(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg = ExperimentConfig(kind="")
-    setters = {
-        "experiment": lambda n, v: setattr(cfg, "kind", v),
-        "seed": lambda n, v: setattr(cfg, "seed", _to_int(n, "seed", v)),
-        "out": lambda n, v: setattr(cfg, "out", v),
-        "seeds": lambda n, v: setattr(cfg, "suite_seeds", _to_int(n, "seeds", v)),
-        "model.family": lambda n, v: setattr(cfg.model, "family", v),
-        "model.modes": lambda n, v: setattr(cfg.model, "modes", _to_ints(n, "modes", v)),
-        "model.ranks": lambda n, v: setattr(cfg.model, "ranks", _to_ints(n, "ranks", v)),
-        "model.plan": lambda n, v: setattr(cfg.model, "plan", v),
-        "model.shapes": lambda n, v: setattr(cfg.model, "shapes", _to_shapes(n, "shapes", v)),
-        "objective.source": lambda n, v: setattr(cfg.objective, "source", v),
-        "objective.mask_density": lambda n, v: setattr(
-            cfg.objective, "mask_density", _to_float(n, "mask_density", v)
-        ),
-        "objective.noise_alpha": lambda n, v: setattr(
-            cfg.objective, "noise_alphas", _to_floats(n, "noise_alpha", v)
-        ),
-        "objective.resample": lambda n, v: setattr(
-            cfg.objective, "resample", _to_bool(n, "resample", v)
-        ),
-        "optimizer.kind": lambda n, v: setattr(cfg.optimizer, "kind", v.lower()),
-        "optimizer.base": lambda n, v: setattr(cfg.optimizer, "base", v.lower()),
-        "optimizer.eta": lambda n, v: setattr(cfg.optimizer, "eta", _to_float(n, "eta", v)),
-        "optimizer.rho": lambda n, v: setattr(cfg.optimizer, "rho", _to_float(n, "rho", v)),
-        "optimizer.alpha": lambda n, v: setattr(cfg.optimizer, "alpha", _to_float(n, "alpha", v)),
-        "optimizer.momentum": lambda n, v: setattr(
-            cfg.optimizer, "momentum", _to_float(n, "momentum", v)
-        ),
-        "optimizer.beta1": lambda n, v: setattr(cfg.optimizer, "beta1", _to_float(n, "beta1", v)),
-        "optimizer.beta2": lambda n, v: setattr(cfg.optimizer, "beta2", _to_float(n, "beta2", v)),
-        "optimizer.epsilon": lambda n, v: setattr(
-            cfg.optimizer, "epsilon", _to_float(n, "epsilon", v)
-        ),
-        "optimizer.weight_decay": lambda n, v: setattr(
-            cfg.optimizer, "weight_decay", _to_float(n, "weight_decay", v)
-        ),
-        "optimizer.iters": lambda n, v: setattr(cfg.optimizer, "iters", _to_int(n, "iters", v)),
-        "optimizer.schedule": lambda n, v: setattr(cfg.optimizer, "schedule", v.lower()),
-    }
     statements, blocks_seen = _tokenize(text)
     for num, key, value in statements:
-        if key not in setters:
+        if key not in _KEYS:
             raise ParseError(f"line {num}: unknown key {key!r}")
-        setters[key](num, value)
+        block, _, name = key.rpartition(".")
+        field_name, parse = _KEYS[key]
+        setattr(getattr(cfg, block) if block else cfg, field_name, parse(num, name, value))
     _validate(cfg, blocks_seen | {key for _, key, _ in statements}, base_dir)
     return cfg
 

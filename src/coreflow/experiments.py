@@ -201,26 +201,6 @@ def _write_summary(out_dir: str, summary: dict) -> None:
             fh.write(f"{key} {value}\n")
 
 
-class _StepClock:
-    """The fastest step of a run, timed through ``run``'s per-step sink.
-
-    A shared host slows a run for stretches of seconds, by a share that
-    changes from run to run, so a whole-run reading (or a median over blocks
-    of steps) moves with the host's load.  The fastest step is the one the
-    host slowed least: the program's own cost per step, provided the host
-    ran at full speed at some point during the run.
-    """
-
-    def __init__(self):
-        self.fastest = math.inf
-        self.last = time.perf_counter()
-
-    def step(self, record) -> None:
-        now = time.perf_counter()
-        self.fastest = min(self.fastest, now - self.last)
-        self.last = now
-
-
 def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     """Masked tensor completion: train on the observed fraction, score
     held-out entries with R^2."""
@@ -238,22 +218,29 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     objective = MaskedMse(target, train_mask)
     cores = [as_tensor(rng.standard_normal(s)) for s in spec.core_shapes]
     optimizer = build_optimizer(cfg.optimizer)
+    eval_mask = as_tensor(1.0 - train_mask)
+    # held-out entries score the run; under full observation the fit is scored
+    score_mask = eval_mask if eval_mask.sum() >= 2 else train_mask
+    # the target's R^2 against itself raises DegenerateVariance here, before
+    # any step, when score_mask selects too few entries or a constant target
+    quietly(r2_score, target, target, score_mask)
 
-    clock = _StepClock()
+    # One stamp before the run and one per step.  A shared host slows a run
+    # for stretches of seconds, by a share that changes from run to run, so a
+    # whole-run reading (or a median over blocks of steps) moves with the
+    # host's load.  The fastest step is the one the host slowed least: the
+    # program's own cost per step, provided the host ran at full speed at
+    # some point during the run.
+    stamps = [time.perf_counter()]
     cores, records = run(
         spec, cores, objective, optimizer, cfg.optimizer.iters,
-        sink=clock.step, schedule=cfg.optimizer.schedule,
+        sink=lambda _: stamps.append(time.perf_counter()), schedule=cfg.optimizer.schedule,
     )
 
     def score():
         """The trajectory CSV and the summary, with overflow warnings off like the run's."""
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), records)
         pred = reconstruct(spec, cores)
-        eval_mask = as_tensor(1.0 - train_mask)
-        if eval_mask.sum() >= 2:
-            r2 = r2_score(pred, target, eval_mask)
-        else:
-            r2 = r2_score(pred, target, train_mask)  # full observation: score fit
         return {
             "experiment": "completion",
             "optimizer": cfg.optimizer.kind,
@@ -261,8 +248,8 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
             "seed": cfg.seed,
             "final_loss": objective.loss_and_grad(pred)[0],
             "final_q": norm_deviation([frobenius_norm_sq(c) for c in cores]),
-            "r2": r2,
-            "seconds_per_step": clock.fastest,
+            "r2": r2_score(pred, target, score_mask),
+            "seconds_per_step": min(b - a for a, b in zip(stamps, stamps[1:])),
             "train_loss_last_recorded": records[-1].loss,
         }
 

@@ -42,13 +42,17 @@ class ReconstructionSpec:
     """A contraction plan with K operand slots bound to trainable cores.
 
     ``constants[i]`` is None for core slots and a fixed tensor otherwise.
-    ``compiled`` is the plan's ``CompiledPlan``, bound once so that a fused
-    gradient pass does not look it up.
+    The plan and the operand shapes fix everything else, worked out once
+    here: ``output_shape`` comes from the extents of every operand (the core
+    shapes in slot order, each constant's own shape), so a constant that
+    disagrees with a core fails when the spec is built.  ``core_slots`` are
+    the slots the cores fill, and ``compiled`` is the plan's
+    ``CompiledPlan``, bound once so that a fused gradient pass does not look
+    it up.
     """
 
     plan: ContractionPlan
     core_shapes: tuple[Shape, ...]
-    output_shape: Shape
     constants: tuple = ()
     family: str = "custom"
 
@@ -59,7 +63,7 @@ class ReconstructionSpec:
         if len(constants) != n_ops:
             raise ShapeMismatch("one constants entry per operand slot required")
         core_slots = tuple(i for i, c in enumerate(constants) if c is None)
-        object.__setattr__(self, "_core_slots", core_slots)
+        object.__setattr__(self, "core_slots", core_slots)
         object.__setattr__(self, "compiled", compile_plan(self.plan))
         if len(core_slots) != len(self.core_shapes):
             raise ShapeMismatch(
@@ -69,21 +73,21 @@ class ReconstructionSpec:
             labels = self.plan.operand_labels[slot]
             if len(set(labels)) != len(labels):
                 raise LabelError(f"core slot {labels!r} repeats a label")
-            if len(labels) != len(shape):
-                raise ShapeMismatch(f"core slot {labels!r} vs shape {shape}")
             if any(d < 1 for d in shape):
                 raise ShapeMismatch(f"core slot {labels!r}: extents must be >= 1, got {shape}")
-        for shape in self.core_shapes + (self.output_shape,):
+        shapes = iter(self.core_shapes)
+        extents = label_extents(
+            self.plan, [next(shapes) if c is None else c.shape for c in constants]
+        )
+        output_shape = tuple(extents[ch] for ch in self.plan.output_labels)
+        object.__setattr__(self, "output_shape", output_shape)
+        for shape in self.core_shapes + (output_shape,):
             if math.prod(shape) > _MAX_ENTRIES:
                 raise ShapeMismatch(f"shape {shape} has more entries than a float64 array can hold")
 
     @property
     def num_cores(self) -> int:
         return len(self.core_shapes)
-
-    @property
-    def core_slots(self) -> tuple[int, ...]:
-        return self._core_slots
 
     def operands(self, cores: list[np.ndarray]) -> list[np.ndarray]:
         """The plan's operands: ``cores`` itself if every slot is a core."""
@@ -93,19 +97,16 @@ class ReconstructionSpec:
             for core, shape in zip(cores, self.core_shapes):
                 if core.shape != shape:
                     raise ShapeMismatch(f"core shape {core.shape}, spec wants {shape}")
-        if len(self._core_slots) == len(self.constants):
+        if len(self.core_slots) == len(self.constants):
             return cores
         ops = list(self.constants)
-        for slot, core in zip(self._core_slots, cores):
+        for slot, core in zip(self.core_slots, cores):
             ops[slot] = core
         return ops
 
 
 def reconstruct(spec: ReconstructionSpec, cores: list[np.ndarray]) -> np.ndarray:
-    out = contract(spec.plan, spec.operands(cores))
-    if out.shape != spec.output_shape:
-        raise ShapeMismatch(f"output {out.shape}, spec wants {spec.output_shape}")
-    return out
+    return contract(spec.plan, spec.operands(cores))
 
 
 def reconstruct_with(
@@ -219,7 +220,6 @@ def cp_spec(modes: Shape, rank: int) -> ReconstructionSpec:
     return ReconstructionSpec(
         plan=plan,
         core_shapes=((n1, rank), (n2, rank), (n3, rank)),
-        output_shape=(n1, n2, n3),
         constants=(_superdiagonal(rank, 3), None, None, None),
         family="cp",
     )
@@ -233,7 +233,6 @@ def tucker_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
     return ReconstructionSpec(
         plan=plan,
         core_shapes=((r1, r2, r3), (n1, r1), (n2, r2), (n3, r3)),
-        output_shape=(n1, n2, n3),
         family="tucker",
     )
 
@@ -244,7 +243,6 @@ def tucker2_spec(n_out: int, n_in: int, r1: int, r2: int) -> ReconstructionSpec:
     return ReconstructionSpec(
         plan=plan,
         core_shapes=((n_out, r1), (r1, r2), (n_in, r2)),
-        output_shape=(n_out, n_in),
         family="tucker2",
     )
 
@@ -263,9 +261,7 @@ def tt_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
         shapes = ((n1, r1), (r1, n2, r2), (r2, n3, r3), (r3, n4))
     else:
         raise ShapeMismatch("tt family ships for orders 3 and 4")
-    return ReconstructionSpec(
-        plan=plan, core_shapes=shapes, output_shape=tuple(modes), family="tt"
-    )
+    return ReconstructionSpec(plan=plan, core_shapes=shapes, family="tt")
 
 
 def tr_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
@@ -282,21 +278,13 @@ def tr_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
         shapes = ((r0, n1, r1), (r1, n2, r2), (r2, n3, r3), (r3, n4, r0))
     else:
         raise ShapeMismatch("tr family ships for orders 3 and 4")
-    return ReconstructionSpec(
-        plan=plan, core_shapes=shapes, output_shape=tuple(modes), family="tr"
-    )
+    return ReconstructionSpec(plan=plan, core_shapes=shapes, family="tr")
 
 
 def custom_spec(expression: str, core_shapes: list[Shape]) -> ReconstructionSpec:
     """User-supplied plan; every operand slot is a trainable core."""
-    plan = ContractionPlan.parse(expression)
-    shapes = tuple(tuple(s) for s in core_shapes)
-    if len(shapes) != len(plan.operand_labels):
-        raise ShapeMismatch(f"{len(shapes)} shapes for {len(plan.operand_labels)} operands")
-    extents = label_extents(plan, shapes)
-    output_shape = tuple(extents[ch] for ch in plan.output_labels)
     return ReconstructionSpec(
-        plan=plan, core_shapes=shapes, output_shape=output_shape, family="custom"
+        ContractionPlan.parse(expression), tuple(tuple(s) for s in core_shapes)
     )
 
 
@@ -359,7 +347,7 @@ def layered_spec(specs: list[ReconstructionSpec], x: np.ndarray) -> Reconstructi
         row, rows = names[out[0]], spec.output_shape[0]
     return ReconstructionSpec(
         ContractionPlan((*labels, x_labels), row + x_labels[1]),
-        tuple(core_shapes), (rows, x.shape[1]), (*constants, x), family="layered",
+        tuple(core_shapes), (*constants, x), family="layered",
     )
 
 

@@ -22,10 +22,10 @@ from coreflow.experiments import (
     suite_sgd_conservation,
 )
 from coreflow.diagnostics import norm_deviation, norm_grad_covariance
-from coreflow.errors import NumericalError
+from coreflow.errors import DegenerateVariance, NumericalError
 from coreflow.model import ReconstructionSpec, reconstruct, tucker_spec
 from coreflow.optim import norms_sq
-from coreflow.tensor import CompiledPlan, frobenius_norm_sq
+from coreflow.tensor import CompiledPlan, as_tensor, frobenius_norm_sq, write_dtf1
 
 from oracles import (
     layered_model_draw,
@@ -115,6 +115,26 @@ class TestCompletionExperiment:
             assert key in res.summary
         text = (tmp_path / "summary.txt").read_text()
         assert "r2 " in text
+
+    @pytest.mark.parametrize("modes, message", [
+        ("1,1", "mask must select at least 2 entries"),
+        ("2,2", "masked target variance is zero"),
+    ])
+    def test_a_run_that_cannot_be_scored_fails_before_its_first_step(
+        self, tmp_path, monkeypatch, modes, message
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("trained a run that cannot be scored")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        text = completion_text(family="tucker2", modes=modes, ranks="1,1")
+        if modes == "2,2":  # a constant target, every entry observed
+            source = tmp_path / "flat.dtf1"
+            write_dtf1(str(source), as_tensor(np.ones((2, 2))))
+            text = text.replace("objective {", f"objective {{\n  source {source}")
+        with pytest.raises(DegenerateVariance, match=message):
+            run_experiment(parse_config_text(text), str(tmp_path))
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestNoiseSweepExperiment:

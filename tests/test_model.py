@@ -142,6 +142,13 @@ class TestReconstruct:
         with pytest.raises(ShapeMismatch):
             custom_spec("ij,jk->ik", shapes)
 
+    def test_a_constant_that_disagrees_with_a_core_fails_when_the_spec_is_built(self):
+        fixed = as_tensor(np.ones((5, 3)))
+        with pytest.raises(ShapeMismatch, match="label 'b' has extents 4 and 5"):
+            ReconstructionSpec(
+                ContractionPlan.parse("ab,bc->ac"), ((2, 4),), constants=(None, fixed)
+            )
+
 
 class TestGradients:
     def test_zero_output_grad_gives_zero_core_grads(self, rng):
@@ -214,9 +221,9 @@ def random_models(draw):
     spec = ReconstructionSpec(
         plan=ContractionPlan(tuple(ops), out),
         core_shapes=tuple(s for i, s in enumerate(shapes) if i != const),
-        output_shape=tuple(extents[ch] for ch in out),
         constants=tuple(v if i == const else None for i, v in enumerate(values)),
     )
+    assert spec.output_shape == tuple(extents[ch] for ch in out)
     cores = [v for i, v in enumerate(values) if i != const]
     return spec, cores, as_tensor(rng.standard_normal(spec.output_shape))
 
@@ -388,7 +395,7 @@ class TestLayeredSpec:
     def test_any_depth_with_constant_slots_is_the_matrix_chain(self, rng):
         fixed = as_tensor(rng.standard_normal((4, 3)))
         with_constant = ReconstructionSpec(
-            ContractionPlan.parse("ab,bc->ac"), ((2, 4),), (2, 3), constants=(None, fixed)
+            ContractionPlan.parse("ab,bc->ac"), ((2, 4),), constants=(None, fixed)
         )
         specs = [
             tucker2_spec(4, 5, 2, 3), custom_spec("ab,bc->ac", [(3, 2), (2, 4)]), with_constant,

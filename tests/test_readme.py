@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from coreflow import config
 from coreflow.config import parse_config_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,3 +33,18 @@ def test_config_block_parses():
     cfg = parse_config_text(block("", "experiment"))
     assert (cfg.kind, cfg.seed, cfg.out) == ("completion", 42, "results")
     assert (cfg.model.family, cfg.model.modes, cfg.optimizer.iters) == ("tucker", (20, 20, 20), 20000)
+
+
+def test_config_block_names_every_key():
+    """Each key the parser knows is the first word of a line of the block,
+    under its block; a commented line counts."""
+    documented, prefix = set(), ""
+    for line in block("", "experiment").splitlines():
+        words = line.lstrip("# ").split()
+        if words[-1:] == ["{"]:
+            prefix = words[0] + "."
+        elif words == ["}"]:
+            prefix = ""
+        elif words:
+            documented.add(prefix + words[0])
+    assert set(config._KEYS) - documented == set()
