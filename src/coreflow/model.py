@@ -21,7 +21,9 @@ import numpy as np
 from .errors import DegenerateModelWarning, LabelError, ShapeMismatch
 from .tensor import (
     ContractionPlan,
+    FlatViews,
     Shape,
+    _scope,
     as_tensor,
     compile_plan,
     contract,
@@ -91,7 +93,7 @@ class ReconstructionSpec:
 
     def operands(self, cores: list[np.ndarray]) -> list[np.ndarray]:
         """The plan's operands: ``cores`` itself if every slot is a core."""
-        if shapes_of(cores) != self.core_shapes:
+        if (cores.shapes if type(cores) is FlatViews else shapes_of(cores)) != self.core_shapes:
             if len(cores) != self.num_cores:
                 raise ShapeMismatch(f"expected {self.num_cores} cores, got {len(cores)}")
             for core, shape in zip(cores, self.core_shapes):
@@ -152,6 +154,8 @@ def grad_cores(
     the pass is a standalone ``contract_grads``, its own forward first."""
     if kept is None:
         return contract_grads(spec.plan, spec.operands(cores), dl_dt, spec.core_slots)
+    if _scope.open:
+        return spec.compiled.gradients(kept, dl_dt, spec.core_slots)
     return quietly(spec.compiled.gradients, kept, dl_dt, spec.core_slots)
 
 

@@ -18,7 +18,12 @@ checked for finiteness once; cores and gradients travel as ``FlatViews``
 (that array with its per-core views), so a step copies only plain lists: a
 plain step builds two carriers (gradients, update), a SAM step four.
 ``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
-around the step alone; every pass and update inside the step reuses it.
+around the step alone; every pass and update inside the step reuses it.  The
+passes and steps test whether the scope is open themselves; only a call on its
+own opens it, around a private body, never through its own name (which a
+benchmark's tracer may wrap).  So inside a step no pass opens a scope or hops
+through a private body, and a step hands ``base_step`` the flat arrays and
+shapes it reads off the carriers (a plain list of cores is copied).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, carried, quietly, seal, sizes_of
+from .tensor import FlatViews, _scope, carried, quietly, seal, sizes_of
 
 _TINY_NORM_SQ = 1e-300
 
@@ -142,43 +147,49 @@ def base_step(
     The update is elementwise, so it runs once over all cores laid end to
     end (one numpy call per operation instead of one per core); the new
     cores are FlatViews of one sealed flat array.  Given ``shapes``,
-    ``cores`` is the flat array of cores of those shapes.
+    ``cores`` and ``grads`` are the flat arrays of the cores and gradients
+    of those shapes, as the steps hand them over.
     """
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    g = carried(grads)[0]
+    if shapes is None:
+        (cores, shapes), grads = carried(cores), carried(grads)[0]
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
-        state.flat_m = m = cfg.beta1 * state.flat_m + (1.0 - cfg.beta1) * g
-        state.flat_v = v = cfg.beta2 * state.flat_v + (1.0 - cfg.beta2) * (g * g)
+        state.flat_m = m = cfg.beta1 * state.flat_m + (1.0 - cfg.beta1) * grads
+        state.flat_v = v = cfg.beta2 * state.flat_v + (1.0 - cfg.beta2) * (grads * grads)
         step = (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
     elif cfg.momentum > 0.0:
-        state.flat_momentum = step = cfg.momentum * state.flat_momentum + g
+        state.flat_momentum = step = cfg.momentum * state.flat_momentum + grads
     else:
-        step = g
-    flat, shapes = carried(cores) if shapes is None else (cores, shapes)
+        step = grads
     if shrink != 1.0:  # 1.0 * x is x bit for bit
-        flat = shrink * flat
-    return FlatViews(seal(flat - eta * step, "optimizer update"), shapes)
+        cores = shrink * cores
+    return FlatViews(seal(cores - eta * step, "optimizer update"), shapes)
 
 
 def loss_and_core_grads(spec, cores, objective):
     """Loss and core gradients: one forward pass, vouched for by the loss, and one reverse."""
-    return quietly(_fused_pass, spec, cores, objective)
+    if not _scope.open:  # called on its own
+        return quietly(_fused_pass, spec, cores, objective)
+    out, kept = spec.compiled.forward(spec.operands(cores))
+    loss, dl = objective.loss_and_grad(out)
+    return loss, grad_cores(spec, cores, dl, kept)
 
 
 def _fused_pass(spec, cores, objective):
-    """``loss_and_core_grads`` inside the open error-state scope; the forward
-    pass hands its accumulators to the reverse pass."""
+    """``loss_and_core_grads`` for a call on its own, inside the scope that
+    call opens: the same pass, reached without the public name, which a
+    tracer may wrap and would then count twice."""
     out, kept = spec.compiled.forward(spec.operands(cores))
     loss, dl = objective.loss_and_grad(out)
     return loss, grad_cores(spec, cores, dl, kept)
 
 
 def gradient_fn(spec: ReconstructionSpec, objective):
-    """The gradient callback the steps take: cores -> (loss, core gradients)."""
+    """The gradient callback the steps take: cores -> (loss, core gradients as FlatViews)."""
 
     def grads_of(cores):
         return loss_and_core_grads(spec, cores, objective)
@@ -205,7 +216,7 @@ class StepRecord(NamedTuple):
 
 def norms_sq(arrays) -> tuple[float, ...]:
     """Squared norms as ``frobenius_norm_sq`` sums them; one finiteness check, on their total."""
-    out = tuple([float(np.vdot(a, a)) for a in arrays])
+    out = tuple(map(float, map(np.vdot, arrays, arrays)))
     if not math.isfinite(sum(out)):
         raise NumericalError(f"squared norms {out!r} are not finite in sum")
     return out
@@ -213,7 +224,9 @@ def norms_sq(arrays) -> tuple[float, ...]:
 
 # Every step takes (grads_of, cores, cfg, state, eta=None, groups=None), hands
 # ``cores`` itself to ``grads_of`` first, and returns (new cores as FlatViews,
-# StepRecord, the gradients the base update used).
+# StepRecord, the gradients the base update used).  ``grads_of`` returns the
+# gradients as FlatViews, as ``gradient_fn``'s callback does; ``cores`` is
+# FlatViews or a list of arrays.
 # ``groups`` gives the number of cores in each group (layer), laid end to end
 # in ``cores``; only DAS reads it.
 
@@ -221,7 +234,8 @@ def plain_step(grads_of, cores, cfg: SgdConfig | AdamConfig, state, eta=None, gr
     """The base SGD/momentum/Adam update with the gradients at ``cores``."""
     loss, g = grads_of(cores)
     rec = StepRecord(state.t, loss, norms_sq(cores), norms_sq(g))
-    return base_step(cores, g, cfg, state, eta), rec, g
+    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
+    return base_step(flat, g.flat, cfg, state, eta, shapes), rec, g
 
 
 def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
@@ -232,15 +246,24 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
     gamma = norms_sq(g)
     s = norms_sq(cores)
     total = sum(gamma)
+    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
     if total == 0.0:
         rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
-        return base_step(cores, g, cfg.base, state, eta), rec, g
+        return base_step(flat, g.flat, cfg.base, state, eta, shapes), rec, g
     u = total ** -0.5
-    flat, shapes = carried(cores)
-    x = quietly(lambda: flat + (cfg.rho * u) * carried(g)[0])
+    scale = cfg.rho * u
+    if _scope.open:
+        x = flat + scale * g.flat
+    else:  # called on its own
+        x = quietly(_perturbed, flat, scale, g.flat)
     _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), shapes))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
-    return base_step(cores, g_tilde, cfg.base, state, eta), rec, g_tilde
+    return base_step(flat, g_tilde.flat, cfg.base, state, eta, shapes), rec, g_tilde
+
+
+def _perturbed(flat, scale, g):
+    """SAM's perturbed point, for a step called outside the error-state scope."""
+    return flat + scale * g
 
 
 def das_scaling_factors(
@@ -296,9 +319,9 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         state.t, loss, s, gamma,
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
-    flat, shapes = carried(cores)
+    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
     factors = np.repeat(np.add(1.0, lams), sizes_of(shapes))
-    return base_step(flat * factors, g, cfg.base, state, eta_t, shapes), rec, g
+    return base_step(flat * factors, g.flat, cfg.base, state, eta_t, shapes), rec, g
 
 
 def step_of(cfg: OptimizerConfig):

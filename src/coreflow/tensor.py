@@ -8,12 +8,18 @@ Contractions check only their results, since a non-finite intermediate always
 reaches them.  One exception: in a gradient pass the loss vouches for the output.
 Inside coreflow numpy's overflow warnings are off: ``quietly`` enters that
 error state in the outermost coreflow call on a thread (an optimizer step, or
-a public function called on its own) and nested calls reuse it.  A reverse
-pass writes each gradient straight into its slice of one flat array, which it
-seals itself.  A contraction runs as generated code: each plan's pairwise steps,
-sized for one set of operand shapes, are rendered once as straight-line numpy
-calls (see ``CompiledPlan``), shown by tracebacks and profilers under the plan's
-name.  ``FlatViews`` builds its views with code rendered once per shape tuple.
+a public function called on its own) and nested calls reuse it.  A function
+on a step's path tests ``_scope.open`` itself and calls ``quietly`` only when
+the scope is closed, around a private body, so a step pays for no nested
+scope.  A reverse pass writes each gradient straight into its slice of one
+flat array, which it seals itself.  A contraction runs as generated code: each
+plan's pairwise steps, sized for one set of operand shapes, are rendered once
+as straight-line numpy calls (see ``CompiledPlan``), shown by tracebacks and
+profilers under the plan's name.  A product is the ndarray ``dot`` method,
+the C routine of ``np.dot`` without the Python dispatcher numpy runs before
+it, and a reverse step lowers its incoming gradient once for both of its
+products.  ``FlatViews`` builds its views with code rendered once per shape
+tuple.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import itertools
 import linecache
 import math
+import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -33,6 +40,9 @@ import numpy as np
 from .errors import FormatError, LabelError, NumericalError, ShapeMismatch
 
 Shape = tuple[int, ...]
+
+_shape = operator.attrgetter("shape")
+_FLOAT64 = np.dtype(np.float64)
 
 _DTF1_MAGIC = b"DTF1"
 
@@ -198,10 +208,18 @@ def _lowered(name: str, perm, shape) -> str:
     return name if shape is None else f"{name}.reshape({shape})"
 
 
+def _lowered_once(lines: list[str], grad: str) -> list[str]:
+    """One reverse step's statements with the incoming gradient lowered once
+    as ``h`` when both of its products read it lowered as ``grad``."""
+    if grad == "g" or sum(ln.count(grad) for ln in lines) < 2:
+        return lines
+    return [f"h = {grad}"] + [ln.replace(grad, "h") for ln in lines]
+
+
 def _render_product(step, x: str, y: str) -> str:
     """Source of one sized step's product of the arrays named x and y."""
     perm_x, perm_y, shape_x, shape_y, shape_out = step
-    dot = f"np.dot({_lowered(x, perm_x, shape_x)}, {_lowered(y, perm_y, shape_y)})"
+    dot = f"{_lowered(x, perm_x, shape_x)}.dot({_lowered(y, perm_y, shape_y)})"
     return dot if shape_out is None else f"{dot}.reshape({shape_out})"
 
 
@@ -211,9 +229,9 @@ def _render_into(step, x: str, y: str, out: str) -> list[str]:
     perm_x, perm_y, shape_x, shape_y, shape_out = step
     x, y = _lowered(x, perm_x, shape_x), _lowered(y, perm_y, shape_y)
     if shape_out is None:
-        return [f"np.dot({x}, {y}, out={out})"]
-    # np.dot writes only into out viewed as its 2-D product
-    return [f"lhs = {x}", f"np.dot(lhs, {y}, out={out}.reshape(len(lhs), -1))"]
+        return [f"{x}.dot({y}, out={out})"]
+    # dot writes only into out viewed as its 2-D product
+    return [f"lhs = {x}", f"lhs.dot({y}, out={out}.reshape(len(lhs), -1))"]
 
 
 def _render_transposed_into(step, perm, x: str, y: str, out: str) -> list[str]:
@@ -279,8 +297,10 @@ class CompiledPlan:
     on to that accumulator.  The reverse pass reads only what ``forward``
     returned with its output (operands, accumulators, sized steps), handed
     over by the caller.  Every reverse product involves the float64 output
-    gradient, so each gradient's last product is one ``np.dot(..., out=)``
+    gradient, so each gradient's last product is one ``dot(..., out=)``
     into its slice of one flat float64 array (or one copy of a transpose).
+    When both products of a reverse step read the incoming gradient
+    transposed and reshaped alike, it is lowered once, as ``h``.
 
     Axes and permutations are fixed per plan; the sizes of each step are
     worked out once per distinct set of operand shapes, which also checks the
@@ -297,6 +317,7 @@ class CompiledPlan:
     def __init__(self, plan: ContractionPlan):
         self.plan = plan
         self.context = f"contract {plan.expression()!r}"
+        self._grad_context = self.context + " gradient"
         ops = plan.operand_labels
         self._diag = tuple(
             f"{lb}->{''.join(dict.fromkeys(lb))}" if len(set(lb)) != len(lb) else None
@@ -404,14 +425,16 @@ class CompiledPlan:
             body.append(f"g = np.broadcast_to(g.reshape({sized.grad_expand}), {sized.grad_shape})")
         pending = list(slots)  # the reverse pass meets the last slot first
         for i, (op_grad, perm, acc_grad) in zip(range(n - 1, 0, -1), sized.reverse):
+            step = []
             if pending and pending[-1] == i:
-                body += _render_transposed_into(op_grad, perm, _acc(i - 1), "g", f"d{pending.pop()}")
+                step += _render_transposed_into(op_grad, perm, _acc(i - 1), "g", f"d{pending.pop()}")
+            if pending and i == 1 and pending[-1] == 0:  # this product is operand 0's gradient
+                step += _render_transposed_into(acc_grad, self._first_perm, "g", "x1", f"d{pending.pop()}")
+            elif pending:
+                step.append(f"g = {_render_product(acc_grad, 'g', f'x{i}')}")
+            body += _lowered_once(step, _lowered("g", acc_grad[0], acc_grad[2]))
             if not pending:
                 break
-            if i == 1 and pending[-1] == 0:  # this product is operand 0's gradient
-                body += _render_transposed_into(acc_grad, self._first_perm, "g", "x1", f"d{pending.pop()}")
-            else:
-                body.append(f"g = {_render_product(acc_grad, 'g', f'x{i}')}")
         if n == 1 and pending and pending[-1] == 0:
             body.append(f"np.copyto(d{pending.pop()}, {_lowered('g', self._first_perm, None)})")
         if pending:
@@ -423,18 +446,15 @@ class CompiledPlan:
         run = _compiled(source, self._filename(sized.shapes, slots), "reverse")
         return run, shapes, _layout(shapes)[1]
 
-    def _operands(self, inputs: list[np.ndarray]) -> list[np.ndarray]:
-        if not self._has_diag:
-            return inputs
-        return [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
-
     def forward(self, inputs: list[np.ndarray]):
         """Unchecked contraction (maybe a view), and ``kept``, what its reverse
         pass reads: (operands, accumulators, sized steps), to hand to ``gradients``."""
-        sized = self._sized(inputs)
-        ops = self._operands(inputs)
-        out, accs = sized.run_forward(ops)
-        return out, (ops, accs, sized)
+        shapes = inputs.shapes if type(inputs) is FlatViews else tuple(map(_shape, inputs))
+        sized = self._sizes.get(shapes) or self._sized(inputs)
+        if self._has_diag:
+            inputs = [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
+        out, accs = sized.run_forward(inputs)
+        return out, (inputs, accs, sized)
 
     def gradients(self, kept, grad_out: np.ndarray, slots: tuple[int, ...]) -> "FlatViews":
         """Gradients of <contraction, grad_out> with respect to operand s for
@@ -444,7 +464,8 @@ class CompiledPlan:
         with its output; it is all the pass reads of the operands.  ``grad_out``
         is taken as float64."""
         ops, accs, sized = kept
-        grad_out = np.asarray(grad_out, dtype=np.float64)
+        if type(grad_out) is not np.ndarray or grad_out.dtype is not _FLOAT64:
+            grad_out = np.asarray(grad_out, dtype=np.float64)
         if grad_out.shape != sized.out_shape:
             raise ShapeMismatch(
                 f"output gradient {grad_out.shape}, plan gives {sized.out_shape}"
@@ -455,7 +476,7 @@ class CompiledPlan:
         run, shapes, flat_shape = reverse
         grads = FlatViews(np.empty(flat_shape), shapes)
         run(ops, accs, grad_out, grads)
-        seal(grads.flat, self.context + " gradient")
+        seal(grads.flat, self._grad_context)
         for view in grads:
             view.setflags(False)
         return grads
@@ -511,11 +532,12 @@ class FlatViews(tuple):
     """
 
     def __new__(cls, flat: np.ndarray, shapes):
-        shapes = tuple(shapes)
+        if type(shapes) is not tuple:
+            shapes = tuple(shapes)
         views, flat_shape, _ = _layout(shapes)
         if flat.shape != flat_shape:
             raise ShapeMismatch(f"flat array of shape {flat.shape} for {flat_shape[0]} entries")
-        self = super().__new__(cls, views(flat))
+        self = tuple.__new__(cls, views(flat))
         self.__dict__.update(flat=flat, shapes=shapes)
         return self
 
@@ -528,7 +550,7 @@ class FlatViews(tuple):
 
 def shapes_of(arrays) -> tuple[Shape, ...]:
     """The shapes of ``arrays``: a FlatViews' own, else read from each array."""
-    return arrays.shapes if isinstance(arrays, FlatViews) else tuple([a.shape for a in arrays])
+    return arrays.shapes if isinstance(arrays, FlatViews) else tuple(map(_shape, arrays))
 
 
 def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:

@@ -1,6 +1,7 @@
 import copy
 import linecache
 import math
+import os
 import pickle
 import sys
 import threading
@@ -8,10 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coreflow.errors import NumericalError, ShapeMismatch, ZeroCoreNorm
 from coreflow.model import (
     LayeredModel,
+    ReconstructionSpec,
     cp_spec,
     custom_spec,
     grad_cores,
@@ -39,7 +43,9 @@ from coreflow.optim import (
     run,
     sam_step,
     scheduled_eta,
+    step_of,
 )
+import coreflow
 from coreflow import tensor
 from coreflow.tensor import (
     ContractionPlan,
@@ -50,6 +56,9 @@ from coreflow.tensor import (
     frobenius_inner,
     frobenius_norm_sq,
 )
+
+from test_benchmark_hooks import load
+from test_model import random_models
 
 from oracles import (
     reference_steps,
@@ -749,29 +758,74 @@ class TestFusedPass:
     @pytest.mark.parametrize(
         "family, fused, standalone", [("tucker", 9, 12), ("tucker2", 6, 8)]
     )
-    def test_reverse_pass_takes_the_forward_accumulators(
-        self, family, fused, standalone, rng, monkeypatch
-    ):
+    def test_reverse_pass_takes_the_forward_accumulators(self, family, fused, standalone, rng):
         spec = self.SPECS[family]()
         cores = random_cores(spec, rng)
         target = reconstruct(spec, random_cores(spec, rng))
         obj = MaskedMse(target, as_tensor(np.ones(spec.output_shape)))
         dl = obj.loss_and_grad(reconstruct(spec, cores))[1]
         calls = []
-        dot = np.dot
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return dot(*args, **kwargs)
+        def counted(frame, event, arg):  # the rendered steps call ndarray.dot
+            if event == "c_call" and arg.__name__ == "dot":
+                calls.append(1)
 
-        monkeypatch.setattr(np, "dot", counted)
-        loss_and_core_grads(spec, cores, obj)
-        assert len(calls) == fused
-        calls.clear()
-        # reconstruct, then a standalone gradient pass: two forwards
-        reconstruct(spec, cores)
-        grad_cores(spec, cores, dl)
-        assert len(calls) == standalone
+        sys.setprofile(counted)
+        try:
+            loss_and_core_grads(spec, cores, obj)
+            fused_calls = len(calls)
+            # reconstruct, then a standalone gradient pass: two forwards
+            reconstruct(spec, cores)
+            grad_cores(spec, cores, dl)
+        finally:
+            sys.setprofile(None)
+        assert [fused_calls, len(calls) - fused_calls] == [fused, standalone]
+
+
+def plan_model(ops, out, shapes, const=None, seed=0):
+    """(spec, cores, output-sized tensor) as ``random_models`` draws them, for a given plan."""
+    rng = np.random.default_rng(seed)
+    values = [as_tensor(rng.standard_normal(shape)) for shape in shapes]
+    spec = ReconstructionSpec(
+        ContractionPlan(tuple(ops), out),
+        tuple(s for i, s in enumerate(shapes) if i != const),
+        tuple(v if i == const else None for i, v in enumerate(values)),
+    )
+    cores = [v for i, v in enumerate(values) if i != const]
+    return spec, cores, as_tensor(rng.standard_normal(spec.output_shape))
+
+
+class TestPassOnRandomPlans:
+    """A gradient pass, on its own, inside a step's scope or through the
+    callback, gives the bytes of the standalone path: ``contract``, then the
+    objective, then ``contract_grads``."""
+
+    OBJECTIVES = {
+        "masked": lambda target: MaskedMse(target, as_tensor(np.ones(target.shape))),
+        "noisy": lambda target: NoisyTargetMse(target, alpha=0.3, seed=4),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_models(), st.booleans(), st.sampled_from(sorted(OBJECTIVES)))
+    @example(plan_model(("aab", "bc"), "c", [(2, 2, 3), (3, 4)], const=0), True, "masked")  # repeated label
+    @example(plan_model(("i", "j"), "ij", [(3,), (4,)]), False, "noisy")  # outer product
+    @example(plan_model(("aib", "bjc", "cka"), "ijk", [(2, 3, 2), (2, 2, 2), (2, 3, 2)]), True, "noisy")  # ring
+    def test_matches_the_standalone_path_bitwise(self, model, carrier, objective):
+        spec, cores, target = model
+        obj = self.OBJECTIVES[objective](target)
+        if carrier:
+            cores = FlatViews(np.concatenate([c.ravel() for c in cores]), [c.shape for c in cores])
+        ops = spec.operands(cores)
+        want_loss, dl = obj.loss_and_grad(contract(spec.plan, ops))
+        want = contract_grads(spec.plan, ops, dl, spec.core_slots)
+        passes = [
+            loss_and_core_grads(spec, cores, obj),
+            tensor.quietly(loss_and_core_grads, spec, cores, obj),  # as a step calls it
+            gradient_fn(spec, obj)(cores),
+        ]
+        for loss, grads in passes:
+            assert repr(loss) == repr(want_loss)
+            assert grads.shapes == want.shapes and grads.flat.tobytes() == want.flat.tobytes()
 
 
 class TestNormsSq:
@@ -945,6 +999,97 @@ class TestErrorStateScope:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert results == serial
+
+
+class TestCallsPerStep:
+    """The calls into coreflow's own Python that one step makes, as ``run``
+    makes it (inside ``quietly``): frames of its modules, of the code it
+    renders per plan (``<plan ...>``) and of the code it builds with ``eval``
+    (``<string>``: FlatViews' view code and StepRecord's constructor).  A
+    count, so no drift of the host's speed moves it."""
+
+    CASES = {
+        "sam_noise_tucker2": ("noise", SamConfig(rho=1e-2, base=SgdConfig(eta=5e-4)), 40),
+        "sam_tucker": ("tucker", SamConfig(rho=1e-2, base=AdamConfig(eta=1e-3)), 40),
+        "adam_tucker": ("tucker", AdamConfig(eta=1e-3), 23),
+        "sgd_tucker2": ("tucker2", SgdConfig(eta=1e-3), 23),
+        "das_tucker": ("tucker", DasConfig(alpha=0.05, base=AdamConfig(eta=1e-3)), 28),
+    }
+
+    @staticmethod
+    def problem(kind, rng):
+        """The noise sweep's tucker2 24x20 rank 5, or the Tucker 20^3 rank 4 completion."""
+        if kind == "tucker":
+            spec = tucker_spec((20, 20, 20), (4, 4, 4))
+            mask = as_tensor((rng.random((20, 20, 20)) < 0.3).astype(float))
+            return spec, MaskedMse(reconstruct(spec, random_cores(spec, rng)), mask)
+        spec = tucker2_spec(24, 20, 5, 5)
+        clean = reconstruct(spec, random_cores(spec, rng))
+        if kind == "noise":
+            return spec, NoisyTargetMse(clean, alpha=0.1, seed=3, resample_each_step=True)
+        return spec, MaskedMse(clean, as_tensor(np.ones(clean.shape)))
+
+    @staticmethod
+    def calls_in(fn, *args):
+        ours = os.path.dirname(coreflow.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            name = frame.f_code.co_filename
+            if event == "call" and (name.startswith((ours, "<plan ")) or name == "<string>"):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            fn(*args)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_count(self, case, rng):
+        kind, cfg, want = self.CASES[case]
+        spec, obj = self.problem(kind, rng)
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        step, grads_of, state = step_of(cfg), gradient_fn(spec, obj), init_state(cfg, cores)
+        for _ in range(2):  # renders the plan's code and leaves the cores a carrier
+            cores = tensor.quietly(step, grads_of, cores, cfg, state)[0]
+        calls = self.calls_in(tensor.quietly, step, grads_of, cores, cfg, state)
+        assert len(calls) == want, sorted(calls)
+
+
+class TestStandaloneSpans:
+    """A public entry point called outside any scope opens the scope around a
+    private body, never through its own traced name: perfbench's tracer
+    records one span per call."""
+
+    @staticmethod
+    def spans(fn, *args):
+        tracer = load("tracer").Tracer()
+        tracer.install()
+        try:
+            assert not tensor._scope.open
+            fn(*args)
+            assert not tensor._scope.open
+            names = ("optim.loss_and_core_grads", "model.grad_cores", "optim.sam_step", "optim.base_step")
+            return [tracer.query(name)[0] for name in names]
+        finally:
+            tracer.uninstall()
+
+    def test_one_span_per_call(self, rng):
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3))))
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        kept = spec.compiled.forward(spec.operands(cores))[1]
+        dl = obj.loss_and_grad(reconstruct(spec, cores))[1]
+        cfg = SamConfig(rho=0.05, base=SgdConfig(eta=0.01))
+        # each call looks its function up where the tracer rebinds it
+        optim, model = coreflow.optim, coreflow.model
+        assert self.spans(lambda: optim.loss_and_core_grads(spec, cores, obj)) == [1, 1, 0, 0]
+        assert self.spans(lambda: model.grad_cores(spec, cores, dl, kept)) == [0, 1, 0, 0]
+        assert self.spans(lambda: model.grad_cores(spec, cores, dl)) == [0, 1, 0, 0]
+        step = lambda: optim.sam_step(optim.gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+        assert self.spans(step) == [2, 2, 1, 1]
 
 
 class TestReferenceSteps:

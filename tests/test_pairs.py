@@ -1,0 +1,62 @@
+"""``tools/pairs.py``'s summary of interleaved benchmark pairs, read from
+canned perfbench output: no benchmark runs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+
+END_TO_END = [
+    {"name": "step_us_p50", "unit": "us", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("_tools_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def perfbench_output(step_us, ops_per_s, digest, failed=0):
+    """What ``perfbench/run.py --trace 0`` prints: the report, then one JSON line."""
+    metrics = {"step_us_p50": {"value": step_us, "unit": "us"}, "ops_per_s": {"value": ops_per_s, "unit": "1/s"}}
+    result = {"correct": failed == 0, "attempted": 30, "failed": failed, "metrics": metrics}
+    return "\n".join([
+        "manifest seed 0",
+        "steps per round 1500, rounds 11, set-ups 12",
+        f"trajectory_sha256 {digest}",
+        f"step_us_p50 {step_us} us  (sam.step_us_p50)",
+        f"failed_ops {failed}",
+        json.dumps(result),
+    ]) + "\n"
+
+
+def test_parse_run_reads_the_last_line_and_the_digest():
+    run = load_tool().parse_run(perfbench_output(50.0, 20.0, "31124bfc", failed=2))
+    assert run == {"metrics": {"step_us_p50": 50.0, "ops_per_s": 20.0}, "failed": 2, "digest": "31124bfc"}
+
+
+def test_summary_gives_ratios_medians_wins_and_digests():
+    tool = load_tool()
+    canned = [
+        (perfbench_output(50.0, 20.0, "aa"), perfbench_output(45.0, 22.0, "aa")),
+        (perfbench_output(50.0, 20.0, "aa"), perfbench_output(55.0, 20.0, "aa")),  # ops tie
+        (perfbench_output(40.0, 25.0, "aa"), perfbench_output(36.0, 30.0, "ab", failed=1)),
+    ]
+    pairs = [(tool.parse_run(parent), tool.parse_run(change)) for parent, change in canned]
+    assert tool.summarize(pairs, END_TO_END) == [
+        "step_us_p50: ratios 0.900 1.100 0.900  median 0.900  change won 2 of 3 (lower is better)",
+        "  parent median 50 quartiles 45-50, change median 45 quartiles 40.5-50",
+        "ops_per_s: ratios 1.100 1.000 1.200  median 1.100  change won 2 of 3 (higher is better)",
+        "  parent median 20 quartiles 20-22.5, change median 22 quartiles 21-26",
+        "trajectory_sha256 matched in 2 of 3 pairs",
+        "failed ops (parent, change): 0,0 0,0 0,1",
+    ]
