@@ -128,8 +128,7 @@ def trajectory_rows(records: list[StepRecord], stats=None) -> list[str]:
 
 def write_trajectory_csv(path, records: list[StepRecord], stats=None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in trajectory_rows(records, stats):
-            fh.write(row + "\n")
+        fh.write("".join([row + "\n" for row in trajectory_rows(records, stats)]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Scalar losses over the reconstructed tensor, and evaluation metrics.  A
-noisy target redrawn every step draws many steps' noise in one call."""
+noisy target redrawn every step draws many steps' noise in one call.  A loss
+sums with ``np.add.reduce``, the C routine of ``.sum()`` without its wrapper."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .tensor import quietly, require_same_shape, seal
 def _squared_error(resid: np.ndarray, normalizer: int, context: str):
     """The loss sum(resid**2)/normalizer and its gradient, made in place.  Only a
     finite loss returns: it proves each residual finite (0*Inf = NaN) and < 1.4e154."""
-    loss = float((resid * resid).sum()) / normalizer
+    loss = float(np.add.reduce(resid * resid, axis=None)) / normalizer
     if not math.isfinite(loss):
         raise NumericalError(f"{context} produced a non-finite loss {loss!r}")
     resid *= 2.0 / normalizer

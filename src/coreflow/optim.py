@@ -18,12 +18,12 @@ checked for finiteness once; cores and gradients travel as ``FlatViews``
 (that array with its per-core views), so a step copies only plain lists: a
 plain step builds two carriers (gradients, update), a SAM step four.
 ``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
-around the step alone; every pass and update inside the step reuses it.  The
-passes and steps test whether the scope is open themselves; only a call on its
-own opens it, around a private body, never through its own name (which a
-benchmark's tracer may wrap).  So inside a step no pass opens a scope or hops
-through a private body, and a step hands ``base_step`` the flat arrays and
-shapes it reads off the carriers (a plain list of cores is copied).
+around the step alone, and that entry is the only numpy Python wrapper a step
+runs (``norms_sq`` calls ``np.vdot``'s C routine).  The passes and steps test
+whether the scope is open themselves; only a call on its own opens it, around
+a private body, never through its own name (which a benchmark's tracer may
+wrap).  A step hands ``base_step`` the flat arrays and shapes it reads off the
+carriers (a plain list of cores is copied).
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ class StepRecord(NamedTuple):
 
 def norms_sq(arrays) -> tuple[float, ...]:
     """Squared norms as ``frobenius_norm_sq`` sums them; one finiteness check, on their total."""
-    out = tuple(map(float, map(np.vdot, arrays, arrays)))
+    out = tuple(map(float, map(np.vdot._implementation, arrays, arrays)))  # np.vdot's C routine
     if not math.isfinite(sum(out)):
         raise NumericalError(f"squared norms {out!r} are not finite in sum")
     return out
@@ -320,7 +320,7 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
     flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
-    factors = np.repeat(np.add(1.0, lams), sizes_of(shapes))
+    factors = np.add(1.0, lams).repeat(sizes_of(shapes))
     return base_step(flat * factors, g.flat, cfg.base, state, eta_t, shapes), rec, g
 
 

@@ -15,11 +15,11 @@ scope.  A reverse pass writes each gradient straight into its slice of one
 flat array, which it seals itself.  A contraction runs as generated code: each
 plan's pairwise steps, sized for one set of operand shapes, are rendered once
 as straight-line numpy calls (see ``CompiledPlan``), shown by tracebacks and
-profilers under the plan's name.  A product is the ndarray ``dot`` method,
-the C routine of ``np.dot`` without the Python dispatcher numpy runs before
-it, and a reverse step lowers its incoming gradient once for both of its
-products.  ``FlatViews`` builds its views with code rendered once per shape
-tuple.
+profilers under the compiled plan's name; a reverse step lowers its incoming
+gradient once for both of its products.  ``FlatViews`` builds its views with
+code rendered once per shape tuple.  On a step's path numpy runs no Python
+wrapper but the error-state entry: a product is the ndarray ``dot`` method, a
+copy is ``d[...] = x``, and ``seal`` calls the C ``count_nonzero``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ Shape = tuple[int, ...]
 
 _shape = operator.attrgetter("shape")
 _FLOAT64 = np.dtype(np.float64)
+_count_nonzero = np._core.multiarray.count_nonzero  # np.count_nonzero's C routine
+_plan_serials = itertools.count(1)
 
 _DTF1_MAGIC = b"DTF1"
 
@@ -66,12 +68,9 @@ def as_tensor(values, shape: Shape | None = None) -> np.ndarray:
 def seal(arr: np.ndarray, context: str) -> np.ndarray:
     """A computed array as a tensor: checked finite, C-order (copied only if
     it is not), and read-only."""
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
+    if _count_nonzero(np.isfinite(arr)) != arr.size:  # cheaper than .all() on small arrays
         raise NumericalError(f"{context} produced a non-finite value")
-    if arr.ndim:
-        arr = np.ascontiguousarray(arr)
-    else:
-        arr = np.asarray(arr, dtype=np.float64)  # keep rank-0 rank-0
+    arr = np.ascontiguousarray(arr) if arr.ndim else np.asarray(arr, dtype=np.float64)  # keeps rank 0
     arr.setflags(False)  # write=False; numpy parses a positional flag faster than a keyword
     return arr
 
@@ -238,7 +237,7 @@ def _render_transposed_into(step, perm, x: str, y: str, out: str) -> list[str]:
     """The step's product, transposed by ``perm``, into ``out``; a transpose costs one copy."""
     if perm is None:
         return _render_into(step, x, y, out)
-    return [f"np.copyto({out}, {_render_product(step, x, y)}.transpose({perm}))"]
+    return [f"{out}[...] = {_render_product(step, x, y)}.transpose({perm})"]
 
 
 def _acc(k: int) -> str:
@@ -316,6 +315,7 @@ class CompiledPlan:
 
     def __init__(self, plan: ContractionPlan):
         self.plan = plan
+        self._name = f"#{next(_plan_serials)} {plan.expression()}"  # no two share a filename
         self.context = f"contract {plan.expression()!r}"
         self._grad_context = self.context + " gradient"
         ops = plan.operand_labels
@@ -386,8 +386,8 @@ class CompiledPlan:
 
     def _filename(self, shapes, slots=None) -> str:
         """The filename of the code rendered for ``shapes`` (and ``slots``):
-        ``<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>``."""
-        name = self.plan.expression() + " " + ",".join("x".join(map(str, s)) or "()" for s in shapes)
+        ``<plan #3 oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>``, #3 the third compiled plan made."""
+        name = self._name + " " + ",".join("x".join(map(str, s)) or "()" for s in shapes)
         return f"<plan {name}>" if slots is None else f"<plan {name} slots {','.join(map(str, slots))}>"
 
     def _forward_source(self, forward) -> list[str]:
@@ -436,7 +436,7 @@ class CompiledPlan:
             if not pending:
                 break
         if n == 1 and pending and pending[-1] == 0:
-            body.append(f"np.copyto(d{pending.pop()}, {_lowered('g', self._first_perm, None)})")
+            body.append(f"d{pending.pop()}[...] = {_lowered('g', self._first_perm, None)}")
         if pending:
             raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
         lines = _unpack([f"x{i}" for i in range(n)], "ops")

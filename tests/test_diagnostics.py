@@ -19,6 +19,7 @@ from coreflow.diagnostics import (
     sam_probe,
     trajectory_rows,
     trajectory_stats,
+    write_trajectory_csv,
 )
 from coreflow import experiments, optim
 from coreflow.errors import LengthMismatch, ZeroGradient
@@ -169,6 +170,19 @@ class TestTrajectorySchema:
         cells = trajectory_rows([rec])[1].split(",")
         assert cells[2] == "128.0"
         assert float(cells[3]) == norm_grad_covariance((2, 10, 18), (1, 2, 3))
+
+    @pytest.mark.parametrize("lambdas", [None, (0.01, -0.01)])
+    def test_csv_holds_the_rows_written_one_by_one(self, lambdas, tmp_path):
+        records = [StepRecord(t, 0.5 / (t + 1), (1.0, 2.0 + t), (0.5, 0.25 * t), lambdas) for t in range(30)]
+        reference = tmp_path / "rows.csv"
+        with open(reference, "w", encoding="utf-8", newline="\n") as fh:
+            for row in trajectory_rows(records):
+                fh.write(row + "\n")
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(path, records)
+        assert path.read_bytes() == reference.read_bytes()
+        write_trajectory_csv(path, [])
+        assert path.read_bytes() == b""
 
 
 @st.composite

@@ -837,6 +837,30 @@ class TestNormsSq:
         with pytest.raises(NumericalError, match="squared norms"):
             norms_sq([as_tensor([1.0]), as_tensor([1e200])])
 
+    @given(
+        st.lists(st.integers(1, 400), min_size=1, max_size=5),
+        st.one_of(st.none(), st.integers(-150, 150)),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_norm_is_frobenius_norm_sq_bit_for_bit(self, sizes, decade, seed, overflow):
+        # magnitudes 1e-150 to 1e150 (one decade, or each entry its own), in
+        # 1-5 cores of 1-400 entries of 1-3 axes
+        rng = np.random.default_rng(seed)
+        decades = rng.integers(-150, 151, sum(sizes)) if decade is None else np.full(sum(sizes), decade)
+        flat = rng.uniform(-10.0, 10.0, sum(sizes)) * 10.0 ** decades.astype(float)
+        if overflow:  # one square past float64's range
+            flat[rng.integers(sum(sizes))] = 1e160
+        shapes = [(n,) if n % 3 else (3, n // 3) if n % 2 else (3, 2, n // 6) for n in sizes]
+        carrier = FlatViews(as_tensor(flat), shapes)
+        for arrays in (carrier, [as_tensor(a) for a in carrier]):
+            if overflow:
+                with pytest.raises(NumericalError, match="squared norms"):
+                    norms_sq(arrays)
+            else:
+                assert [repr(v) for v in norms_sq(arrays)] == [repr(frobenius_norm_sq(a)) for a in arrays]
+
 
 class TestLossVouchesForOutput:
     """Inside a gradient pass the forward output is not scanned for
@@ -1056,6 +1080,42 @@ class TestCallsPerStep:
             cores = tensor.quietly(step, grads_of, cores, cfg, state)[0]
         calls = self.calls_in(tensor.quietly, step, grads_of, cores, cfg, state)
         assert len(calls) == want, sorted(calls)
+
+
+class TestNumpyFramesPerStep:
+    """A step calls numpy's C routines directly: the only calls into numpy's
+    Python files are ``np.errstate``'s, entered once around the step."""
+
+    CONFIGS = {
+        "sgd": SgdConfig(eta=5e-4),
+        "adam": AdamConfig(eta=1e-3),
+        "sam": SamConfig(rho=1e-2, base=SgdConfig(eta=5e-4)),
+        "das": DasConfig(alpha=0.05, base=AdamConfig(eta=1e-3)),
+    }
+
+    @pytest.mark.parametrize("kind", ["noise", "tucker"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_only_the_error_state_entry(self, name, kind, rng):
+        cfg = self.CONFIGS[name]
+        spec, obj = TestCallsPerStep.problem(kind, rng)
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        step, grads_of, state = step_of(cfg), gradient_fn(spec, obj), init_state(cfg, cores)
+        for _ in range(2):  # renders the plan's code and leaves the cores a carrier
+            cores = tensor.quietly(step, grads_of, cores, cfg, state)[0]
+        numpy_dir = os.path.dirname(np.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            filename = frame.f_code.co_filename
+            if event == "call" and filename.startswith(numpy_dir):
+                calls.append((os.path.basename(filename), frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            tensor.quietly(step, grads_of, cores, cfg, state)
+        finally:
+            sys.setprofile(None)
+        assert calls == [("_ufunc_config.py", fn) for fn in ("__init__", "__enter__", "__exit__")]
 
 
 class TestStandaloneSpans:

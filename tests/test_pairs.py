@@ -1,8 +1,11 @@
 """``tools/pairs.py``'s summary of interleaved benchmark pairs, read from
 canned perfbench output: no benchmark runs."""
 
+import argparse
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +63,24 @@ def test_summary_gives_ratios_medians_wins_and_digests():
         "trajectory_sha256 matched in 2 of 3 pairs",
         "failed ops (parent, change): 0,0 0,0 0,1",
     ]
+
+
+def test_each_run_compiles_its_sources_afresh(monkeypatch, tmp_path):
+    # no bytecode is read from or written to either checkout, nor kept between runs
+    tool = load_tool()
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+        seen.append((kwargs["cwd"], kwargs["env"]["PYTHONDONTWRITEBYTECODE"], cache, os.listdir(cache)))
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_output(50.0, 20.0, "aa"))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    args = argparse.Namespace(workload="noise-tucker2", seed=321, seconds=20.0)
+    for side in ("parent", "change"):
+        assert tool.run_once(tmp_path / side, args)["digest"] == "aa"
+    assert [(cwd, flag, listed) for cwd, flag, _, listed in seen] == [
+        (tmp_path / "parent", "1", []), (tmp_path / "change", "1", []),
+    ]
+    caches = [cache for _, _, cache, _ in seen]
+    assert caches[0] != caches[1] and not any(os.path.exists(cache) for cache in caches)

@@ -324,6 +324,29 @@ class TestRenderedCode:
         pass_of(1)
         assert len(compiled) == 2 * bound + 4 and compiled[-2:] == first
 
+    def test_clearing_leaves_another_compiled_plans_code(self):
+        # two compiled plans of one plan: one clears its shape sets while the other's code runs
+        p = plan("ij,jk->ik")
+
+        def forward_of(compiled, n):
+            inputs = [as_tensor(np.ones((n, 3))), as_tensor(np.ones((3, 4)))]
+            out = compiled.forward(inputs)[0]
+            return out, compiled._sized(inputs).run_forward.__code__.co_filename
+
+        tensor.compile_plan.cache_clear()
+        first = compile_plan(p)
+        filename = forward_of(first, 2)[1]
+        assert len(linecache.getlines(filename)) == 4
+        tensor.compile_plan.cache_clear()
+        second = compile_plan(p)
+        assert second is not first
+        for n in range(2, tensor.CompiledPlan._MAX_SHAPE_SETS + 3):  # that set, then one too many
+            forward_of(second, n)
+        assert len(second._sizes) == 1  # it cleared its shape sets
+        assert len(linecache.getlines(filename)) == 4
+        out, again = forward_of(first, 2)
+        assert again == filename and out.tobytes() == np.full((2, 4), 3.0).tobytes()
+
     def test_code_names_its_plan_and_shapes(self):
         p = plan("oa,ab,ib->oi")
         inputs = [as_tensor(np.ones(s)) for s in ((5, 3), (3, 2), (4, 2))]
@@ -334,8 +357,8 @@ class TestRenderedCode:
         with pytest.raises(ValueError) as err:  # gradient arrays of the wrong shape
             reverse(ops, accs, as_tensor(np.ones((5, 4))), [np.empty((1, 1))] * 3)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
-        assert frame.filename == "<plan oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>"
-        assert frame.name == "reverse" and frame.line.startswith("np.copyto(d2, a1.transpose((1, 0)).dot(g)")
+        assert re.fullmatch(r"<plan #\d+ oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>", frame.filename)
+        assert frame.name == "reverse" and frame.line.startswith("d2[...] = a1.transpose((1, 0)).dot(g)")
 
 
     @pytest.mark.parametrize(
@@ -383,7 +406,7 @@ class TestRenderedCode:
                 assert len(writes) == 1, writes
                 assert re.fullmatch(
                     rf".+\.dot\(.*, out=d{s}(\.reshape\(len\(lhs\), -1\))?\)"
-                    rf"|np\.copyto\(d{s}, .*\.transpose\(\([\d, ]+\)\)\)",
+                    rf"|d{s}\[\.\.\.\] = .*\.transpose\(\([\d, ]+\)\)",
                     writes[0],
                 ), writes[0]
 

@@ -5,20 +5,26 @@
 PARENT and CHANGE are checkouts of the repository.  Each pair runs
 ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in
 each checkout, one after the other; the order alternates from pair to pair,
-so a stretch of host load falls on both sides alike.  For every end-to-end
-metric that CHANGE's BENCHMARK.json declares, it prints the change/parent
-ratio of each pair, the median ratio, and the number of pairs the change won
-(a tie counts for neither side), then each side's median and quartiles; last,
-in how many pairs ``trajectory_sha256`` matched, and each pair's failed ops.
+so a stretch of host load falls on both sides alike.  Every run compiles
+the sources afresh (``PYTHONDONTWRITEBYTECODE=1`` and a new, empty
+``PYTHONPYCACHEPREFIX``), so bytecode cached in either checkout, maybe
+from the other tree's sources, moves neither side's set-up time.  For
+every end-to-end metric that CHANGE's BENCHMARK.json declares, it prints the
+change/parent ratio of each pair, the median ratio, and the number of pairs
+the change won (a tie counts for neither side), then each side's median and
+quartiles; last, in how many pairs ``trajectory_sha256`` matched, and each
+pair's failed ops.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -68,7 +74,9 @@ def _quartiles(values: list[float]) -> str:
 def run_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return parse_run(proc.stdout)
 
 
