@@ -60,8 +60,8 @@ FAMILIES = ("cp", "tucker", "tucker2", "tt", "tr")
 @contextlib.contextmanager
 def _writing_into(out_dir: str | None):
     """The block, which writes into ``out_dir``, made first if one is given; a
-    path the OS refuses (a name too long, a directory where a file goes)
-    raises a ValidationError."""
+    path the OS refuses (a name too long, a directory where a file goes), or
+    an array too large to allocate, raises a ValidationError."""
     try:
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
@@ -70,6 +70,8 @@ def _writing_into(out_dir: str | None):
         raise ValidationError(
             f"output directory {out_dir!r}: cannot write {exc.filename!r}: {exc.strerror}"
         ) from exc
+    except MemoryError as exc:  # numpy's names the array's shape
+        raise ValidationError(f"out of memory: {exc}") from exc
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -5,7 +5,8 @@ constant operands, e.g. the superdiagonal tensor that turns a Tucker plan
 into CP, or the input x of a layered model).  The plan is compiled once into pairwise steps (see
 ``tensor.CompiledPlan``); the forward pass reconstructs, and one reverse pass
 through the same steps gives every core's gradient, which is exact because
-the map is linear in each core.
+the map is linear in each core.  A shipped family is its expression plus its
+labels' extents: each core's shape is read off its labels.
 """
 
 from __future__ import annotations
@@ -213,76 +214,66 @@ def _superdiagonal(rank: int, order: int) -> np.ndarray:
     return as_tensor(diag)
 
 
+def _shipped(family: str, expression: str, extents: dict[str, int], constants=()):
+    """The spec of ``expression`` whose core slots take their shapes from their
+    labels' ``extents``; ``constants`` as in ``ReconstructionSpec``."""
+    plan = ContractionPlan.parse(expression)
+    slots = constants or (None,) * len(plan.operand_labels)
+    shapes = [tuple(extents[ch] for ch in lb) for lb, c in zip(plan.operand_labels, slots) if c is None]
+    return ReconstructionSpec(plan, tuple(shapes), constants, family)
+
+
+def _extents(*pairs) -> dict[str, int]:
+    """Label -> extent from (labels, extents) pairs; a pair of unequal lengths raises ValueError."""
+    return {ch: n for labels, values in pairs for ch, n in zip(labels, values, strict=True)}
+
+
 def cp_spec(modes: Shape, rank: int) -> ReconstructionSpec:
     """Order-3 CP with shared rank: sum_r a_ir b_jr c_kr.
 
     Realized as a Tucker plan over a constant superdiagonal, since the plan
     grammar allows a label on at most two operand slots.
     """
-    n1, n2, n3 = modes
-    plan = ContractionPlan.parse("abc,ia,jb,kc->ijk")
-    return ReconstructionSpec(
-        plan=plan,
-        core_shapes=((n1, rank), (n2, rank), (n3, rank)),
-        constants=(_superdiagonal(rank, 3), None, None, None),
-        family="cp",
-    )
+    extents = _extents(("ijk", modes), ("abc", (rank,) * 3))
+    return _shipped("cp", "abc,ia,jb,kc->ijk", extents, (_superdiagonal(rank, 3), None, None, None))
 
 
 def tucker_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
     """Order-3 Tucker: core (r1,r2,r3) with three factor matrices."""
-    n1, n2, n3 = modes
-    r1, r2, r3 = ranks
-    plan = ContractionPlan.parse("abc,ia,jb,kc->ijk")
-    return ReconstructionSpec(
-        plan=plan,
-        core_shapes=((r1, r2, r3), (n1, r1), (n2, r2), (n3, r3)),
-        family="tucker",
-    )
+    return _shipped("tucker", "abc,ia,jb,kc->ijk", _extents(("ijk", modes), ("abc", ranks)))
 
 
 def tucker2_spec(n_out: int, n_in: int, r1: int, r2: int) -> ReconstructionSpec:
     """Matrix model A @ G @ B^T with A (n_out,r1), G (r1,r2), B (n_in,r2)."""
-    plan = ContractionPlan.parse("oa,ab,ib->oi")
-    return ReconstructionSpec(
-        plan=plan,
-        core_shapes=((n_out, r1), (r1, r2), (n_in, r2)),
-        family="tucker2",
-    )
+    return _shipped("tucker2", "oa,ab,ib->oi", {"o": n_out, "i": n_in, "a": r1, "b": r2})
+
+
+# A chain family's expression by order: its modes label the output i, j, ...
+# and its ranks the bonds a, b, ... in order.
+_CHAINS = {
+    ("tt", 3): "ia,ajb,bk->ijk",
+    ("tt", 4): "ia,ajb,bkc,cl->ijkl",
+    ("tr", 3): "aib,bjc,cka->ijk",
+    ("tr", 4): "aib,bjc,ckd,dla->ijkl",
+}
+
+
+def _chain(family: str, modes: Shape, ranks: Shape) -> ReconstructionSpec:
+    expression = _CHAINS.get((family, len(modes)))
+    if expression is None:
+        raise ShapeMismatch(f"{family} family ships for orders 3 and 4")
+    bonds = [ch for ch in "abcd" if ch in expression]
+    return _shipped(family, expression, _extents(("ijkl"[: len(modes)], modes), (bonds, ranks)))
 
 
 def tt_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
     """Tensor-train, order 3 or 4; ranks are the internal bond sizes."""
-    if len(modes) == 3:
-        r1, r2 = ranks
-        n1, n2, n3 = modes
-        plan = ContractionPlan.parse("ia,ajb,bk->ijk")
-        shapes = ((n1, r1), (r1, n2, r2), (r2, n3))
-    elif len(modes) == 4:
-        r1, r2, r3 = ranks
-        n1, n2, n3, n4 = modes
-        plan = ContractionPlan.parse("ia,ajb,bkc,cl->ijkl")
-        shapes = ((n1, r1), (r1, n2, r2), (r2, n3, r3), (r3, n4))
-    else:
-        raise ShapeMismatch("tt family ships for orders 3 and 4")
-    return ReconstructionSpec(plan=plan, core_shapes=shapes, family="tt")
+    return _chain("tt", modes, ranks)
 
 
 def tr_spec(modes: Shape, ranks: Shape) -> ReconstructionSpec:
     """Tensor-ring, order 3 or 4; closed as a left-to-right chain."""
-    if len(modes) == 3:
-        r0, r1, r2 = ranks
-        n1, n2, n3 = modes
-        plan = ContractionPlan.parse("aib,bjc,cka->ijk")
-        shapes = ((r0, n1, r1), (r1, n2, r2), (r2, n3, r0))
-    elif len(modes) == 4:
-        r0, r1, r2, r3 = ranks
-        n1, n2, n3, n4 = modes
-        plan = ContractionPlan.parse("aib,bjc,ckd,dla->ijkl")
-        shapes = ((r0, n1, r1), (r1, n2, r2), (r2, n3, r3), (r3, n4, r0))
-    else:
-        raise ShapeMismatch("tr family ships for orders 3 and 4")
-    return ReconstructionSpec(plan=plan, core_shapes=shapes, family="tr")
+    return _chain("tr", modes, ranks)
 
 
 def custom_spec(expression: str, core_shapes: list[Shape]) -> ReconstructionSpec:

@@ -28,6 +28,7 @@ carriers (a plain list of cores is copied).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -190,11 +191,7 @@ def _fused_pass(spec, cores, objective):
 
 def gradient_fn(spec: ReconstructionSpec, objective):
     """The gradient callback the steps take: cores -> (loss, core gradients as FlatViews)."""
-
-    def grads_of(cores):
-        return loss_and_core_grads(spec, cores, objective)
-
-    return grads_of
+    return functools.partial(loss_and_core_grads, spec, objective=objective)
 
 
 class StepRecord(NamedTuple):
@@ -251,19 +248,19 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
         return base_step(flat, g.flat, cfg.base, state, eta, shapes), rec, g
     u = total ** -0.5
-    scale = cfg.rho * u
-    if _scope.open:
-        x = flat + scale * g.flat
-    else:  # called on its own
-        x = quietly(_perturbed, flat, scale, g.flat)
-    _, g_tilde = grads_of(FlatViews(seal(x, "SAM perturbation"), shapes))
     rec = StepRecord(state.t, loss, s, gamma, u=u)
+    if not _scope.open:  # called on its own
+        args = (grads_of, flat, shapes, cfg.rho * u, g, cfg.base, state, eta, rec)
+        return quietly(_perturbed_update, *args)
+    _, g_tilde = grads_of(FlatViews(seal(flat + cfg.rho * u * g.flat, "SAM perturbation"), shapes))
     return base_step(flat, g_tilde.flat, cfg.base, state, eta, shapes), rec, g_tilde
 
 
-def _perturbed(flat, scale, g):
-    """SAM's perturbed point, for a step called outside the error-state scope."""
-    return flat + scale * g
+def _perturbed_update(grads_of, flat, shapes, scale, g, base, state, eta, rec):
+    """The rest of a SAM step called on its own (perturbation, second pass and
+    update), inside the one error-state scope that call opens."""
+    _, g_tilde = grads_of(FlatViews(seal(flat + scale * g.flat, "SAM perturbation"), shapes))
+    return base_step(flat, g_tilde.flat, base, state, eta, shapes), rec, g_tilde
 
 
 def das_scaling_factors(

@@ -32,6 +32,7 @@ import math
 import operator
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -251,12 +252,19 @@ def _unpack(names, source: str) -> list[str]:
 
 def _compiled(lines: list[str], filename: str, name: str):
     """The function ``name`` defined by ``lines``, compiled under ``filename``,
-    whose source linecache serves to tracebacks and profilers."""
+    whose source linecache serves to tracebacks and profilers while the function lives."""
     source = "\n".join(lines) + "\n"
     namespace: dict = {}
     exec(compile(source, filename, "exec"), {"np": np}, namespace)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    entry = linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    weakref.finalize(namespace[name], _forget, filename, entry)
     return namespace[name]
+
+
+def _forget(filename: str, entry) -> None:
+    """Drop ``entry`` from linecache, unless code rendered since has replaced it."""
+    if linecache.cache.get(filename) is entry:
+        del linecache.cache[filename]
 
 
 def _perm(labels: str, target: str) -> tuple[int, ...] | None:
@@ -307,7 +315,8 @@ class CompiledPlan:
     not change its array is dropped).  The lowered steps are then rendered as
     straight-line Python, one forward function per shape set and one reverse
     function per shape set and ``slots``, compiled once under a filename that
-    names the plan and the shapes.  A compiled plan keeps no state of any
+    names the plan and the shapes, whose source linecache holds while the
+    function lives.  A compiled plan keeps no state of any
     call, so one plan serves every caller and thread; it pickles as its plan.
     """
 
@@ -377,9 +386,6 @@ class CompiledPlan:
                 {},
             )
             if len(self._sizes) >= self._MAX_SHAPE_SETS:
-                for old in self._sizes.values():
-                    for fn in (old.run_forward, *(rev[0] for rev in old.run_reverse.values())):
-                        linecache.cache.pop(fn.__code__.co_filename, None)
                 self._sizes.clear()
             self._sizes[shapes] = sized
         return sized

@@ -280,6 +280,16 @@ class TestUnusablePaths:
             ["run", cfg, "--out", str(tmp_path / "out")], capsys, "more entries"
         )
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_output_too_large_to_allocate(self, tmp_path, capsys, command):
+        # 10^14 output entries, more than a 64-bit process can map; the cores are 2 x 80 MB
+        text = COMPLETION.format(kind="adam").replace("family tucker", "family tucker2")
+        text = text.replace("modes 8,8,8", "modes 10000000,10000000").replace("ranks 2,2,2", "ranks 1,1")
+        cfg = write_cfg(tmp_path, text)
+        self.assert_one_line_error(
+            [command, cfg, "--out", str(tmp_path / "out")], capsys, "(10000000, 10000000)"
+        )
+
     def test_run_out_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, COMPLETION.format(kind="adam"))
         taken = tmp_path / "taken"

@@ -77,6 +77,74 @@ class TestSpecCopies:
             assert again[0] == loss and again[1].flat.tobytes() == grads.flat.tobytes()
 
 
+class TestShippedFamilies:
+    """Each shipped family's plan and core shapes, pinned to literal values;
+    distinct extents tell every label apart."""
+
+    @pytest.mark.parametrize(
+        "make, family, expression, core_shapes",
+        [
+            (lambda: cp_spec((7, 6, 5), 2), "cp", "abc,ia,jb,kc->ijk", ((7, 2), (6, 2), (5, 2))),
+            (
+                lambda: tucker_spec((7, 6, 5), (2, 3, 4)), "tucker",
+                "abc,ia,jb,kc->ijk", ((2, 3, 4), (7, 2), (6, 3), (5, 4)),
+            ),
+            (lambda: tucker2_spec(7, 6, 2, 3), "tucker2", "oa,ab,ib->oi", ((7, 2), (2, 3), (6, 3))),
+            (lambda: tt_spec((7, 6, 5), (2, 3)), "tt", "ia,ajb,bk->ijk", ((7, 2), (2, 6, 3), (3, 5))),
+            (
+                lambda: tt_spec((7, 6, 5, 4), (2, 3, 8)), "tt",
+                "ia,ajb,bkc,cl->ijkl", ((7, 2), (2, 6, 3), (3, 5, 8), (8, 4)),
+            ),
+            (
+                lambda: tr_spec((7, 6, 5), (2, 3, 4)), "tr",
+                "aib,bjc,cka->ijk", ((2, 7, 3), (3, 6, 4), (4, 5, 2)),
+            ),
+            (
+                lambda: tr_spec((7, 6, 5, 4), (2, 3, 8, 9)), "tr",
+                "aib,bjc,ckd,dla->ijkl", ((2, 7, 3), (3, 6, 8), (8, 5, 9), (9, 4, 2)),
+            ),
+        ],
+    )
+    def test_plan_and_core_shapes(self, make, family, expression, core_shapes):
+        spec = make()
+        assert spec.plan is ContractionPlan.parse(expression) and spec.family == family
+        assert spec.plan.expression() == expression and spec.core_shapes == core_shapes
+        assert spec.output_shape == (7, 6, 5, 4)[: len(spec.plan.output_labels)]
+
+    def test_cp_holds_its_superdiagonal(self):
+        spec = cp_spec((7, 6, 5), 2)
+        diag = np.zeros((2, 2, 2))
+        diag[0, 0, 0] = diag[1, 1, 1] = 1.0
+        assert spec.constants[1:] == (None, None, None)
+        assert spec.constants[0].tobytes() == diag.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tt_spec((7, 6, 5), (2,)),
+            lambda: tt_spec((7, 6, 5), (2, 3, 4)),
+            lambda: tt_spec((7, 6, 5, 4), (2, 3)),
+            lambda: tt_spec((7, 6, 5, 4), (2, 3, 8, 9)),
+            lambda: tr_spec((7, 6, 5), (2, 3)),
+            lambda: tr_spec((7, 6, 5), (2, 3, 4, 8)),
+            lambda: tr_spec((7, 6, 5, 4), (2, 3, 8)),
+            lambda: tr_spec((7, 6, 5, 4), (2, 3, 8, 9, 10)),
+            lambda: tucker_spec((7, 6), (2, 3, 4)),
+            lambda: tucker_spec((7, 6, 5), (2, 3, 4, 8)),
+            lambda: cp_spec((7, 6, 5, 4), 2),
+        ],
+    )
+    def test_a_rank_or_mode_too_many_or_too_few_raises(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("make", [tt_spec, tr_spec])
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_chains_ship_for_orders_three_and_four(self, make, order):
+        with pytest.raises(ShapeMismatch, match="ships for orders 3 and 4"):
+            make((2,) * order, (2,) * order)
+
+
 class TestReconstruct:
     def test_tucker2_identity_factors(self):
         spec = tucker2_spec(2, 2, 2, 2)

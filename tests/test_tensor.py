@@ -1,3 +1,4 @@
+import gc
 import linecache
 import re
 import traceback
@@ -346,6 +347,36 @@ class TestRenderedCode:
         assert len(linecache.getlines(filename)) == 4
         out, again = forward_of(first, 2)
         assert again == filename and out.tobytes() == np.full((2, 4), 3.0).tobytes()
+
+    def test_a_dropped_compiled_plan_takes_its_code_out_of_linecache(self):
+        p = plan("ij,jk->ik")
+        a, b = as_tensor(np.ones((2, 3))), as_tensor(np.ones((3, 4)))
+        names = []
+        for _ in range(3):
+            tensor.compile_plan.cache_clear()
+            contract(p, [a, b])
+            names.append(compile_plan(p)._sized([a, b]).run_forward.__code__.co_filename)
+        tensor.compile_plan.cache_clear()
+        gc.collect()
+        assert len(set(names)) == 3
+        assert not any(name in linecache.cache for name in names)
+
+    def test_code_outliving_its_shape_set_leaves_the_rerendered_source(self):
+        p = plan("ij,jk->ik")
+        tensor.compile_plan.cache_clear()
+        compiled = compile_plan(p)
+
+        def forward_of(n):
+            return compiled._sized([as_tensor(np.ones((n, 3))), as_tensor(np.ones((3, 4)))]).run_forward
+
+        old = forward_of(2)  # still held once its shape set is cleared
+        for n in range(3, tensor.CompiledPlan._MAX_SHAPE_SETS + 3):
+            forward_of(n)
+        filename = forward_of(2).__code__.co_filename
+        assert filename == old.__code__.co_filename and forward_of(2) is not old
+        del old
+        gc.collect()
+        assert len(linecache.getlines(filename)) == 4
 
     def test_code_names_its_plan_and_shapes(self):
         p = plan("oa,ab,ib->oi")
