@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import parse_config
+from .config import check_seed_count, parse_config
 from .errors import CoreflowError, ValidationError
 from .experiments import generate_to_files, run_experiment, run_theorem_suite
 
@@ -38,8 +38,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "suite":
-            if args.seeds < 1:
-                raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
+            check_seed_count(args.seeds, "--seeds")
             result = run_theorem_suite(args.seeds, args.out)
             for rep in result.reports:
                 status = "PASS" if rep.passed else "FAIL"

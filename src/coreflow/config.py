@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -242,6 +243,15 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def check_seed_count(count: int, name: str) -> None:
+    """A theorem suite's seed count, named ``name`` in the error: at least 1,
+    and at most ``sys.maxsize``, the longest list of seeds Python can index."""
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1, got {count}")
+    if count > sys.maxsize:
+        raise ValidationError(f"{name} must be <= {sys.maxsize}, got {count}")
+
+
 def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
     """Check ``cfg`` and fill in its kind's defaults; ``seen`` holds the
     block names and the (block-prefixed) keys the text gave."""
@@ -250,8 +260,7 @@ def _validate(cfg: ExperimentConfig, seen: set, base_dir: str) -> None:
             f"experiment must be one of {EXPERIMENT_KINDS}, got {cfg.kind!r}"
         )
     if cfg.kind == "theorem-suite":
-        if cfg.suite_seeds < 1:
-            raise ValidationError("seeds must be >= 1")
+        check_seed_count(cfg.suite_seeds, "seeds")
         return
     if "model" not in seen:
         raise ValidationError("missing 'model' block")

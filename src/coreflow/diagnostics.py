@@ -15,6 +15,11 @@ discretization term of the secant (the +eta^2*||g~_k||^2 part of each
 squared-norm update, which is exactly computable from the realized step and
 independent of the radius); without that correction the radius-halving ratio
 would be polluted by an eta^2 floor.
+
+The statistics reduce vectors of a few norms, where numpy's Python wrappers
+cost more than the arithmetic, so they call the C routines those wrappers run:
+``np.add.reduce`` for ``np.sum``, and for ``mean`` that sum divided by the
+count, as numpy's ``_mean`` does; every value is bit for bit the wrapper's.
 """
 
 from __future__ import annotations
@@ -60,14 +65,18 @@ def _rows(core_norms_sq) -> np.ndarray:
     return s
 
 
+def _centered(s: np.ndarray) -> np.ndarray:
+    """``s - s.mean(axis=-1, keepdims=True)``, bit for bit, without the wrapper."""
+    return s - np.add.reduce(s, -1, keepdims=True) / s.shape[-1]
+
+
 def norm_deviation(core_norms_sq) -> float | np.ndarray:
     """Sum of squared deviations of the squared core norms from their mean.
     Reduces the last axis: a 1-D input gives a float, a (rows, K) stack an
     array of one value per row, each bit for bit that row's own float."""
-    s = _rows(core_norms_sq)
-    dev = s - s.mean(axis=-1, keepdims=True)
-    q = np.sum(dev * dev, axis=-1)
-    return float(q) if s.ndim == 1 else q
+    dev = _centered(_rows(core_norms_sq))
+    q = np.add.reduce(dev * dev, -1)
+    return float(q) if dev.ndim == 1 else q
 
 
 def norm_deviation_pairwise(core_norms_sq) -> float | np.ndarray:
@@ -75,7 +84,7 @@ def norm_deviation_pairwise(core_norms_sq) -> float | np.ndarray:
     ``norm_deviation``."""
     s = _rows(core_norms_sq)
     diffs = s[..., :, None] - s[..., None, :]
-    q = np.sum(diffs * diffs, axis=(-2, -1)) / (2.0 * s.shape[-1])
+    q = np.add.reduce(diffs * diffs, (-2, -1)) / (2.0 * s.shape[-1])
     return float(q) if s.ndim == 1 else q
 
 
@@ -85,8 +94,7 @@ def norm_grad_covariance(core_norms_sq, grad_norms_sq) -> float | np.ndarray:
     x, y = _rows(core_norms_sq), _rows(grad_norms_sq)
     if x.shape != y.shape:
         raise LengthMismatch(f"shapes {x.shape} and {y.shape} differ")
-    dx, dy = x - x.mean(axis=-1, keepdims=True), y - y.mean(axis=-1, keepdims=True)
-    cov = np.mean(dx * dy, axis=-1)
+    cov = np.add.reduce(_centered(x) * _centered(y), -1) / x.shape[-1]
     return float(cov) if x.ndim == 1 else cov
 
 
@@ -206,8 +214,8 @@ def _drift_bounds(records: list[StepRecord], eta: float) -> tuple[list[float], f
     """sum_k drift_k^2 before each record and after the last, drift_k summing
     eta^2*|gamma_k - gbar| down the records: one add per record, in order."""
     gamma = np.array([r.grad_norms_sq for r in records])
-    drift = np.cumsum(eta * eta * np.abs(gamma - gamma.mean(axis=1, keepdims=True)), axis=0)
-    *before, final = [0.0] + np.sum(drift * drift, axis=1).tolist()
+    drift = np.add.accumulate(eta * eta * np.abs(_centered(gamma)), 0)
+    *before, final = [0.0] + np.add.reduce(drift * drift, 1).tolist()
     return before, final
 
 
@@ -248,9 +256,7 @@ def check_sgd_balanced_bound(
 def _linearized_dq(s0: np.ndarray, ds: np.ndarray) -> float:
     """First-order change of Q at s0 for per-core changes ds: the exact
     linearization 2*sum dev_k*(ds_k - mean(ds)) used by the flow theorems."""
-    dev = s0 - s0.mean()
-    centered = ds - ds.mean()
-    return float(2.0 * np.sum(dev * centered))
+    return float(2.0 * np.add.reduce(_centered(s0) * _centered(ds), None))
 
 
 def _q_law(eta, rho, u, s0, gamma) -> float:
@@ -406,7 +412,7 @@ def check_das_matches_sam(
     lams = np.asarray(rec_das.lambdas)
     scaled = (1.0 + lams) ** 2 * s0
     dq_scale_measured = norm_deviation(scaled) - q0
-    dq_scale_analytic = float(4.0 * np.sum((s0 - s0.mean()) * lams * s0))
+    dq_scale_analytic = float(4.0 * np.add.reduce(_centered(s0) * lams * s0, None))
     if dq_scale_measured == 0.0:
         sub_rel = 0.0 if dq_scale_analytic == 0.0 else math.inf
     else:

@@ -3,7 +3,9 @@ the theorem-check suite run over fixed seeds.
 
 Every run is deterministic in (config, seed): all randomness flows through
 seeded PCG64 generators and trajectory CSVs format floats with repr(), so a
-repeated run produces byte-identical outputs.
+repeated run produces byte-identical outputs.  Sums, means, products and
+maxima call numpy's C routines (``np.add.reduce`` and the like) rather than
+the Python wrappers in front of them, with the wrappers' results bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .config import ExperimentConfig, build_model_spec, build_optimizer
 from .diagnostics import (
     TheoremCheckReport,
+    _centered,
     check_das_matches_sam,
     check_layerwise_q,
     check_pairwise_sam_dynamics,
@@ -95,7 +98,7 @@ def generate_synthetic(
 def sample_mask(shape, density: float, rng: np.random.Generator) -> np.ndarray:
     """Binary mask with roughly `density` observed entries (at least one)."""
     mask = (rng.random(shape) < density).astype(np.float64)
-    if mask.sum() == 0:
+    if np.add.reduce(mask, None) == 0:
         flat = mask.reshape(-1).copy()
         flat[0] = 1.0
         mask = flat.reshape(shape)
@@ -130,12 +133,20 @@ _DEVIATION_FORM_COUNT = 1000  # random norm vectors the deviation-forms check dr
 _DEVIATION_FORM_SEED = 0
 
 
+def _std(x: np.ndarray) -> float:
+    """``x.std()`` of a 1-D array, bit for bit: numpy's ``_var`` (ddof 0) and
+    a square root, from the C routines it calls."""
+    d = _centered(x)
+    return math.sqrt(np.add.reduce(d * d, None) / len(x))
+
+
 def _well_conditioned(cores, grads) -> bool:
     """Whether a draw's norm/gradient-norm correlation and spread pass."""
     s, g = np.asarray(norms_sq(cores)), np.asarray(norms_sq(grads))
-    den = s.std() * g.std()
+    g_std, g_mean = _std(g), np.add.reduce(g, None) / len(g)
+    den = _std(s) * g_std
     corr = norm_grad_covariance(s, g) / den if den > 0 else 0.0
-    rel_spread = g.std() / g.mean() if g.mean() > 0 else 0.0
+    rel_spread = g_std / g_mean if g_mean > 0 else 0.0
     return abs(corr) >= _MIN_CORR and rel_spread >= _MIN_REL_SPREAD
 
 
@@ -151,7 +162,7 @@ def _conditioned_draw(draw, seed: int, what: str):
         cores = [c for layer in layers for c in layer]
         out, kept = quietly(spec.compiled.forward, spec.operands(cores))  # checked by the objective
         resid = rng.standard_normal(out.shape)
-        resid /= math.sqrt(float(np.mean(resid * resid)))
+        resid /= math.sqrt(float(np.add.reduce(resid * resid, None) / resid.size))
         obj = MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
         _, dl = obj.loss_and_grad(out)
         grads = iter(grad_cores(spec, cores, dl, kept))
@@ -222,7 +233,7 @@ def run_completion(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     optimizer = build_optimizer(cfg.optimizer)
     eval_mask = as_tensor(1.0 - train_mask)
     # held-out entries score the run; under full observation the fit is scored
-    score_mask = eval_mask if eval_mask.sum() >= 2 else train_mask
+    score_mask = eval_mask if np.add.reduce(eval_mask, None) >= 2 else train_mask
     # the target's R^2 against itself raises DegenerateVariance here, before
     # any step, when score_mask selects too few entries or a constant target
     quietly(r2_score, target, target, score_mask)
@@ -283,7 +294,7 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
     spec = build_model_spec(cfg.model)
     alphas = cfg.objective.noise_alphas
     clean = generate_synthetic(spec, cfg.seed)[0]
-    clean = as_tensor(clean / math.sqrt(float(np.mean(clean * clean))))
+    clean = as_tensor(clean / math.sqrt(float(np.add.reduce(clean * clean, None) / clean.size)))
     cores = _fig1_init_cores(spec, _rng(cfg.seed + 2))
     optimizer = build_optimizer(cfg.optimizer)
     q_rates, cov_means, losses = [], [], []
@@ -300,7 +311,7 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
             os.path.join(out_dir, f"trajectory_alpha_{tag}.csv"), records, stats
         )
         q_rates.append((qs[0] - qs[-1]) / len(records))
-        cov_means.append(float(np.mean(np.abs(covs))))
+        cov_means.append(float(np.add.reduce(np.abs(covs), None) / len(covs)))
         losses.append(records[-1].loss)
     q_ordered = all(a < b for a, b in zip(q_rates[:-1], q_rates[1:]))
     cov_ordered = all(a < b for a, b in zip(cov_means[:-1], cov_means[1:]))
@@ -347,7 +358,7 @@ def suite_lemma_and_invariance(instances) -> list[TheoremCheckReport]:
                     worst_dir, _directional_residual(spec, cores, m, v, dl, grads[m])
                 )
             scales = rng.uniform(0.5, 2.0, spec.num_cores)
-            scales[-1] = 1.0 / np.prod(scales[:-1])
+            scales[-1] = 1.0 / np.multiply.reduce(scales[:-1], None)
             worst_scale = max(
                 worst_scale, check_scale_invariance(spec, cores, scales)
             )
@@ -377,7 +388,8 @@ def suite_deviation_forms() -> TheoremCheckReport:
         k = int(rng.integers(2, 9))
         stacks.setdefault(k, []).append(rng.uniform(0.1, 10.0, k))
     pairs = [(norm_deviation(rows), norm_deviation_pairwise(rows)) for rows in stacks.values()]
-    worst = max(float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300))) for a, b in pairs)
+    rel = [np.abs(a - b) / np.maximum(np.abs(a), 1e-300) for a, b in pairs]
+    worst = max(float(np.maximum.reduce(r, None)) for r in rel)
     exact = abs(norm_deviation([2, 10, 18]) - 128.0) + abs(
         norm_deviation_pairwise([2, 10, 18]) - 128.0
     )

@@ -299,7 +299,7 @@ def random_cores(
     cores = []
     for shape in spec.core_shapes:
         g = rng.standard_normal(shape)
-        g /= math.sqrt(float(np.sum(g * g)))
+        g /= math.sqrt(float(np.add.reduce(g * g, None)))
         cores.append(g)
     if norm_spread > 0.0 and spec.num_cores > 1:
         logs = rng.permutation(np.linspace(-norm_spread, norm_spread, spec.num_cores))

@@ -1,6 +1,8 @@
 """Scalar losses over the reconstructed tensor, and evaluation metrics.  A
-noisy target redrawn every step draws many steps' noise in one call.  A loss
-sums with ``np.add.reduce``, the C routine of ``.sum()`` without its wrapper."""
+noisy target redrawn every step draws many steps' noise in one call.  Sums,
+means and counts call numpy's C routines without their Python wrappers: a sum
+is ``np.add.reduce``, a mean that sum over the count, a count the C
+``count_nonzero``."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVariance, NumericalError
-from .tensor import quietly, require_same_shape, seal
+from .tensor import _count_nonzero, quietly, require_same_shape, seal
 
 
 def _squared_error(resid: np.ndarray, normalizer: int, context: str):
@@ -31,11 +33,11 @@ class MaskedMse:
     mask: np.ndarray
 
     def __post_init__(self):
-        require_same_shape(self.target, self.mask, "target and mask")
-        values = np.unique(self.mask)
-        if not np.isin(values, (0.0, 1.0)).all():
+        mask = self.mask
+        require_same_shape(self.target, mask, "target and mask")
+        if _count_nonzero(mask == 0.0) + _count_nonzero(mask == 1.0) != mask.size:
             raise ValueError("mask entries must be 0 or 1")
-        self.normalizer = int(self.mask.sum())
+        self.normalizer = int(np.add.reduce(mask, None))
         if self.normalizer < 1:
             raise ValueError("mask selects no entries")
 
@@ -100,13 +102,13 @@ def r2_score(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
     require_same_shape(pred, truth, "pred and truth")
     require_same_shape(truth, mask, "truth and mask")
     selected = mask != 0
-    n = int(np.count_nonzero(selected))
+    n = int(_count_nonzero(selected))
     if n < 2:
         raise DegenerateVariance("mask must select at least 2 entries")
     y = truth[selected]
     y_hat = pred[selected]
-    sse = float(np.sum((y - y_hat) ** 2))
-    sst = float(np.sum((y - y.mean()) ** 2))
+    sse = float(np.add.reduce((y - y_hat) ** 2, None))
+    sst = float(np.add.reduce((y - np.add.reduce(y, None) / n) ** 2, None))
     if sst == 0.0:
         raise DegenerateVariance("masked target variance is zero")
     return 1.0 - sse / sst

@@ -22,14 +22,16 @@ around the step alone, and that entry is the only numpy Python wrapper a step
 runs (``norms_sq`` calls ``np.vdot``'s C routine).  The passes and steps test
 whether the scope is open themselves; only a call on its own opens it, around
 a private body, never through its own name (which a benchmark's tracer may
-wrap).  A step hands ``base_step`` the flat arrays and shapes it reads off the
-carriers (a plain list of cores is copied).
+wrap).  A plain step called on its own runs inside the scopes its gradient
+pass and ``base_step`` open.  A step hands ``base_step`` the flat arrays and
+shapes it reads off the carriers (a plain list of cores is copied).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,6 +153,8 @@ def base_step(
     ``cores`` and ``grads`` are the flat arrays of the cores and gradients
     of those shapes, as the steps hand them over.
     """
+    if not _scope.open:  # called on its own
+        return quietly(_base_update, cores, grads, cfg, state, eta, shapes)
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
@@ -169,6 +173,14 @@ def base_step(
     if shrink != 1.0:  # 1.0 * x is x bit for bit
         cores = shrink * cores
     return FlatViews(seal(cores - eta * step, "optimizer update"), shapes)
+
+
+# What ``base_step`` called on its own runs inside the scope it opens: its own
+# code under a private name, which a tracer rebinding the public one misses (a
+# separate body would add a frame to every step).
+_base_update = types.FunctionType(
+    base_step.__code__, base_step.__globals__, "_base_update", base_step.__defaults__
+)
 
 
 def loss_and_core_grads(spec, cores, objective):
@@ -318,7 +330,15 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     )
     flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
     factors = np.add(1.0, lams).repeat(sizes_of(shapes))
+    if not _scope.open:  # called on its own
+        return quietly(_scaled_update, flat, factors, g, cfg.base, state, eta_t, shapes, rec)
     return base_step(flat * factors, g.flat, cfg.base, state, eta_t, shapes), rec, g
+
+
+def _scaled_update(flat, factors, g, base, state, eta, shapes, rec):
+    """The scaling and update of a DAS step called on its own, inside the one
+    error-state scope that call opens."""
+    return base_step(flat * factors, g.flat, base, state, eta, shapes), rec, g
 
 
 def step_of(cfg: OptimizerConfig):

@@ -18,8 +18,9 @@ as straight-line numpy calls (see ``CompiledPlan``), shown by tracebacks and
 profilers under the compiled plan's name; a reverse step lowers its incoming
 gradient once for both of its products.  ``FlatViews`` builds its views with
 code rendered once per shape tuple.  On a step's path numpy runs no Python
-wrapper but the error-state entry: a product is the ndarray ``dot`` method, a
-copy is ``d[...] = x``, and ``seal`` calls the C ``count_nonzero``.
+wrapper but the error-state entry: a product is the ndarray ``dot`` method (as
+in ``frobenius_inner``), a copy is ``d[...] = x``, and ``seal`` calls the C
+``count_nonzero``.
 """
 
 from __future__ import annotations
@@ -582,7 +583,7 @@ def contract_grads(
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Entrywise inner product over all indices."""
     require_same_shape(a, b, "inner-product operands")
-    value = float(np.dot(a.ravel(), b.ravel()))
+    value = float(a.ravel().dot(b.ravel()))
     if not math.isfinite(value):
         raise NumericalError("inner product produced a non-finite value")
     return value

@@ -315,3 +315,29 @@ class PerStepNoisyTargetMse:
         if not math.isfinite(loss):
             raise ValueError(f"non-finite loss {loss!r}")
         return loss, resid * 2.0
+
+
+# numpy's wrapper forms of the suite's statistics (np.mean, np.sum, .mean(),
+# .std()), as coreflow wrote them before it called the C routines those
+# wrappers run: a bitwise reference for the rewritten forms.
+
+def wrapper_norm_deviation(s):
+    dev = s - s.mean(axis=-1, keepdims=True)
+    q = np.sum(dev * dev, axis=-1)
+    return float(q) if s.ndim == 1 else q
+
+
+def wrapper_norm_deviation_pairwise(s):
+    diffs = s[..., :, None] - s[..., None, :]
+    q = np.sum(diffs * diffs, axis=(-2, -1)) / (2.0 * s.shape[-1])
+    return float(q) if s.ndim == 1 else q
+
+
+def wrapper_norm_grad_covariance(x, y):
+    dx, dy = x - x.mean(axis=-1, keepdims=True), y - y.mean(axis=-1, keepdims=True)
+    cov = np.mean(dx * dy, axis=-1)
+    return float(cov) if x.ndim == 1 else cov
+
+
+def wrapper_linearized_dq(s0, ds):
+    return float(2.0 * np.sum((s0 - s0.mean()) * (ds - ds.mean())))

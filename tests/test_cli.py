@@ -231,6 +231,28 @@ class TestSeedChecks:
         assert err.count("\n") == 1 and "--seed" in err
 
 
+class TestOversizedSeedCount:
+    """A seed count above sys.maxsize, more seeds than a list can hold, ends
+    in one error line and exit 2 before any work: no output directory."""
+
+    @pytest.mark.parametrize("count", [2**63, 10**20])
+    def test_suite(self, count, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["suite", "--seeds", str(count), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --seeds must be <= {sys.maxsize}, got {count}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [2**63, 10**20])
+    def test_run(self, count, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, f"experiment theorem-suite\nseeds {count}\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: seeds must be <= {sys.maxsize}, got {count}\n"
+        assert not out.exists()
+
+
 class TestUnusablePaths:
     def assert_one_line_error(self, argv, capsys, *words):
         assert main(argv) == 2

@@ -191,6 +191,11 @@ class TestParsing:
         cfg = parse_config_text("experiment theorem-suite\nseeds 3\n")
         assert cfg.suite_seeds == 3
 
+    @pytest.mark.parametrize("count", ["0", "-1", str(2**63), "100000000000000000000"])
+    def test_theorem_suite_seed_count_out_of_range(self, count):
+        with pytest.raises(ValidationError, match=f"^seeds must be .*, got {count}$"):
+            parse_config_text(f"experiment theorem-suite\nseeds {count}\n")
+
 
 class TestModelBuilding:
     def test_all_families_build(self):

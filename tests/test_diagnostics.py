@@ -1,8 +1,11 @@
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreflow.diagnostics import (
@@ -16,6 +19,7 @@ from coreflow.diagnostics import (
     norm_deviation_pairwise,
     norm_grad_covariance,
     _drift_bounds,
+    _linearized_dq,
     sam_probe,
     trajectory_rows,
     trajectory_stats,
@@ -25,7 +29,7 @@ from coreflow import experiments, optim
 from coreflow.errors import LengthMismatch, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
 from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct
-from coreflow.objective import MaskedMse
+from coreflow.objective import MaskedMse, r2_score
 from coreflow.optim import (
     DasConfig,
     SamConfig,
@@ -36,9 +40,16 @@ from coreflow.optim import (
     init_state,
     run,
 )
-from coreflow.tensor import as_tensor, frobenius_norm_sq
+from coreflow.tensor import as_tensor, frobenius_inner, frobenius_norm_sq
 
-from oracles import per_record_drift_bounds, per_record_trajectory_rows
+from oracles import (
+    per_record_drift_bounds,
+    per_record_trajectory_rows,
+    wrapper_linearized_dq,
+    wrapper_norm_deviation,
+    wrapper_norm_deviation_pairwise,
+    wrapper_norm_grad_covariance,
+)
 
 
 def layered_probe(model, x, obj, rho, eta):
@@ -147,6 +158,100 @@ class TestStackedStatistics:
     def test_stacks_of_different_shapes(self):
         with pytest.raises(LengthMismatch):
             norm_grad_covariance(np.ones((3, 2)), np.ones((2, 2)))
+
+
+def bits(value) -> bytes:
+    """The float64 bytes of a float or an array, with its shape."""
+    arr = np.asarray(value)
+    assert arr.dtype == np.float64
+    return repr(arr.shape).encode() + arr.tobytes()
+
+
+@st.composite
+def wide_norms(draw):
+    """Two 1-D vectors or (rows, K) stacks of K = 2-8 values over 121 decades."""
+    k, rows = draw(st.integers(2, 8)), draw(st.one_of(st.none(), st.integers(1, 20)))
+    shape = (k,) if rows is None else (rows, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-60, 61, shape) for _ in "sg"]
+
+
+class TestStatisticsMatchNumpyWrappers:
+    """The statistics, which call numpy's C routines, equal numpy's wrapper
+    forms (np.mean, np.sum, .std()) bit for bit."""
+
+    @given(wide_norms())
+    @settings(max_examples=300, deadline=None)
+    @example([np.array([2.0, 10.0, 18.0]), np.array([1.0, 1.0, 1.0])])
+    def test_bitwise(self, norms):
+        s, g = norms
+        assert bits(norm_deviation(s)) == bits(wrapper_norm_deviation(s))
+        assert bits(norm_deviation_pairwise(s)) == bits(wrapper_norm_deviation_pairwise(s))
+        assert bits(norm_grad_covariance(s, g)) == bits(wrapper_norm_grad_covariance(s, g))
+        for row_s, row_g in zip(np.atleast_2d(s), np.atleast_2d(g)):
+            assert bits(experiments._std(row_s)) == bits(row_s.std())
+            assert bits(_linearized_dq(row_s, row_g)) == bits(wrapper_linearized_dq(row_s, row_g))
+
+
+@functools.cache
+def statistic_calls():
+    """name -> a call of a statistic, a draw's conditioning, a mask check, a
+    score or a one-step law check, on inputs built here, outside any profile."""
+    rng = np.random.default_rng(7)
+    s, g = rng.uniform(0.1, 10.0, (2, 6, 4))
+    spec, cores, obj = check_instance("tucker2", 0)
+    probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
+    lspec, lcores, lobj, groups = layered_instance("tucker2", 0)
+    layered = sam_probe(lspec, lcores, lobj, rho=1e-3, eta=1e-6)
+    _, records = run(spec, cores, obj, SgdConfig(1e-3), 5)
+    grads = gradient_fn(spec, obj)(cores)[1]
+    target = obj.target
+    mask = as_tensor(rng.random(target.shape) < 0.5)
+    pred = as_tensor(target + rng.standard_normal(target.shape))
+    return {
+        "norm_deviation": lambda: norm_deviation(s[0]),
+        "norm_deviation_rows": lambda: norm_deviation(s),
+        "norm_deviation_pairwise": lambda: norm_deviation_pairwise(s),
+        "norm_grad_covariance": lambda: norm_grad_covariance(s[0], g[0]),
+        "norm_grad_covariance_rows": lambda: norm_grad_covariance(s, g),
+        "trajectory_stats": lambda: trajectory_stats(records),
+        "well_conditioned": lambda: experiments._well_conditioned(cores, grads),
+        "masked_mse": lambda: MaskedMse(target, mask),
+        "r2_score": lambda: r2_score(pred, target, mask),
+        "frobenius_inner": lambda: frobenius_inner(cores[0], grads[0]),
+        "check_sam_q_dynamics": lambda: check_sam_q_dynamics(probe),
+        "check_pairwise_sam_dynamics": lambda: check_pairwise_sam_dynamics(probe, 0, 2),
+        "check_layerwise_q": lambda: check_layerwise_q(layered, groups, 1),
+    }
+
+
+class TestNumpyFramesPerStatistic:
+    """The suite's statistics and the helpers around them call numpy's C
+    routines directly: none of these calls enters numpy's Python files."""
+
+    @pytest.mark.parametrize("name", [
+        "norm_deviation", "norm_deviation_rows", "norm_deviation_pairwise",
+        "norm_grad_covariance", "norm_grad_covariance_rows", "trajectory_stats",
+        "well_conditioned", "masked_mse", "r2_score", "frobenius_inner",
+        "check_sam_q_dynamics", "check_pairwise_sam_dynamics", "check_layerwise_q",
+    ])
+    def test_no_numpy_python_frames(self, name):
+        call = statistic_calls()[name]
+        call()  # anything numpy imports on a first call is imported now
+        numpy_dir = os.path.dirname(np.__file__) + os.sep
+        calls = []
+
+        def profile(frame, event, arg):
+            filename = frame.f_code.co_filename
+            if event == "call" and filename.startswith(numpy_dir):
+                calls.append((os.path.basename(filename), frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        assert calls == []
 
 
 class TestTrajectorySchema:

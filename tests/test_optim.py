@@ -979,6 +979,15 @@ class TestErrorStateScope:
             obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
             cfg = SamConfig(rho=1e-3, base=SgdConfig(eta=1e308))
             return sam_step(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
+        if entry in ("plain_step", "das_step", "base_step"):  # the gradients are finite, the update overflows
+            spec = custom_spec("i,j->ij", [(1,), (1,)])
+            cores = [as_tensor([1.0]), as_tensor([2.0])]
+            obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
+            sgd = SgdConfig(eta=1e308)
+            if entry == "base_step":
+                return base_step(cores, [as_tensor([2.0]), as_tensor([1.0])], sgd, init_state(sgd, cores))
+            cfg = sgd if entry == "plain_step" else DasConfig(alpha=1e-310, base=sgd)
+            return step_of(cfg)(gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
         spec = custom_spec("a,b->ab", [(1,), (1,)])
         model = LayeredModel(specs=[spec, spec], cores=[[as_tensor([1.0])] * 2] * 2)
         obj = MaskedMse(as_tensor([[0.0]]), as_tensor([[1.0]]))
@@ -988,7 +997,7 @@ class TestErrorStateScope:
     @pytest.mark.parametrize(
         "entry",
         ["contract", "contract_grads", "grad_cores", "loss_and_core_grads", "sam_step",
-         "sam_step_update", "layered_gradient_fn"],
+         "sam_step_update", "layered_gradient_fn", "plain_step", "das_step", "base_step"],
     )
     def test_each_entry_point_on_its_own(self, entry):
         before = np.geterr()
@@ -1156,6 +1165,34 @@ class TestStandaloneSpans:
         assert self.spans(lambda: model.grad_cores(spec, cores, dl)) == [0, 1, 0, 0]
         step = lambda: optim.sam_step(optim.gradient_fn(spec, obj), cores, cfg, init_state(cfg, cores))
         assert self.spans(step) == [2, 2, 1, 1]
+
+    def test_one_span_per_update_call(self, rng):
+        spec = tucker_spec((5, 4, 3), (2, 2, 2))
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3))))
+        cores = random_cores(spec, rng, norm_spread=0.5)
+        grads = grad_cores(spec, cores, obj.loss_and_grad(reconstruct(spec, cores))[1])
+        sgd = SgdConfig(eta=0.01)
+        das = DasConfig(alpha=0.05, base=sgd)
+        optim = coreflow.optim  # each call looks its function up where the tracer rebinds it
+        tracer = load("tracer").Tracer()
+        calls = [
+            lambda: optim.base_step(cores, grads, sgd, init_state(sgd, cores)),
+            lambda: optim.plain_step(optim.gradient_fn(spec, obj), cores, sgd, init_state(sgd, cores)),
+            lambda: optim.das_step(optim.gradient_fn(spec, obj), cores, das, init_state(das, cores)),
+        ]
+        names = ("optim.loss_and_core_grads", "model.grad_cores", "optim.das_step", "optim.base_step")
+        counts = []
+        tracer.install()
+        try:
+            for call in calls:
+                before = [tracer.query(name)[0] for name in names]
+                assert not tensor._scope.open
+                call()
+                assert not tensor._scope.open
+                counts.append([tracer.query(name)[0] - b for name, b in zip(names, before)])
+        finally:
+            tracer.uninstall()
+        assert counts == [[0, 0, 0, 1], [1, 1, 0, 1], [1, 1, 1, 1]]
 
 
 class TestReferenceSteps:
