@@ -45,7 +45,8 @@ class MaskedMse:
         pass
 
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
-        require_same_shape(t_hat, self.target, "prediction and target")
+        if t_hat.shape != self.target.shape:
+            require_same_shape(t_hat, self.target, "prediction and target")
         resid = t_hat - self.target
         resid *= self.mask
         return _squared_error(resid, self.normalizer, "masked mse")
@@ -91,7 +92,8 @@ class NoisyTargetMse:
             self._draw()
 
     def loss_and_grad(self, t_hat: np.ndarray) -> tuple[float, np.ndarray]:
-        require_same_shape(t_hat, self.clean_target, "prediction and target")
+        if t_hat.shape != self.clean_target.shape:
+            require_same_shape(t_hat, self.clean_target, "prediction and target")
         resid = t_hat - self.clean_target
         resid -= self._scaled_noise
         return _squared_error(resid, 1, "noisy mse")

@@ -16,15 +16,20 @@ Every vector a step touches (cores, gradients, the SAM perturbation, the
 optimizer's buffers) is one flat float64 array over all cores end to end,
 checked for finiteness once; cores and gradients travel as ``FlatViews``
 (that array with its per-core views), so a step copies only plain lists: a
-plain step builds two carriers (gradients, update), a SAM step four.
+plain step builds two carriers (gradients, update), a SAM step four.  Each
+gradient pass builds and seals its carrier in its rendered reverse code; the
+update and SAM's perturbation come from the gradient carrier's ``like``, the
+rendered constructor of the cores' layout, which seals the fresh array and
+builds the carrier in one frame.
 ``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
 around the step alone, and that entry is the only numpy Python wrapper a step
 runs (``norms_sq`` calls ``np.vdot``'s C routine).  The passes and steps test
 whether the scope is open themselves; only a call on its own opens it, around
 a private body, never through its own name (which a benchmark's tracer may
 wrap).  A plain step called on its own runs inside the scopes its gradient
-pass and ``base_step`` open.  A step hands ``base_step`` the flat arrays and
-shapes it reads off the carriers (a plain list of cores is copied).
+pass and ``base_step`` open.  A step hands ``base_step`` the flat arrays it
+reads off the carriers (a plain list of cores is copied) and the gradient
+carrier's ``like``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, _scope, carried, quietly, seal, sizes_of
+from .tensor import FlatViews, _scope, carried, quietly, sizes_of
 
 _TINY_NORM_SQ = 1e-300
 
@@ -142,24 +147,25 @@ def base_step(
     cfg: SgdConfig | AdamConfig,
     state: OptimizerState,
     eta: float | None = None,
-    shapes: tuple | None = None,
+    like=None,
 ) -> FlatViews:
     """One SGD/momentum/Adam update.  Weight decay is decoupled: cores are
     shrunk by (1 - eta*wd) separately from the gradient term.
 
     The update is elementwise, so it runs once over all cores laid end to
     end (one numpy call per operation instead of one per core); the new
-    cores are FlatViews of one sealed flat array.  Given ``shapes``,
-    ``cores`` and ``grads`` are the flat arrays of the cores and gradients
-    of those shapes, as the steps hand them over.
+    cores are FlatViews of one sealed flat array.  Given ``like``, the
+    constructor of a carrier of the cores' layout (``FlatViews.like``),
+    ``cores`` and ``grads`` are flat arrays of that layout, as the steps hand
+    them over, and ``like`` seals and wraps the update.
     """
     if not _scope.open:  # called on its own
-        return quietly(_base_update, cores, grads, cfg, state, eta, shapes)
+        return quietly(_base_update, cores, grads, cfg, state, eta, like)
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
-    if shapes is None:
-        (cores, shapes), grads = carried(cores), carried(grads)[0]
+    if like is None:
+        (cores, like), grads = carried(cores), carried(grads)[0]
     if isinstance(cfg, AdamConfig):
         c1 = 1.0 - cfg.beta1 ** state.t
         c2 = 1.0 - cfg.beta2 ** state.t
@@ -172,7 +178,7 @@ def base_step(
         step = grads
     if shrink != 1.0:  # 1.0 * x is x bit for bit
         cores = shrink * cores
-    return FlatViews(seal(cores - eta * step, "optimizer update"), shapes)
+    return like(cores - eta * step, "optimizer update")
 
 
 # What ``base_step`` called on its own runs inside the scope it opens: its own
@@ -234,8 +240,9 @@ def norms_sq(arrays) -> tuple[float, ...]:
 # Every step takes (grads_of, cores, cfg, state, eta=None, groups=None), hands
 # ``cores`` itself to ``grads_of`` first, and returns (new cores as FlatViews,
 # StepRecord, the gradients the base update used).  ``grads_of`` returns the
-# gradients as FlatViews, as ``gradient_fn``'s callback does; ``cores`` is
-# FlatViews or a list of arrays.
+# gradients as FlatViews of the cores' shapes, as ``gradient_fn``'s callback
+# does, and their ``like`` builds the step's carriers; ``cores`` is FlatViews
+# or a list of arrays.
 # ``groups`` gives the number of cores in each group (layer), laid end to end
 # in ``cores``; only DAS reads it.
 
@@ -243,8 +250,8 @@ def plain_step(grads_of, cores, cfg: SgdConfig | AdamConfig, state, eta=None, gr
     """The base SGD/momentum/Adam update with the gradients at ``cores``."""
     loss, g = grads_of(cores)
     rec = StepRecord(state.t, loss, norms_sq(cores), norms_sq(g))
-    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
-    return base_step(flat, g.flat, cfg, state, eta, shapes), rec, g
+    flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
+    return base_step(flat, g.flat, cfg, state, eta, g.like), rec, g
 
 
 def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
@@ -255,24 +262,23 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
     gamma = norms_sq(g)
     s = norms_sq(cores)
     total = sum(gamma)
-    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
+    flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
     if total == 0.0:
         rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
-        return base_step(flat, g.flat, cfg.base, state, eta, shapes), rec, g
+        return base_step(flat, g.flat, cfg.base, state, eta, g.like), rec, g
     u = total ** -0.5
     rec = StepRecord(state.t, loss, s, gamma, u=u)
     if not _scope.open:  # called on its own
-        args = (grads_of, flat, shapes, cfg.rho * u, g, cfg.base, state, eta, rec)
-        return quietly(_perturbed_update, *args)
-    _, g_tilde = grads_of(FlatViews(seal(flat + cfg.rho * u * g.flat, "SAM perturbation"), shapes))
-    return base_step(flat, g_tilde.flat, cfg.base, state, eta, shapes), rec, g_tilde
+        return quietly(_perturbed_update, grads_of, flat, cfg.rho * u, g, cfg.base, state, eta, rec)
+    _, g_tilde = grads_of(g.like(flat + cfg.rho * u * g.flat, "SAM perturbation"))
+    return base_step(flat, g_tilde.flat, cfg.base, state, eta, g.like), rec, g_tilde
 
 
-def _perturbed_update(grads_of, flat, shapes, scale, g, base, state, eta, rec):
+def _perturbed_update(grads_of, flat, scale, g, base, state, eta, rec):
     """The rest of a SAM step called on its own (perturbation, second pass and
     update), inside the one error-state scope that call opens."""
-    _, g_tilde = grads_of(FlatViews(seal(flat + scale * g.flat, "SAM perturbation"), shapes))
-    return base_step(flat, g_tilde.flat, base, state, eta, shapes), rec, g_tilde
+    _, g_tilde = grads_of(g.like(flat + scale * g.flat, "SAM perturbation"))
+    return base_step(flat, g_tilde.flat, base, state, eta, g.like), rec, g_tilde
 
 
 def das_scaling_factors(
@@ -328,17 +334,17 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
         state.t, loss, s, gamma,
         lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
     )
-    flat, shapes = (cores.flat, cores.shapes) if type(cores) is FlatViews else carried(cores)
-    factors = np.add(1.0, lams).repeat(sizes_of(shapes))
+    flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
+    factors = np.add(1.0, lams).repeat(sizes_of(g.shapes))
     if not _scope.open:  # called on its own
-        return quietly(_scaled_update, flat, factors, g, cfg.base, state, eta_t, shapes, rec)
-    return base_step(flat * factors, g.flat, cfg.base, state, eta_t, shapes), rec, g
+        return quietly(_scaled_update, flat, factors, g, cfg.base, state, eta_t, rec)
+    return base_step(flat * factors, g.flat, cfg.base, state, eta_t, g.like), rec, g
 
 
-def _scaled_update(flat, factors, g, base, state, eta, shapes, rec):
+def _scaled_update(flat, factors, g, base, state, eta, rec):
     """The scaling and update of a DAS step called on its own, inside the one
     error-state scope that call opens."""
-    return base_step(flat * factors, g.flat, base, state, eta, shapes), rec, g
+    return base_step(flat * factors, g.flat, base, state, eta, g.like), rec, g
 
 
 def step_of(cfg: OptimizerConfig):

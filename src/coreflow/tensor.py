@@ -11,16 +11,20 @@ error state in the outermost coreflow call on a thread (an optimizer step, or
 a public function called on its own) and nested calls reuse it.  A function
 on a step's path tests ``_scope.open`` itself and calls ``quietly`` only when
 the scope is closed, around a private body, so a step pays for no nested
-scope.  A reverse pass writes each gradient straight into its slice of one
-flat array, which it seals itself.  A contraction runs as generated code: each
-plan's pairwise steps, sized for one set of operand shapes, are rendered once
-as straight-line numpy calls (see ``CompiledPlan``), shown by tracebacks and
-profilers under the compiled plan's name; a reverse step lowers its incoming
-gradient once for both of its products.  ``FlatViews`` builds its views with
-code rendered once per shape tuple.  On a step's path numpy runs no Python
-wrapper but the error-state entry: a product is the ndarray ``dot`` method (as
-in ``frobenius_inner``), a copy is ``d[...] = x``, and ``seal`` calls the C
-``count_nonzero``.
+scope.  A contraction runs as generated code: each plan's pairwise steps,
+sized for one set of operand shapes, are rendered once as straight-line numpy
+calls (see ``CompiledPlan``), shown by tracebacks and profilers under the
+compiled plan's name; a reverse step lowers its incoming gradient once for
+both of its products.  Carriers (``FlatViews``) are built and sealed in
+rendered code too.  A rendered reverse pass allocates one flat array, writes
+each gradient's last product straight into its slice, checks the array
+finite, freezes it and its views, and returns them as its carrier.  Every
+other carrier comes from the one constructor rendered per layout,
+``FlatViews.like``, which seals a fresh 1-D result and builds its views in
+the same frame.  On a step's path numpy runs no Python wrapper but the
+error-state entry: a product is the ndarray ``dot`` method (as in
+``frobenius_inner``), a copy is ``d[...] = x``, and a finiteness check calls
+the C ``count_nonzero``.
 """
 
 from __future__ import annotations
@@ -251,15 +255,21 @@ def _unpack(names, source: str) -> list[str]:
     return [f"{', '.join(names)}, = {source}"] if names else []
 
 
-def _compiled(lines: list[str], filename: str, name: str):
-    """The function ``name`` defined by ``lines``, compiled under ``filename``,
-    whose source linecache serves to tracebacks and profilers while the function lives."""
+def _compiled(lines: list[str], filename: str, name: str, bound: dict | None = None, cached=True):
+    """The function ``name`` defined by ``lines``, compiled under ``filename``.
+    Its globals are ``_RENDERED``; given ``bound``, it reads those names, and
+    its own name, from a closure.  When ``cached``, linecache serves its source
+    to tracebacks and profilers while the function lives."""
+    if bound is not None:
+        lines = [f"def make({', '.join(bound)}):"] + [f"    {ln}" for ln in lines] + [f"    return {name}"]
     source = "\n".join(lines) + "\n"
     namespace: dict = {}
-    exec(compile(source, filename, "exec"), {"np": np}, namespace)
-    entry = linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    weakref.finalize(namespace[name], _forget, filename, entry)
-    return namespace[name]
+    exec(compile(source, filename, "exec"), _RENDERED, namespace)
+    fn = namespace[name] if bound is None else namespace["make"](**bound)
+    if cached:
+        entry = linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(fn, _forget, filename, entry)
+    return fn
 
 
 def _forget(filename: str, entry) -> None:
@@ -282,9 +292,7 @@ class _Sized(NamedTuple):
     grad_shape: Shape   # output gradient the extra labels
     shapes: tuple[Shape, ...]  # the operand shapes
     run_forward: object  # ops -> (output, the accumulators the reverse pass reads)
-    # slots -> (reverse(ops, accumulators, grad_out, grads), and the shapes and
-    # the flat shape of the gradients it writes)
-    run_reverse: dict
+    run_reverse: dict  # slots -> reverse(ops, accumulators, grad_out) -> sealed FlatViews
 
 
 class CompiledPlan:
@@ -306,7 +314,8 @@ class CompiledPlan:
     returned with its output (operands, accumulators, sized steps), handed
     over by the caller.  Every reverse product involves the float64 output
     gradient, so each gradient's last product is one ``dot(..., out=)``
-    into its slice of one flat float64 array (or one copy of a transpose).
+    into its slice of one flat float64 array (or one copy of a transpose),
+    which the same code then checks, freezes and returns as a ``FlatViews``.
     When both products of a reverse step read the incoming gradient
     transposed and reshaped alike, it is lowered once, as ``h``.
 
@@ -394,7 +403,7 @@ class CompiledPlan:
     def _filename(self, shapes, slots=None) -> str:
         """The filename of the code rendered for ``shapes`` (and ``slots``):
         ``<plan #3 oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>``, #3 the third compiled plan made."""
-        name = self._name + " " + ",".join("x".join(map(str, s)) or "()" for s in shapes)
+        name = self._name + " " + _shape_names(shapes)
         return f"<plan {name}>" if slots is None else f"<plan {name} slots {','.join(map(str, slots))}>"
 
     def _forward_source(self, forward) -> list[str]:
@@ -412,10 +421,9 @@ class CompiledPlan:
         return ["def forward(ops):"] + [f"    {ln}" for ln in lines + [f"return {out}, ({kept})"]]
 
     def _render_reverse(self, sized: _Sized, slots: tuple[int, ...]):
-        """reverse(ops, accs, g, grads), checked against the plan: it writes the
-        gradients of ``slots`` into ``grads``, reading the accumulators ``accs``
-        that the forward pass on ``ops`` returned.  Returned with the
-        gradients' shapes and flat shape."""
+        """reverse(ops, accs, g), checked against the plan: the gradients of
+        ``slots`` as a sealed FlatViews, reading the accumulators ``accs`` that
+        the forward pass on ``ops`` returned.  Kept in ``sized.run_reverse``."""
         try:
             shapes = tuple([sized.shapes[s] for s in slots])
         except IndexError:
@@ -446,12 +454,17 @@ class CompiledPlan:
             body.append(f"d{pending.pop()}[...] = {_lowered('g', self._first_perm, None)}")
         if pending:
             raise ShapeMismatch(f"slots {slots} are not ascending operand indices")
+        like, (size,), _ = _layout(shapes)
+        grads = [f"d{s}" for s in slots]
         lines = _unpack([f"x{i}" for i in range(n)], "ops")
         lines += _unpack([f"a{i}" for i in range(1, n - 1)], "accs")
-        lines += _unpack([f"d{s}" for s in slots], "grads") + body
-        source = ["def reverse(ops, accs, g, grads):"] + [f"    {ln}" for ln in lines + ["return"]]
-        run = _compiled(source, self._filename(sized.shapes, slots), "reverse")
-        return run, shapes, _layout(shapes)[1]
+        lines += [f"flat = empty({size})"] + _unpack(grads, _views_of(shapes)) + body
+        lines += _sealing(size, repr(self._grad_context + " produced a non-finite value"))
+        lines += [f"{d}.setflags(False)" for d in grads] + _carrier(" ".join(f"{d}," for d in grads), shapes)
+        source = ["def reverse(ops, accs, g):"] + [f"    {ln}" for ln in lines]
+        run = _compiled(source, self._filename(sized.shapes, slots), "reverse", {"like": like})
+        sized.run_reverse[slots] = run
+        return run
 
     def forward(self, inputs: list[np.ndarray]):
         """Unchecked contraction (maybe a view), and ``kept``, what its reverse
@@ -466,8 +479,9 @@ class CompiledPlan:
     def gradients(self, kept, grad_out: np.ndarray, slots: tuple[int, ...]) -> "FlatViews":
         """Gradients of <contraction, grad_out> with respect to operand s for
         each s in ``slots`` (ascending), in one reverse pass, as FlatViews of
-        one fresh float64 array, sealed: each gradient's last product is
-        written straight into its slice.  ``kept`` is what ``forward`` returned
+        one fresh float64 array, sealed: the rendered pass writes each
+        gradient's last product straight into its slice, then checks, freezes
+        and wraps the array itself.  ``kept`` is what ``forward`` returned
         with its output; it is all the pass reads of the operands.  ``grad_out``
         is taken as float64."""
         ops, accs, sized = kept
@@ -477,16 +491,8 @@ class CompiledPlan:
             raise ShapeMismatch(
                 f"output gradient {grad_out.shape}, plan gives {sized.out_shape}"
             )
-        reverse = sized.run_reverse.get(slots)
-        if reverse is None:
-            reverse = sized.run_reverse[slots] = self._render_reverse(sized, slots)
-        run, shapes, flat_shape = reverse
-        grads = FlatViews(np.empty(flat_shape), shapes)
-        run(ops, accs, grad_out, grads)
-        seal(grads.flat, self._grad_context)
-        for view in grads:
-            view.setflags(False)
-        return grads
+        run = sized.run_reverse.get(slots) or self._render_reverse(sized, slots)
+        return run(ops, accs, grad_out)
 
 
 @functools.cache
@@ -512,18 +518,50 @@ def contract(plan: ContractionPlan, inputs: list[np.ndarray]) -> np.ndarray:
     return seal(out, compiled.context)
 
 
+def _shape_names(shapes) -> str:
+    """``5x3,3x2,()``: the shapes as a filename shows them."""
+    return ",".join("x".join(map(str, s)) or "()" for s in shapes)
+
+
+def _views_of(shapes) -> str:
+    """Source of the arrays of ``shapes`` end to end in the 1-D array
+    ``flat``, as views: ``flat[a:b].reshape(shape),`` per array."""
+    ends = tuple(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return " ".join(f"flat[{a}:{b}].reshape({s})," for a, b, s in zip(ends, ends[1:], shapes))
+
+
+def _sealing(size: int, message: str) -> list[str]:
+    """Statements that raise NumericalError(``message``, the source of a string)
+    unless the ``size`` entries of ``flat`` are finite, then freeze ``flat``."""
+    # the check seal makes, for a fresh 1-D array, which needs no contiguous copy
+    return [f"if count_nonzero(isfinite(flat)) != {size}:", f"    raise NumericalError({message})",
+            "flat.setflags(False)"]
+
+
+def _carrier(views: str, shapes) -> list[str]:
+    """Statements returning the FlatViews of ``views`` (the source of a tuple's
+    items) over ``flat``, whose layout's constructor is ``like``."""
+    return [f"views = new(FlatViews, ({views}))", "attrs = views.__dict__", "attrs['flat'] = flat",
+            f"attrs['shapes'] = {shapes!r}", "attrs['like'] = like", "return views"]
+
+
 @functools.lru_cache(maxsize=CompiledPlan._MAX_SHAPE_SETS)
 def _layout(shapes: tuple[Shape, ...]):
-    """``views(flat)``: straight-line code giving the arrays of ``shapes`` end to
-    end in ``flat`` as views; the flat array's shape; and each array's entry
-    count (a read-only array).  Rendered once per shapes; linecache never holds
-    the code, so it leaves with its cache entry."""
-    sizes = np.array([math.prod(shape) for shape in shapes], dtype=np.intp)
+    """``like(flat, context=None)``, the one constructor of carriers of
+    ``shapes``; the flat array's shape; and each array's entry count (a
+    read-only array).  ``like`` seals ``flat`` first when given a context,
+    then builds the views and the carrier in the same frame.  Rendered once per
+    shapes; linecache never holds the code, so it leaves with its cache entry."""
+    shapes = tuple([tuple(map(int, s)) for s in shapes])
+    counts = [math.prod(s) for s in shapes]
+    sizes = np.array(counts, dtype=np.intp)
     sizes.setflags(write=False)
-    ends = tuple(itertools.accumulate(sizes.tolist(), initial=0))
-    spans = zip(ends, ends[1:], shapes)
-    views = "".join(f"flat[{a}:{b}].reshape({tuple(map(int, s))}), " for a, b, s in spans)
-    return eval(f"lambda flat: ({views})", {}), ends[-1:], sizes
+    size = sum(counts)
+    lines = ["def like(flat, context=None):", "    if context is not None:"]
+    lines += [f"        {ln}" for ln in _sealing(size, "f'{context} produced a non-finite value'")]
+    lines += [f"    {ln}" for ln in _carrier(_views_of(shapes), shapes)]
+    like = _compiled(lines, f"<carrier {_shape_names(shapes)}>", "like", {}, cached=False)
+    return like, (size,), sizes
 
 
 def sizes_of(shapes) -> np.ndarray:
@@ -536,17 +574,18 @@ class FlatViews(tuple):
 
     The views are read-only exactly when ``flat`` is: coreflow seals ``flat``
     before it makes the views, or freezes the views when it seals ``flat``.
+    ``like(flat, context=None)`` is the constructor of carriers of this layout
+    (``_layout``'s), which every carrier comes from: a step hands it a fresh
+    1-D result and a context to seal it with.
     """
 
     def __new__(cls, flat: np.ndarray, shapes):
         if type(shapes) is not tuple:
             shapes = tuple(shapes)
-        views, flat_shape, _ = _layout(shapes)
+        like, flat_shape, _ = _layout(shapes)
         if flat.shape != flat_shape:
             raise ShapeMismatch(f"flat array of shape {flat.shape} for {flat_shape[0]} entries")
-        self = tuple.__new__(cls, views(flat))
-        self.__dict__.update(flat=flat, shapes=shapes)
-        return self
+        return like(flat)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -555,16 +594,23 @@ class FlatViews(tuple):
         return FlatViews, (self.flat, self.shapes)
 
 
+# The globals of all rendered code.  Every carrier is made by its
+# ``new(FlatViews, views)``: in a reverse pass or in its layout's ``like``.
+_RENDERED = {"np": np, "empty": np.empty, "isfinite": np.isfinite, "count_nonzero": _count_nonzero,
+             "NumericalError": NumericalError, "FlatViews": FlatViews, "new": tuple.__new__}
+
+
 def shapes_of(arrays) -> tuple[Shape, ...]:
     """The shapes of ``arrays``: a FlatViews' own, else read from each array."""
     return arrays.shapes if isinstance(arrays, FlatViews) else tuple(map(_shape, arrays))
 
 
-def carried(arrays) -> tuple[np.ndarray, tuple[Shape, ...]]:
-    """``arrays`` end to end, and their shapes: a FlatViews' own, else a copy."""
+def carried(arrays):
+    """``arrays`` end to end, and the constructor of carriers of their layout:
+    a FlatViews' own, else a copy."""
     if isinstance(arrays, FlatViews):
-        return arrays.flat, arrays.shapes
-    return np.concatenate([a.ravel() for a in arrays]), tuple([a.shape for a in arrays])
+        return arrays.flat, arrays.like
+    return np.concatenate([a.ravel() for a in arrays]), _layout(tuple([a.shape for a in arrays]))[0]
 
 
 def contract_grads(

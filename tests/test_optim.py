@@ -595,6 +595,19 @@ class TestFlatViewsCarrier:
         step(grads_of, cores, cfg, state)
         assert len(calls) == want
 
+    @staticmethod
+    def count_carriers(monkeypatch):
+        """The carriers built from here on: every one is made by rendered code's
+        ``new(FlatViews, views)``, in a reverse pass or in a layout's ``like``."""
+        built = []
+
+        def counted(cls, views):
+            built.append(cls)
+            return tuple.__new__(cls, views)
+
+        monkeypatch.setitem(tensor._RENDERED, "new", counted)
+        return built
+
     def test_das_step_builds_two_carriers(self, rng, monkeypatch):
         # the gradients and the update: the scaled cores reach the update as one flat array
         spec = tucker_spec((5, 4, 3), (2, 2, 2))
@@ -603,16 +616,9 @@ class TestFlatViewsCarrier:
         grads_of = gradient_fn(spec, obj)
         start = random_cores(spec, rng, 0.5)
         cores, _, _ = das_step(grads_of, start, cfg, init_state(cfg, start))
-        built = []
-        new = FlatViews.__new__
-
-        def counted(cls, *args):
-            built.append(cls)
-            return new(cls, *args)
-
-        monkeypatch.setattr(FlatViews, "__new__", staticmethod(counted))
+        built = self.count_carriers(monkeypatch)
         got, rec, g = das_step(grads_of, cores, cfg, init_state(cfg, cores))
-        assert len(built) == 2
+        assert built == [FlatViews] * 2
         monkeypatch.undo()
         factors = np.repeat(np.add(1.0, rec.lambdas), [c.size for c in cores])
         want = (1.0 - 0.01 * 0.1) * (cores.flat * factors) - 0.01 * g.flat
@@ -632,16 +638,51 @@ class TestFlatViewsCarrier:
         grads_of = gradient_fn(spec, obj)
         start = random_cores(spec, rng, 0.5)
         cores, _, _ = step(grads_of, start, cfg, init_state(cfg, start))
-        built = []
-        new = FlatViews.__new__
-
-        def counted(cls, *args):
-            built.append(cls)
-            return new(cls, *args)
-
-        monkeypatch.setattr(FlatViews, "__new__", staticmethod(counted))
+        built = self.count_carriers(monkeypatch)
         step(grads_of, cores, cfg, init_state(cfg, cores))
-        assert len(built) == carriers
+        assert built == [FlatViews] * carriers
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SgdConfig(eta=0.01),
+            AdamConfig(eta=0.01),
+            SamConfig(rho=0.05, base=SgdConfig(eta=0.01)),
+            DasConfig(alpha=0.05, base=AdamConfig(eta=0.01)),
+        ],
+        ids=["sgd", "adam", "sam", "das"],
+    )
+    def test_every_carrier_is_read_only_and_tiles_its_array(self, cfg, rng):
+        # the updates, SAM's perturbations and every pass's gradients, over a
+        # step from a plain list and a step from a carrier
+        spec = tucker_spec((5, 4, 3), (2, 3, 2))
+        obj = MaskedMse(reconstruct(spec, random_cores(spec, rng)), as_tensor(np.ones((5, 4, 3))))
+        passes = []
+
+        def grads_of(cores):
+            loss, g = loss_and_core_grads(spec, cores, obj)
+            passes.append((cores, g))
+            return loss, g
+
+        cores = random_cores(spec, rng, 0.5)
+        state, carriers = init_state(cfg, cores), []
+        for _ in range(2):
+            passes.clear()
+            cores = tensor.quietly(step_of(cfg), grads_of, cores, cfg, state)[0]
+            carriers += [cores] + [g for _, g in passes] + [given for given, _ in passes[1:]]
+        assert len(carriers) == (8 if isinstance(cfg, SamConfig) else 4)
+        for carrier in carriers:
+            flat = carrier.flat
+            assert type(carrier) is FlatViews and carrier.shapes == spec.core_shapes
+            assert flat.ndim == 1 and not flat.flags.writeable
+            offset = 0
+            for view, shape in zip(carrier, carrier.shapes, strict=True):
+                assert view.shape == shape and view.flags.c_contiguous and not view.flags.writeable
+                assert np.shares_memory(view, flat)
+                byte = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+                assert byte == offset * flat.itemsize
+                offset += view.size
+            assert offset == flat.size
 
     def test_gradients_are_sealed_views_of_one_array(self, rng):
         spec = tucker2_spec(5, 4, 3, 2)  # the last core's gradient ends in a transpose
@@ -1043,16 +1084,16 @@ class TestErrorStateScope:
 class TestCallsPerStep:
     """The calls into coreflow's own Python that one step makes, as ``run``
     makes it (inside ``quietly``): frames of its modules, of the code it
-    renders per plan (``<plan ...>``) and of the code it builds with ``eval``
-    (``<string>``: FlatViews' view code and StepRecord's constructor).  A
-    count, so no drift of the host's speed moves it."""
+    renders per plan (``<plan ...>``) and per carrier layout (``<carrier ...>``),
+    and of StepRecord's constructor, which namedtuple builds with ``eval``
+    (``<string>``).  A count, so no drift of the host's speed moves it."""
 
     CASES = {
-        "sam_noise_tucker2": ("noise", SamConfig(rho=1e-2, base=SgdConfig(eta=5e-4)), 38),
-        "sam_tucker": ("tucker", SamConfig(rho=1e-2, base=AdamConfig(eta=1e-3)), 38),
-        "adam_tucker": ("tucker", AdamConfig(eta=1e-3), 22),
-        "sgd_tucker2": ("tucker2", SgdConfig(eta=1e-3), 22),
-        "das_tucker": ("tucker", DasConfig(alpha=0.05, base=AdamConfig(eta=1e-3)), 27),
+        "sam_noise_tucker2": ("noise", SamConfig(rho=1e-2, base=SgdConfig(eta=5e-4)), 26),
+        "sam_tucker": ("tucker", SamConfig(rho=1e-2, base=AdamConfig(eta=1e-3)), 26),
+        "adam_tucker": ("tucker", AdamConfig(eta=1e-3), 16),
+        "sgd_tucker2": ("tucker2", SgdConfig(eta=1e-3), 16),
+        "das_tucker": ("tucker", DasConfig(alpha=0.05, base=AdamConfig(eta=1e-3)), 21),
     }
 
     @staticmethod
@@ -1075,7 +1116,7 @@ class TestCallsPerStep:
 
         def profile(frame, event, arg):
             name = frame.f_code.co_filename
-            if event == "call" and (name.startswith((ours, "<plan ")) or name == "<string>"):
+            if event == "call" and (name.startswith((ours, "<plan ", "<carrier ")) or name == "<string>"):
                 calls.append(frame.f_code.co_name)
 
         sys.setprofile(profile)

@@ -4,7 +4,6 @@ canned perfbench output: no benchmark runs."""
 import argparse
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -66,21 +65,26 @@ def test_summary_gives_ratios_medians_wins_and_digests():
 
 
 def test_each_run_compiles_its_sources_afresh(monkeypatch, tmp_path):
-    # no bytecode is read from or written to either checkout, nor kept between runs
+    # each checkout's own bytecode is deleted before its run and none is written;
+    # installed packages keep their bytecode (no cache prefix reaches the run)
     tool = load_tool()
+    own = ["src/__pycache__", "src/coreflow/__pycache__", "perfbench/__pycache__"]
+    for side in ("parent", "change"):
+        for cache in own + ["tests/__pycache__"]:
+            (tmp_path / side / cache).mkdir(parents=True)
+            (tmp_path / side / cache / "stale.cpython-311.pyc").write_bytes(b"")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     seen = []
 
     def fake_run(cmd, **kwargs):
-        cache = kwargs["env"]["PYTHONPYCACHEPREFIX"]
-        seen.append((kwargs["cwd"], kwargs["env"]["PYTHONDONTWRITEBYTECODE"], cache, os.listdir(cache)))
+        cwd, env = kwargs["cwd"], kwargs["env"]
+        left = [cache for cache in own if (cwd / cache).exists()]
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env, left))
         return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_output(50.0, 20.0, "aa"))
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
     args = argparse.Namespace(workload="noise-tucker2", seed=321, seconds=20.0)
     for side in ("parent", "change"):
         assert tool.run_once(tmp_path / side, args)["digest"] == "aa"
-    assert [(cwd, flag, listed) for cwd, flag, _, listed in seen] == [
-        (tmp_path / "parent", "1", []), (tmp_path / "change", "1", []),
-    ]
-    caches = [cache for _, _, cache, _ in seen]
-    assert caches[0] != caches[1] and not any(os.path.exists(cache) for cache in caches)
+    assert seen == [(tmp_path / "parent", "1", False, []), (tmp_path / "change", "1", False, [])]
+    assert all((tmp_path / side / "tests/__pycache__").exists() for side in ("parent", "change"))

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import linecache
 import re
 import traceback
@@ -30,6 +31,7 @@ from coreflow.tensor import (
 )
 
 from oracles import naive_contract, unlowered_engine
+from test_model import random_models
 
 
 def plan(expr):
@@ -235,6 +237,25 @@ class TestLoweredSteps:
             want = self.evaluate(*case)
         assert got == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_models())
+    def test_bytes_match_the_unlowered_engine_on_random_plans(self, model):
+        # every ascending subset of the slots that have a gradient, the empty one too
+        spec, cores, g = model
+        p, inputs = spec.plan, spec.operands(cores)
+        eligible = [i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb)]
+        subsets = [s for r in range(len(eligible) + 1) for s in itertools.combinations(eligible, r)]
+        got = [self.evaluate(p, inputs, g, slots) for slots in subsets]
+        with unlowered_engine():
+            want = [self.evaluate(p, inputs, g, slots) for slots in subsets]
+        assert got == want
+        g_inf = np.array(g)
+        g_inf.flat[0] = np.inf  # one infinite entry reaches every requested gradient
+        message = re.escape(f"contract '{p.expression()}' gradient produced a non-finite value")
+        for slots in subsets[1:]:
+            with pytest.raises(NumericalError, match=message):
+                contract_grads(p, inputs, g_inf, slots)
+
     @pytest.mark.parametrize("slots", [(1, 0), (0, 0), (1, 1), (-1, 1), (2,), (0, 2)])
     def test_slots_must_be_ascending_operand_indices(self, slots):
         # every returned gradient is written by the pass; none is left unset
@@ -284,7 +305,8 @@ class TestRenderedCode:
         compiled = []
 
         def counted(source, filename, mode):
-            compiled.append(filename)
+            if filename.startswith("<plan "):  # not a carrier layout's constructor
+                compiled.append(filename)
             return compile(source, filename, mode)
 
         monkeypatch.setattr(tensor, "compile", counted, raising=False)
@@ -383,10 +405,10 @@ class TestRenderedCode:
         inputs = [as_tensor(np.ones(s)) for s in ((5, 3), (3, 2), (4, 2))]
         compiled = compile_plan(p)
         contract_grads(p, inputs, as_tensor(np.ones((5, 4))), (0, 1, 2))
-        reverse = compiled._sized(inputs).run_reverse[(0, 1, 2)][0]
+        reverse = compiled._sized(inputs).run_reverse[(0, 1, 2)]
         ops, accs, _ = compiled.forward(inputs)[1]
-        with pytest.raises(ValueError) as err:  # gradient arrays of the wrong shape
-            reverse(ops, accs, as_tensor(np.ones((5, 4))), [np.empty((1, 1))] * 3)
+        with pytest.raises(ValueError) as err:  # an output gradient of the wrong shape
+            reverse(ops, accs, as_tensor(np.ones((4, 5))))
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
         assert re.fullmatch(r"<plan #\d+ oa,ab,ib->oi 5x3,3x2,4x2 slots 0,1,2>", frame.filename)
         assert frame.name == "reverse" and frame.line.startswith("d2[...] = a1.transpose((1, 0)).dot(g)")
@@ -408,7 +430,7 @@ class TestRenderedCode:
         cores = random_cores(spec, rng)
         grad_cores(spec, cores, as_tensor(rng.standard_normal(spec.output_shape)))
         sized = spec.compiled._sized(spec.operands(cores))
-        source = "".join(linecache.getlines(sized.run_reverse[spec.core_slots][0].__code__.co_filename))
+        source = "".join(linecache.getlines(sized.run_reverse[spec.core_slots].__code__.co_filename))
         lowered = re.findall(r"\bg(?:\.transpose\(\([\d, ]+\)\))?\.reshape\(\([\d, ]+\)\)", source)
         assert lowered and len(set(lowered)) == len(lowered), lowered
         assert source.count("h = g.") == len(lowered)
@@ -427,13 +449,16 @@ class TestRenderedCode:
         eligible = tuple(i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb))
         for slots in [eligible] + [(s,) for s in eligible]:
             contract_grads(p, inputs, g, slots)
-            reverse = compile_plan(p)._sized(inputs).run_reverse[slots][0]
+            reverse = compile_plan(p)._sized(inputs).run_reverse[slots]
             filename = reverse.__code__.co_filename
             assert filename.startswith("<plan ") and f" slots {','.join(map(str, slots))}>" in filename
             source = [ln.strip() for ln in linecache.getlines(filename)]
             assert not any(re.search(r"\btry\b", ln) for ln in source)
+            # the products: after the views of the flat array, before its finiteness check
+            start = next(i for i, ln in enumerate(source) if "= flat[" in ln)
+            end = next(i for i, ln in enumerate(source) if ln.startswith("if count_nonzero(isfinite(flat))"))
             for s in slots:
-                writes = [ln for ln in source if re.search(rf"\bd{s}\b", ln) and "= grads" not in ln]
+                writes = [ln for ln in source[start + 1:end] if re.search(rf"\bd{s}\b", ln)]
                 assert len(writes) == 1, writes
                 assert re.fullmatch(
                     rf".+\.dot\(.*, out=d{s}(\.reshape\(len\(lhs\), -1\))?\)"

@@ -6,9 +6,12 @@ PARENT and CHANGE are checkouts of the repository.  Each pair runs
 ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in
 each checkout, one after the other; the order alternates from pair to pair,
 so a stretch of host load falls on both sides alike.  Every run compiles
-the sources afresh (``PYTHONDONTWRITEBYTECODE=1`` and a new, empty
-``PYTHONPYCACHEPREFIX``), so bytecode cached in either checkout, maybe
-from the other tree's sources, moves neither side's set-up time.  For
+its checkout's own code afresh: the checkout's ``src/**/__pycache__`` and
+``perfbench/__pycache__`` are deleted first, and the run writes no bytecode
+(``PYTHONDONTWRITEBYTECODE=1``), so bytecode left in either checkout, maybe
+from the other tree's sources, moves neither side's set-up time.  numpy and
+the standard library load their installed bytecode (``PYTHONPYCACHEPREFIX``
+is unset), so neither side pays to compile a module it imports late.  For
 every end-to-end metric that CHANGE's BENCHMARK.json declares, it prints the
 change/parent ratio of each pair, the median ratio, and the number of pairs
 the change won (a tie counts for neither side), then each side's median and
@@ -21,10 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 
@@ -74,9 +77,11 @@ def _quartiles(values: list[float]) -> str:
 def run_once(checkout: Path, args) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
            str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    for cache in [*(checkout / "src").rglob("__pycache__"), checkout / "perfbench" / "__pycache__"]:
+        shutil.rmtree(cache, ignore_errors=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return parse_run(proc.stdout)
 
 
