@@ -5,9 +5,10 @@ step from a frozen instance, measure the change in the tracked quantity, and
 compare it against the gradient-flow prediction evaluated at the step's
 start.  Each perturbation-based check also verifies that its residual shrinks
 when the perturbation radius is halved, so the percentage tolerance is not
-load-bearing on its own.  The SAM-law checks read those steps from a
-``SamProbe`` (``sam_probe``), taken once per instance and shared by every
-report made from it.
+load-bearing on its own.  Every one-step check reads a ``Probe`` of its
+instance: the loss, dL/dT and core gradients at the point, taken once, and
+each step a check asks for, taken once per config and shared by every report
+made from the probe.
 
 Two residuals are reported.  The raw residual compares the plain one-step
 secant with the prediction.  The flow residual first removes the
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch, ZeroGradient
-from .model import ReconstructionSpec
+from .model import ReconstructionSpec, grad_cores
 from .optim import (
     DasConfig,
     SamConfig,
@@ -42,7 +43,7 @@ from .optim import (
     run,
     step_of,
 )
-from .tensor import frobenius_inner, frobenius_norm_sq
+from .tensor import FlatViews, frobenius_inner, frobenius_norm_sq, quietly
 
 # Pass bounds of the checks.  The residuals they bound are second order in
 # the step (eta for SGD's dQ, rho for the SAM-law residuals), so halving the
@@ -166,31 +167,64 @@ class TheoremCheckReport:
         return out
 
 
-def _one_steps(grads_of, cores, *cfgs) -> list[tuple]:
-    """One step from ``cores`` per config, each from a fresh state, as
-    (new cores, StepRecord, the gradients the update used).  Every step asks
-    for the gradient at ``cores`` first; it is taken once and handed to all."""
-    first = grads_of(cores)
+@dataclass(frozen=True)
+class Probe:
+    """A frozen instance and what is taken at it: the loss, dL/dT (``dl``) and
+    the core gradients at ``cores``, and the cores per group (layer), laid end
+    to end in ``cores``; a shipped family is one group.  Every gradient the
+    probe's steps take is kept, keyed by the point's bytes, and every step by
+    its config, so each is taken once however many checks read it."""
 
-    def reused(given):
-        return first if given is cores else grads_of(given)
+    spec: ReconstructionSpec
+    cores: list
+    objective: object
+    loss: float
+    dl: np.ndarray
+    grads: FlatViews
+    groups: tuple
+    _taken: dict = field(default_factory=dict, repr=False, compare=False)
+    _steps: dict = field(default_factory=dict, repr=False, compare=False)
 
-    return [step_of(cfg)(reused, cores, cfg, init_state(cfg, cores)) for cfg in cfgs]
+    @classmethod
+    def at(cls, spec: ReconstructionSpec, cores, objective, groups=None, forward=None) -> Probe:
+        """The probe at ``cores``: one forward, unless the caller hands over what
+        ``spec.compiled.forward`` returned for them, and one reverse pass."""
+        out, kept = forward or quietly(spec.compiled.forward, spec.operands(cores))
+        loss, dl = objective.loss_and_grad(out)
+        grads = grad_cores(spec, cores, dl, kept)
+        probe = cls(spec, cores, objective, loss, dl, grads, groups or (spec.num_cores,))
+        probe._taken[_point_key(cores)] = (loss, grads)
+        return probe
+
+    def grads_of(self, point):
+        """The gradient callback of the probe's steps: ``gradient_fn``'s, once per point."""
+        key = _point_key(point)
+        if key not in self._taken:
+            self._taken[key] = gradient_fn(self.spec, self.objective)(point)
+        return self._taken[key]
+
+    def step(self, cfg) -> tuple:
+        """(new cores, StepRecord, the gradients the update used) of one step from
+        a fresh state, in one error-state scope as ``run`` takes it, once per config."""
+        if cfg not in self._steps:
+            step, state = step_of(cfg), init_state(cfg, self.cores)
+            self._steps[cfg] = quietly(step, self.grads_of, self.cores, cfg, state, None, self.groups)
+        return self._steps[cfg]
 
 
-def check_sgd_conservation(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    eta: float,
-) -> TheoremCheckReport:
+def _point_key(point) -> bytes:
+    return b"".join([c.tobytes() for c in point])
+
+
+def check_sgd_conservation(probe: Probe, eta: float) -> TheoremCheckReport:
     """Norm deviation is conserved under plain SGD flow: the discrete
     one-step |dQ| must scale as eta^2, i.e. drop ~4x when eta is halved.
     Passes when that eta-halving ratio lies in [3.5, 4.5].  The full-eta
     step is the first of the run; only the eta/2 step is taken apart."""
+    spec, cores, objective = probe.spec, probe.cores, probe.objective
     _, records = run(spec, list(cores), objective, SgdConfig(eta), _SGD_CONSERVATION_STEPS)
     qs = trajectory_stats(records)[0]
-    [(half, _, _)] = _one_steps(gradient_fn(spec, objective), cores, SgdConfig(eta / 2.0))
+    half = probe.step(SgdConfig(eta / 2.0))[0]
     dq_full = qs[1] - qs[0]
     dq_half = norm_deviation(norms_sq(half)) - qs[0]
     ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
@@ -219,12 +253,7 @@ def _drift_bounds(records: list[StepRecord], eta: float) -> tuple[list[float], f
     return before, final
 
 
-def check_sgd_balanced_bound(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    eta: float,
-) -> TheoremCheckReport:
+def check_sgd_balanced_bound(probe: Probe, eta: float) -> TheoremCheckReport:
     """From a balanced start, Q stays under the accumulated second-order
     drift bound sum_k (sum_t eta^2*|gamma_k - gbar|)^2.
 
@@ -233,8 +262,8 @@ def check_sgd_balanced_bound(
     eta^2*||g_k||^2 parts can separate the norms.  Passes when
     Q <= bound*(1 + 1e-9) + 1e-18 at every recorded step and at the end.
     """
-    balanced = [c / math.sqrt(frobenius_norm_sq(c)) for c in cores]
-    final, records = run(spec, balanced, objective, SgdConfig(eta), _SGD_BALANCED_STEPS)
+    balanced = [c / math.sqrt(frobenius_norm_sq(c)) for c in probe.cores]
+    final, records = run(probe.spec, balanced, probe.objective, SgdConfig(eta), _SGD_BALANCED_STEPS)
     before, bound = _drift_bounds(records, eta)
     checked = list(zip(trajectory_stats(records)[0], before))  # (Q, bound) per record
     q_final = norm_deviation(norms_sq(final))
@@ -264,25 +293,12 @@ def _q_law(eta, rho, u, s0, gamma) -> float:
     return eta * 4.0 * rho * u * len(s0) * norm_grad_covariance(s0, gamma)
 
 
-@dataclass(frozen=True)
-class SamProbe:
-    """One SAM step (plain SGD base) from ``cores`` at ``rho`` and one at
-    rho/2: every one-step SAM-law check of an instance reads these."""
-
-    cores: list
-    rho: float
-    eta: float
-    steps: tuple  # (new cores, StepRecord, g~) at rho, then at rho/2
-
-
-def sam_probe(spec: ReconstructionSpec, cores, objective, rho: float, eta: float) -> SamProbe:
-    """The SAM probe of an instance: three gradient passes, the gradient at
-    ``cores`` once and the perturbed point at each radius."""
-    cfgs = [SamConfig(radius, SgdConfig(eta)) for radius in (rho, rho / 2.0)]
-    steps = _one_steps(gradient_fn(spec, objective), cores, *cfgs)
-    if steps[0][1].zero_gradient:
+def _sam_step(probe: Probe, rho: float, eta: float) -> tuple:
+    """The probe's SAM step (plain SGD base) at ``rho``."""
+    step = probe.step(SamConfig(rho, SgdConfig(eta)))
+    if step[1].zero_gradient:
         raise ZeroGradient("all core gradients vanish at the probe point")
-    return SamProbe(cores, rho, eta, tuple(steps))
+    return step
 
 
 @dataclass(frozen=True)
@@ -295,17 +311,17 @@ class _LawMeasurement:
     cov: float  # Cov of the group's squared norms and gradient norms
 
 
-def _measure_law(probe: SamProbe, value, first_order, law, group=slice(None)) -> _LawMeasurement:
-    """A quantity of the squared norms of the cores in ``group`` (a slice of
-    the probe's cores) over the probe's two steps: ``value(s)`` is the
+def _measure_law(probe: Probe, rho, eta, value, first_order, law, group=slice(None)) -> _LawMeasurement:
+    """A quantity of the squared norms of the cores in ``group`` (a slice of the
+    probe's cores) over its SAM steps at ``rho`` and rho/2: ``value(s)`` is the
     quantity, ``first_order(s0, ds)`` its first-order change and
     ``law(eta, rho, u, s0, gamma)`` the change the flow theorem predicts.
     The flow part of each squared-norm change is -2*eta*<G_k, g~_k>: the
     secant with its exactly-known eta^2 term removed.
     """
-    eta = probe.eta
     steps = []
-    for radius, (new, rec, g_tilde) in zip((probe.rho, probe.rho / 2.0), probe.steps):
+    for radius in (rho, rho / 2.0):
+        new, rec, g_tilde = _sam_step(probe, radius, eta)
         s0 = np.asarray(rec.core_norms_sq[group])
         gamma = np.asarray(rec.grad_norms_sq[group])
         ds_flow = np.asarray(
@@ -346,22 +362,24 @@ def _law_report(check, law, params, rel, shrink, **details):
     )
 
 
-def _q_report(check, probe: SamProbe, group, **params) -> TheoremCheckReport:
+def _q_report(check, probe: Probe, rho, eta, group, **params) -> TheoremCheckReport:
     """The SAM covariance law for the one-step dQ of the cores in ``group``."""
-    law = _measure_law(probe, norm_deviation, _linearized_dq, _q_law, group)
+    law = _measure_law(probe, rho, eta, norm_deviation, _linearized_dq, _q_law, group)
     p = law.predicted
     rel = law.raw_residual / abs(p) if p != 0.0 else math.inf
-    params = {"rho": probe.rho, "eta": probe.eta, **params}
+    params = {"rho": rho, "eta": eta, **params}
     return _law_report(check, law, params, rel, law.shrink, cov=law.cov)
 
 
-def check_sam_q_dynamics(probe: SamProbe) -> TheoremCheckReport:
+def check_sam_q_dynamics(probe: Probe, rho: float, eta: float) -> TheoremCheckReport:
     """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov.
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    return _q_report("sam_q_dynamics", probe, slice(None))
+    return _q_report("sam_q_dynamics", probe, rho, eta, slice(None))
 
 
-def check_pairwise_sam_dynamics(probe: SamProbe, i: int, j: int) -> TheoremCheckReport:
+def check_pairwise_sam_dynamics(
+    probe: Probe, rho: float, eta: float, i: int, j: int
+) -> TheoremCheckReport:
     """One-step change of s_i - s_j vs eta*2*rho*u*(gamma_i - gamma_j).
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
 
@@ -369,9 +387,7 @@ def check_pairwise_sam_dynamics(probe: SamProbe, i: int, j: int) -> TheoremCheck
         return float(values[i] - values[j])
 
     law = _measure_law(
-        probe,
-        gap,
-        lambda s0, ds: gap(ds),
+        probe, rho, eta, gap, lambda s0, ds: gap(ds),
         lambda eta, rho, u, s0, gamma: eta * 2.0 * rho * u * gap(gamma),
     )
     if law.predicted == 0.0:
@@ -381,29 +397,18 @@ def check_pairwise_sam_dynamics(probe: SamProbe, i: int, j: int) -> TheoremCheck
     shrink = 4.0 if i == j else law.shrink  # i == j: both residuals are zero
     return _law_report(
         "sam_pairwise_dynamics", law,
-        {"rho": probe.rho, "eta": probe.eta, "i": i, "j": j}, rel, shrink,
+        {"rho": rho, "eta": eta, "i": i, "j": j}, rel, shrink,
     )
 
 
-def check_das_matches_sam(
-    spec: ReconstructionSpec,
-    cores,
-    objective,
-    rho: float,
-    eta: float,
-) -> TheoremCheckReport:
+def check_das_matches_sam(probe: Probe, rho: float, eta: float) -> TheoremCheckReport:
     """DAS with alpha=rho reproduces SAM's one-step dQ, and the analytic
     first-order dQ of the scaling substep matches its measured value.
     Passes at rel_residual <= 0.10 with scaling_rel_residual <= 0.01."""
-    s0 = np.asarray(norms_sq(cores))
+    new_sam = _sam_step(probe, rho, eta)[0]
+    new_das, rec_das, _ = probe.step(DasConfig(rho, SgdConfig(eta)))
+    s0 = np.asarray(rec_das.core_norms_sq)
     q0 = norm_deviation(s0)
-
-    (new_sam, rec_sam, _), (new_das, rec_das, _) = _one_steps(
-        gradient_fn(spec, objective), cores,
-        SamConfig(rho, SgdConfig(eta)), DasConfig(rho, SgdConfig(eta)),
-    )
-    if rec_sam.zero_gradient:
-        raise ZeroGradient("all core gradients vanish at the probe point")
     dq_sam = norm_deviation(norms_sq(new_sam)) - q0
     dq_das = norm_deviation(norms_sq(new_das)) - q0
 
@@ -435,11 +440,8 @@ def check_das_matches_sam(
     )
 
 
-def check_layerwise_q(probe: SamProbe, groups, layer: int) -> TheoremCheckReport:
-    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l, on a
-    probe of a layered model whose cores lie end to end ``groups`` per layer.
-    Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    start = sum(groups[:layer])
-    return _q_report(
-        "layerwise_q_dynamics", probe, slice(start, start + groups[layer]), layer=layer
-    )
+def check_layerwise_q(probe: Probe, rho: float, eta: float, layer: int) -> TheoremCheckReport:
+    """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l on the
+    probe's group ``layer``.  Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
+    start, size = sum(probe.groups[:layer]), probe.groups[layer]
+    return _q_report("layerwise_q_dynamics", probe, rho, eta, slice(start, start + size), layer=layer)

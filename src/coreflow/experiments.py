@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_model_spec, build_optimizer
 from .diagnostics import (
+    Probe,
     TheoremCheckReport,
     _centered,
     check_das_matches_sam,
@@ -33,7 +34,6 @@ from .diagnostics import (
     norm_deviation,
     norm_deviation_pairwise,
     norm_grad_covariance,
-    sam_probe,
     trajectory_stats,
     write_trajectory_csv,
 )
@@ -44,7 +44,6 @@ from .model import (
     check_scale_invariance,
     cp_spec,
     custom_spec,
-    grad_cores,
     layered_spec,
     random_cores,
     reconstruct,
@@ -150,11 +149,12 @@ def _well_conditioned(cores, grads) -> bool:
     return abs(corr) >= _MIN_CORR and rel_spread >= _MIN_REL_SPREAD
 
 
-def _conditioned_draw(draw, seed: int, what: str):
-    """The first draw whose every layer passes _well_conditioned, as (spec, cores,
-    objective).  ``draw(rng)`` gives the spec and its layers' specs (a family is
-    one layer), whose cores are drawn next and laid end to end.  One forward sets
-    the unit-residual target; one reverse pass reads that forward's accumulators."""
+def _conditioned_draw(draw, seed: int, what: str) -> Probe:
+    """The probe of the first draw whose every layer passes _well_conditioned.
+    ``draw(rng)`` gives the spec and its layers' specs (a family is one layer),
+    whose cores are drawn next and laid end to end, a group per layer.  One
+    forward sets the unit-residual target, and the probe's one reverse pass
+    reads that forward's accumulators."""
     rng = _rng(seed)
     for _ in range(_MAX_DRAWS):
         spec, layer_specs = draw(rng)
@@ -164,35 +164,34 @@ def _conditioned_draw(draw, seed: int, what: str):
         resid = rng.standard_normal(out.shape)
         resid /= math.sqrt(float(np.add.reduce(resid * resid, None) / resid.size))
         obj = MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
-        _, dl = obj.loss_and_grad(out)
-        grads = iter(grad_cores(spec, cores, dl, kept))
+        probe = Probe.at(spec, cores, obj, tuple(map(len, layers)), (out, kept))
+        grads = iter(probe.grads)
         if all(_well_conditioned(layer, list(itertools.islice(grads, len(layer)))) for layer in layers):
-            return spec, cores, obj
+            return probe
     raise RuntimeError(f"no well-conditioned {what} instance for seed {seed}")
 
 
-def check_instance(family: str, seed: int):
-    """A (spec, cores, objective) triple on which the one-step checks are
-    well-posed; deterministic in (family, seed)."""
+def check_instance(family: str, seed: int) -> Probe:
+    """The probe of an instance of ``family`` on which the one-step checks are
+    well-posed, one group of every core; deterministic in (family, seed)."""
     spec = _CHECK_SPECS[family]()
     return _conditioned_draw(lambda rng: (spec, [spec]), seed, family)
 
 
-def layered_instance(kind: str, seed: int):
-    """A two-layer composite W_2 W_1 x of tucker2 matrices or scalar products,
-    conditioned per layer, as (spec, cores, objective, groups): the draw's one
-    ``layered_spec``, both layers' cores end to end and each layer's count."""
+def layered_instance(kind: str, seed: int) -> Probe:
+    """The probe of a two-layer composite W_2 W_1 x of tucker2 matrices or
+    scalar products, conditioned per layer: the draw's one ``layered_spec``,
+    both layers' cores end to end and a group per layer."""
     if kind == "tucker2":
         specs, x_shape = (tucker2_spec(6, 5, 3, 3), tucker2_spec(4, 6, 3, 3)), (5, 3)
     elif kind == "scalar":
         specs, x_shape = (custom_spec("a,b->ab", [(1,), (1,)]),) * 2, (1, 1)
     else:
         raise ValueError(f"unknown layered kind {kind!r}")
-    spec, cores, obj = _conditioned_draw(
+    return _conditioned_draw(
         lambda rng: (layered_spec(specs, as_tensor(rng.standard_normal(x_shape))), specs),
         seed, f"layered {kind}",
     )
-    return spec, cores, obj, tuple(s.num_cores for s in specs)
 
 
 # ----------------------------------------------------------------------------
@@ -338,7 +337,7 @@ def run_tucker2_noise(cfg: ExperimentConfig, out_dir: str) -> ExperimentResult:
 # ----------------------------------------------------------------------------
 
 def suite_instances(seeds) -> dict[str, list]:
-    """family -> [(seed, (spec, cores, objective))]: each instance drawn once."""
+    """family -> [(seed, probe)]: each instance drawn once, its probe shared by every section."""
     return {f: [(seed, check_instance(f, seed)) for seed in seeds] for f in FAMILIES}
 
 
@@ -347,15 +346,13 @@ def suite_lemma_and_invariance(instances) -> list[TheoremCheckReport]:
     reports = []
     for family, row in instances.items():
         worst_dir, worst_scale = 0.0, 0.0
-        for seed, (spec, cores, obj) in row:
+        for seed, probe in row:
             rng = _rng(seed + 10_000)
-            out, kept = quietly(spec.compiled.forward, spec.operands(cores))
-            _, dl = obj.loss_and_grad(out)
-            grads = grad_cores(spec, cores, dl, kept)  # every core's gradient from one pass
+            spec, cores = probe.spec, probe.cores
             for m in range(spec.num_cores):
                 v = as_tensor(rng.standard_normal(spec.core_shapes[m]))
                 worst_dir = max(
-                    worst_dir, _directional_residual(spec, cores, m, v, dl, grads[m])
+                    worst_dir, _directional_residual(spec, cores, m, v, probe.dl, probe.grads[m])
                 )
             scales = rng.uniform(0.5, 2.0, spec.num_cores)
             scales[-1] = 1.0 / np.multiply.reduce(scales[:-1], None)
@@ -408,23 +405,22 @@ def suite_deviation_forms() -> TheoremCheckReport:
 def suite_sgd_conservation(instances) -> list[TheoremCheckReport]:
     reports = []
     for family, row in instances.items():
-        for seed, (spec, cores, obj) in row:
-            rep = check_sgd_conservation(spec, cores, obj, eta=1e-3)
+        for seed, probe in row:
+            rep = check_sgd_conservation(probe, eta=1e-3)
             reports.append(replace(rep, check=f"sgd_q_conservation[{family},seed={seed}]"))
-        bal = check_sgd_balanced_bound(*row[0][1], eta=1e-3)
+        bal = check_sgd_balanced_bound(row[0][1], eta=1e-3)
         reports.append(replace(bal, check=f"sgd_balanced_bound[{family}]"))
     return reports
 
 
 def suite_sam_dynamics(instances) -> list[TheoremCheckReport]:
     """Pairwise and global one-step matches at rho=1e-3, eta=1e-5 (tucker2),
-    both read from one probe per instance."""
+    both read from the same SAM steps of the instance's probe."""
     reports = []
-    for seed, (spec, cores, obj) in instances["tucker2"]:
-        probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
-        pair = check_pairwise_sam_dynamics(probe, i=0, j=spec.num_cores - 1)
+    for seed, probe in instances["tucker2"]:
+        pair = check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, i=0, j=probe.spec.num_cores - 1)
         reports.append(replace(pair, check=f"sam_pairwise[seed={seed}]"))
-        q = check_sam_q_dynamics(probe)
+        q = check_sam_q_dynamics(probe, rho=1e-3, eta=1e-5)
         reports.append(replace(q, check=f"sam_q_dynamics[seed={seed}]"))
     return reports
 
@@ -434,10 +430,9 @@ def suite_layered(seeds) -> list[TheoremCheckReport]:
     reports = []
     for kind in ("tucker2", "scalar"):
         for seed in seeds:
-            spec, cores, obj, groups = layered_instance(kind, seed)
-            probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6)
-            for layer in range(len(groups)):
-                rep = check_layerwise_q(probe, groups, layer)
+            probe = layered_instance(kind, seed)
+            for layer in range(len(probe.groups)):
+                rep = check_layerwise_q(probe, rho=1e-3, eta=1e-6, layer=layer)
                 reports.append(
                     replace(rep, check=f"layerwise_q[{kind},seed={seed},layer={layer}]")
                 )
@@ -445,9 +440,11 @@ def suite_layered(seeds) -> list[TheoremCheckReport]:
 
 
 def suite_das(instances) -> list[TheoremCheckReport]:
+    """DAS against SAM at rho=alpha=1e-3, eta=1e-4 (tucker2).  SAM's perturbed point
+    does not depend on eta: ``suite_sam_dynamics`` has taken its gradient already."""
     reports = []
-    for seed, (spec, cores, obj) in instances["tucker2"]:
-        rep = check_das_matches_sam(spec, cores, obj, rho=1e-3, eta=1e-4)
+    for seed, probe in instances["tucker2"]:
+        rep = check_das_matches_sam(probe, rho=1e-3, eta=1e-4)
         reports.append(replace(rep, check=f"das_matches_sam[seed={seed}]"))
     return reports
 

@@ -105,7 +105,8 @@ def test_01_gradient_correctness_all_families():
     h = 1e-5
     for family in FAMILIES:
         for seed in range(20):
-            spec, cores, obj = check_instance(family, seed)
+            probe = check_instance(family, seed)
+            spec, cores, obj = probe.spec, probe.cores, probe.objective
             _, dl = obj.loss_and_grad(reconstruct(spec, cores))
             analytic = grad_cores(spec, cores, dl)
             for k, core in enumerate(cores):

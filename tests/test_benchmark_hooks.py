@@ -137,7 +137,7 @@ def test_layered_draw_builds_each_layer_matrix_once(kind, monkeypatch):
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        spec, _, _, _ = experiments.layered_instance(kind, 0)
+        spec = experiments.layered_instance(kind, 0).spec
         draws = tracer.query("model.random_cores")[0] // 2  # one call per layer
         grads = tracer.query("model.grad_cores")[0]
     finally:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coreflow.diagnostics import (
+    Probe,
     check_das_matches_sam,
     check_layerwise_q,
     check_pairwise_sam_dynamics,
@@ -20,7 +21,6 @@ from coreflow.diagnostics import (
     norm_grad_covariance,
     _drift_bounds,
     _linearized_dq,
-    sam_probe,
     trajectory_rows,
     trajectory_stats,
     write_trajectory_csv,
@@ -40,7 +40,14 @@ from coreflow.optim import (
     init_state,
     run,
 )
-from coreflow.tensor import as_tensor, frobenius_inner, frobenius_norm_sq
+from coreflow.tensor import (
+    CompiledPlan,
+    FlatViews,
+    as_tensor,
+    frobenius_inner,
+    frobenius_norm_sq,
+    quietly,
+)
 
 from oracles import (
     per_record_drift_bounds,
@@ -52,10 +59,10 @@ from oracles import (
 )
 
 
-def layered_probe(model, x, obj, rho, eta):
-    """The SAM probe of a layered model, its layers' cores end to end."""
+def layered_probe(model, x, obj):
+    """The probe of a layered model, its layers' cores end to end, a group per layer."""
     cores = [c for layer_cores in model.cores for c in layer_cores]
-    return sam_probe(model.spec(x), cores, obj, rho, eta)
+    return Probe.at(model.spec(x), cores, obj, model.groups)
 
 
 class TestNormDeviation:
@@ -199,13 +206,10 @@ def statistic_calls():
     score or a one-step law check, on inputs built here, outside any profile."""
     rng = np.random.default_rng(7)
     s, g = rng.uniform(0.1, 10.0, (2, 6, 4))
-    spec, cores, obj = check_instance("tucker2", 0)
-    probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
-    lspec, lcores, lobj, groups = layered_instance("tucker2", 0)
-    layered = sam_probe(lspec, lcores, lobj, rho=1e-3, eta=1e-6)
-    _, records = run(spec, cores, obj, SgdConfig(1e-3), 5)
-    grads = gradient_fn(spec, obj)(cores)[1]
-    target = obj.target
+    probe = check_instance("tucker2", 0)
+    layered = layered_instance("tucker2", 0)
+    cores, grads, target = probe.cores, probe.grads, probe.objective.target
+    _, records = run(probe.spec, cores, probe.objective, SgdConfig(1e-3), 5)
     mask = as_tensor(rng.random(target.shape) < 0.5)
     pred = as_tensor(target + rng.standard_normal(target.shape))
     return {
@@ -219,9 +223,9 @@ def statistic_calls():
         "masked_mse": lambda: MaskedMse(target, mask),
         "r2_score": lambda: r2_score(pred, target, mask),
         "frobenius_inner": lambda: frobenius_inner(cores[0], grads[0]),
-        "check_sam_q_dynamics": lambda: check_sam_q_dynamics(probe),
-        "check_pairwise_sam_dynamics": lambda: check_pairwise_sam_dynamics(probe, 0, 2),
-        "check_layerwise_q": lambda: check_layerwise_q(layered, groups, 1),
+        "check_sam_q_dynamics": lambda: check_sam_q_dynamics(probe, 1e-3, 1e-5),
+        "check_pairwise_sam_dynamics": lambda: check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 0, 2),
+        "check_layerwise_q": lambda: check_layerwise_q(layered, 1e-3, 1e-6, 1),
     }
 
 
@@ -341,8 +345,7 @@ class TestTrajectoryStats:
 class TestSgdConservation:
     @pytest.mark.parametrize("family", ["cp", "tucker", "tucker2", "tt", "tr"])
     def test_step_halving_ratio_near_four(self, family):
-        spec, cores, obj = check_instance(family, seed=0)
-        rep = check_sgd_conservation(spec, cores, obj, eta=1e-3)
+        rep = check_sgd_conservation(check_instance(family, seed=0), eta=1e-3)
         assert rep.passed
         assert 3.5 <= rep.details["eta_halving_ratio"] <= 4.5
 
@@ -351,11 +354,10 @@ class TestSgdConservation:
         cores = random_cores(spec, rng, 0.4)
         target = reconstruct(spec, cores)  # zero residual, zero gradient
         obj = MaskedMse(target, as_tensor(np.ones(target.shape)))
-        assert check_sgd_conservation(spec, cores, obj, eta=1e-3).measured == 0.0
+        assert check_sgd_conservation(Probe.at(spec, cores, obj), eta=1e-3).measured == 0.0
 
     def test_balanced_drift_bound_holds(self):
-        spec, cores, obj = check_instance("tucker2", seed=1)
-        rep = check_sgd_balanced_bound(spec, cores, obj, eta=1e-3)
+        rep = check_sgd_balanced_bound(check_instance("tucker2", seed=1), eta=1e-3)
         assert rep.passed
         assert rep.measured <= rep.predicted * (1 + 1e-9) + 1e-18
 
@@ -363,8 +365,7 @@ class TestSgdConservation:
 class TestSamQDynamics:
     def test_passes_on_conditioned_instances(self):
         for seed in range(3):
-            spec, cores, obj = check_instance("tucker2", seed)
-            rep = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5))
+            rep = check_sam_q_dynamics(check_instance("tucker2", seed), rho=1e-3, eta=1e-5)
             assert rep.passed
             assert rep.rel_residual <= 0.05
             assert 1.5 <= rep.details["rho_halving_shrink"] <= 4.5
@@ -374,7 +375,7 @@ class TestSamQDynamics:
         spec = custom_spec("i,j->ij", [(1,), (1,)])
         cores = [as_tensor([2.0]), as_tensor([2.0])]
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
-        rep = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5))
+        rep = check_sam_q_dynamics(Probe.at(spec, cores, obj), rho=1e-3, eta=1e-5)
         scale = 4.0  # the mean squared core norm
         assert abs(rep.measured) <= 1e-10 * scale
         assert rep.details["cov"] == pytest.approx(0.0)
@@ -384,12 +385,14 @@ class TestSamQDynamics:
         cores = [as_tensor([1.0]), as_tensor([1.0])]
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
         with pytest.raises(ZeroGradient):
-            sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
+            check_sam_q_dynamics(Probe.at(spec, cores, obj), rho=1e-3, eta=1e-5)
 
 
 class TestGradientPasses:
-    """The steps of one probe share the gradient at the unperturbed point, and
-    every SAM-law report of an instance reads that instance's one probe."""
+    """Every check reads the gradient at its instance's point from the draw's
+    one pass, kept on the probe with every gradient the probe's steps take,
+    and every step a check asks for is taken once per probe.  Each count
+    below is of full passes; the draw's pass comes first."""
 
     def count_passes(self, monkeypatch):
         calls = []
@@ -403,75 +406,141 @@ class TestGradientPasses:
         return calls
 
     def test_sam_law_probe_takes_three_passes(self, monkeypatch):
-        spec, cores, obj = check_instance("tucker2", 0)
+        probe = check_instance("tucker2", 0)
         calls = self.count_passes(monkeypatch)
-        probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-5)
-        assert len(calls) == 3  # g once, then the perturbed point at rho and rho/2
-        check_sam_q_dynamics(probe)
-        check_pairwise_sam_dynamics(probe, 0, 2)
-        assert len(calls) == 3
+        check_sam_q_dynamics(probe, 1e-3, 1e-5)
+        assert 1 + len(calls) == 3  # the draw's, then the perturbed point at rho and rho/2
+        check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 0, 2)
+        check_sam_q_dynamics(probe, 1e-3, 1e-5)
+        assert len(calls) == 2
 
     def test_sgd_conservation_takes_twenty_one_passes(self, monkeypatch):
-        spec, cores, obj = check_instance("tucker2", 0)
+        probe = check_instance("tucker2", 0)
         calls = self.count_passes(monkeypatch)
-        check_sgd_conservation(spec, cores, obj, eta=1e-3)
-        assert len(calls) == 21  # the 20-step run, then the eta/2 step
+        check_sgd_conservation(probe, eta=1e-3)
+        assert 1 + len(calls) == 21  # the draw's, which the eta/2 step reads, and the 20-step run
 
     def test_sam_dynamics_suite_takes_three_passes_per_seed(self, monkeypatch):
         instances = {"tucker2": [(seed, check_instance("tucker2", seed)) for seed in (0, 1)]}
         calls = self.count_passes(monkeypatch)
         assert len(experiments.suite_sam_dynamics(instances)) == 4
-        assert len(calls) == 3 * 2
+        assert len(calls) == (3 - 1) * 2
 
     def test_layered_suite_takes_three_passes_per_instance(self, monkeypatch):
+        draws = []
+        real = experiments.layered_spec
+        monkeypatch.setattr(experiments, "layered_spec", lambda *a: draws.append(1) or real(*a))
         calls = self.count_passes(monkeypatch)
         assert len(experiments.suite_layered([0, 1])) == 2 * 2 * 2  # kinds, seeds, layers
-        assert len(calls) == 3 * 2 * 2
+        assert len(draws) == 2 * 2  # no draw rejected at seeds 0 and 1
+        assert len(draws) + len(calls) == 3 * 2 * 2
 
     def test_das_matches_sam_takes_two_passes(self, monkeypatch):
-        spec, cores, obj = check_instance("tucker2", 0)
+        probe = check_instance("tucker2", 0)
         calls = self.count_passes(monkeypatch)
-        check_das_matches_sam(spec, cores, obj, rho=1e-3, eta=1e-4)
-        assert len(calls) == 2
+        check_das_matches_sam(probe, rho=1e-3, eta=1e-4)
+        assert 1 + len(calls) == 2  # the draw's, then SAM's perturbed point
+
+    def test_das_after_the_sam_rows_takes_no_pass(self, monkeypatch):
+        # SAM's perturbed point at rho does not depend on eta: the SAM rows'
+        # gradient there (eta = 1e-5) is the one DAS's SAM step (eta = 1e-4) needs
+        calls = self.count_passes(monkeypatch)
+        for seed in range(10):
+            probe = check_instance("tucker2", seed)
+            check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 0, 2)
+            check_sam_q_dynamics(probe, 1e-3, 1e-5)
+            calls.clear()
+            shared = check_das_matches_sam(probe, rho=1e-3, eta=1e-4)
+            assert calls == [], seed
+            fresh = check_das_matches_sam(check_instance("tucker2", seed), rho=1e-3, eta=1e-4)
+            assert shared.lines() == fresh.lines()
+
+
+def fresh_pass(probe):
+    """(loss, dL/dT, core gradients) from a forward and reverse pass of their own."""
+    spec, cores, obj = probe.spec, probe.cores, probe.objective
+    loss, grads = gradient_fn(spec, obj)(cores)
+    out, _ = quietly(spec.compiled.forward, spec.operands(cores))
+    return loss, obj.loss_and_grad(out)[1], grads
+
+
+class TestProbeReusesTheDrawsPass:
+    """The premise of reading a draw's pass: a probe's loss, dL/dT and core
+    gradients are bit for bit what a pass of their own gives."""
+
+    @staticmethod
+    def assert_bits(probe, want):
+        loss, dl, grads = want
+        assert repr(probe.loss) == repr(loss)
+        assert probe.dl.tobytes() == dl.tobytes()
+        assert type(probe.grads) is FlatViews and probe.grads.shapes == grads.shapes
+        assert probe.grads.flat.tobytes() == grads.flat.tobytes()
+
+    @pytest.mark.parametrize("family", experiments.FAMILIES)
+    def test_check_instances(self, family):
+        for seed in range(10):
+            probe = check_instance(family, seed)
+            assert probe.groups == (probe.spec.num_cores,)
+            self.assert_bits(probe, fresh_pass(probe))
+
+    @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
+    def test_layered_instances(self, kind):
+        for seed in range(10):
+            probe = layered_instance(kind, seed)
+            self.assert_bits(probe, fresh_pass(probe))
+
+    def test_a_hand_built_probe_takes_one_pass(self, monkeypatch):
+        drawn = check_instance("tucker2", 1)
+        calls = []
+        forward, gradients = CompiledPlan.forward, CompiledPlan.gradients
+        monkeypatch.setattr(CompiledPlan, "forward", lambda *a: calls.append("forward") or forward(*a))
+        monkeypatch.setattr(
+            CompiledPlan, "gradients", lambda *a: calls.append("reverse") or gradients(*a)
+        )
+        probe = Probe.at(drawn.spec, drawn.cores, drawn.objective)
+        assert calls == ["forward", "reverse"]
+        self.assert_bits(probe, (drawn.loss, drawn.dl, drawn.grads))
+
+    def test_each_step_is_taken_once_per_config(self):
+        probe = check_instance("tucker2", 0)
+        cfg = SamConfig(1e-3, SgdConfig(1e-5))
+        assert probe.step(cfg) is probe.step(SamConfig(1e-3, SgdConfig(1e-5)))
+        assert probe.step(cfg) is not probe.step(SamConfig(1e-3, SgdConfig(1e-4)))
 
 
 class TestPairwiseDynamics:
     def test_same_index_is_trivially_zero(self):
-        spec, cores, obj = check_instance("tucker2", 0)
-        rep = check_pairwise_sam_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5), 1, 1)
+        rep = check_pairwise_sam_dynamics(check_instance("tucker2", 0), 1e-3, 1e-5, 1, 1)
         assert rep.measured == 0.0
         assert rep.predicted == 0.0
         assert rep.passed
 
     def test_passes_on_conditioned_instances(self):
         for seed in range(3):
-            spec, cores, obj = check_instance("tucker2", seed)
-            rep = check_pairwise_sam_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5), 0, 2)
+            rep = check_pairwise_sam_dynamics(check_instance("tucker2", seed), 1e-3, 1e-5, 0, 2)
             assert rep.passed
 
     def test_antisymmetric_in_the_pair(self):
-        spec, cores, obj = check_instance("tucker2", 4)
-        probe = sam_probe(spec, cores, obj, 1e-3, 1e-5)
-        fwd = check_pairwise_sam_dynamics(probe, 0, 2)
-        rev = check_pairwise_sam_dynamics(probe, 2, 0)
+        probe = check_instance("tucker2", 4)
+        fwd = check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 0, 2)
+        rev = check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 2, 0)
         assert fwd.measured == pytest.approx(-rev.measured, rel=1e-12)
         assert fwd.predicted == pytest.approx(-rev.predicted, rel=1e-12)
 
     def test_shared_probe_gives_the_reports_of_separate_probes(self):
-        spec, cores, obj = check_instance("tucker2", 3)
-        shared = sam_probe(spec, cores, obj, 1e-3, 1e-5)
-        pair, q = check_pairwise_sam_dynamics(shared, 0, 2), check_sam_q_dynamics(shared)
+        shared = check_instance("tucker2", 3)
+        pair = check_pairwise_sam_dynamics(shared, 1e-3, 1e-5, 0, 2)
+        q = check_sam_q_dynamics(shared, 1e-3, 1e-5)
         assert pair.lines() == check_pairwise_sam_dynamics(
-            sam_probe(spec, cores, obj, 1e-3, 1e-5), 0, 2
+            check_instance("tucker2", 3), 1e-3, 1e-5, 0, 2
         ).lines()
-        assert q.lines() == check_sam_q_dynamics(sam_probe(spec, cores, obj, 1e-3, 1e-5)).lines()
+        assert q.lines() == check_sam_q_dynamics(check_instance("tucker2", 3), 1e-3, 1e-5).lines()
 
 
 class TestDasMatchesSam:
     def test_passes_on_conditioned_instances(self):
         for seed in range(3):
-            spec, cores, obj = check_instance("tucker2", seed)
-            rep = check_das_matches_sam(spec, cores, obj, rho=1e-3, eta=1e-4)
+            rep = check_das_matches_sam(check_instance("tucker2", seed), rho=1e-3, eta=1e-4)
             assert rep.passed
             assert rep.rel_residual <= 0.10
             assert rep.details["scaling_rel_residual"] <= 0.01
@@ -490,21 +559,20 @@ class TestDasMatchesSam:
 
 class TestLayerwiseQ:
     def test_single_layer_matches_flat_check(self):
-        spec, cores, obj = check_instance("tucker2", 2)
-        flat = check_sam_q_dynamics(sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6))
-        model = LayeredModel(specs=[spec], cores=[list(cores)])
-        x = as_tensor(np.eye(spec.output_shape[1]))
-        probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-6)
-        layered = check_layerwise_q(probe, model.groups, layer=0)
+        drawn = check_instance("tucker2", 2)
+        flat = check_sam_q_dynamics(drawn, rho=1e-3, eta=1e-6)
+        model = LayeredModel(specs=[drawn.spec], cores=[list(drawn.cores)])
+        x = as_tensor(np.eye(drawn.spec.output_shape[1]))
+        probe = layered_probe(model, x, drawn.objective)
+        layered = check_layerwise_q(probe, rho=1e-3, eta=1e-6, layer=0)
         assert layered.measured == pytest.approx(flat.measured, rel=1e-9)
         assert layered.predicted == pytest.approx(flat.predicted, rel=1e-9)
 
     def test_passes_on_two_layer_composites(self):
         for kind in ("tucker2", "scalar"):
-            spec, cores, obj, groups = layered_instance(kind, seed=0)
-            probe = sam_probe(spec, cores, obj, rho=1e-3, eta=1e-6)
-            for layer in range(len(groups)):
-                rep = check_layerwise_q(probe, groups, layer=layer)
+            probe = layered_instance(kind, seed=0)
+            for layer in range(len(probe.groups)):
+                rep = check_layerwise_q(probe, rho=1e-3, eta=1e-6, layer=layer)
                 assert rep.passed, (kind, layer, rep)
 
     def test_zero_gradient_layer_predicts_zero(self):
@@ -519,8 +587,7 @@ class TestLayerwiseQ:
         )
         x = as_tensor([[1.0]])
         obj = MaskedMse(as_tensor([[2.0]]), as_tensor([[1.0]]))
-        probe = layered_probe(model, x, obj, rho=1e-3, eta=1e-5)
-        rep = check_layerwise_q(probe, model.groups, layer=0)
+        rep = check_layerwise_q(layered_probe(model, x, obj), rho=1e-3, eta=1e-5, layer=0)
         assert rep.predicted == 0.0
         assert abs(rep.measured) <= 1e-12
 

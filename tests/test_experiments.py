@@ -1,9 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coreflow import diagnostics, experiments
+from coreflow import diagnostics, experiments, optim
 from coreflow.config import parse_config_text
 from coreflow.experiments import (
     FAMILIES,
@@ -208,24 +209,21 @@ optimizer {
 class TestInstanceFactories:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_check_instances_are_deterministic(self, family):
-        s1, c1, _ = check_instance(family, seed=5)
-        s2, c2, _ = check_instance(family, seed=5)
-        assert s1.family == s2.family
-        for a, b in zip(c1, c2):
+        p1, p2 = check_instance(family, seed=5), check_instance(family, seed=5)
+        assert p1.spec.family == p2.spec.family
+        for a, b in zip(p1.cores, p2.cores):
             np.testing.assert_array_equal(a, b)
 
     def test_imbalance_present(self):
-        _, cores, _ = check_instance("tucker2", seed=0)
-        norms = [frobenius_norm_sq(c) for c in cores]
+        norms = [frobenius_norm_sq(c) for c in check_instance("tucker2", seed=0).cores]
         assert max(norms) / min(norms) > 1.5
 
     @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
     def test_layered_instances_are_deterministic(self, kind):
-        s1, c1, _, g1 = layered_instance(kind, seed=2)
-        s2, c2, _, g2 = layered_instance(kind, seed=2)
-        np.testing.assert_array_equal(s1.constants[-1], s2.constants[-1])  # x
-        assert g1 == g2 and len(c1) == len(c2) == sum(g1)
-        for a, b in zip(c1, c2):
+        p1, p2 = layered_instance(kind, seed=2), layered_instance(kind, seed=2)
+        np.testing.assert_array_equal(p1.spec.constants[-1], p2.spec.constants[-1])  # x
+        assert p1.groups == p2.groups and len(p1.cores) == len(p2.cores) == sum(p1.groups)
+        for a, b in zip(p1.cores, p2.cores):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 10])
@@ -234,11 +232,11 @@ class TestInstanceFactories:
         # the same draws in the same order, kept by the same per-layer conditioning;
         # tucker2 rejects 1 draw at seed 7 and 2 at seed 10
         x, cores, obj = layered_model_draw(kind, seed)
-        spec, got_cores, got_obj, groups = layered_instance(kind, seed)
-        assert spec.constants[-1].tobytes() == x.tobytes()
-        assert groups == ((3, 3) if kind == "tucker2" else (2, 2))
-        assert [c.tobytes() for c in got_cores] == [c.tobytes() for c in cores]
-        assert got_obj.target.tobytes() == obj.target.tobytes()
+        probe = layered_instance(kind, seed)
+        assert probe.spec.constants[-1].tobytes() == x.tobytes()
+        assert probe.groups == ((3, 3) if kind == "tucker2" else (2, 2))
+        assert [c.tobytes() for c in probe.cores] == [c.tobytes() for c in cores]
+        assert probe.objective.target.tobytes() == obj.target.tobytes()
 
 
 class TestTheoremSuite:
@@ -312,7 +310,7 @@ class TestTheoremSuite:
 
     def test_each_family_builds_one_check_spec(self):
         for family in FAMILIES:
-            assert check_instance(family, 0)[0] is check_instance(family, 1)[0]
+            assert check_instance(family, 0).spec is check_instance(family, 1).spec
 
     def test_deviation_forms_match_the_per_vector_loop(self):
         assert suite_deviation_forms().lines() == per_vector_deviation_forms().lines()
@@ -321,8 +319,47 @@ class TestTheoremSuite:
         instances = suite_instances([0, 1])
         calls = self.count_passes(monkeypatch)
         assert len(suite_lemma_and_invariance(instances)) == 2 * len(FAMILIES)
-        # every core's gradient of an instance from one pass, not one pass per core
-        assert [c for c in calls if c != "forward"] == ["reverse"] * 2 * len(FAMILIES)
+        # every core's gradient of an instance is the draw's one pass, which the probe keeps
+        assert [c for c in calls if c != "forward"] == []
+
+    def test_each_section_takes_its_pinned_passes(self, monkeypatch):
+        seeds, full = [0, 1], []
+        real = optim.loss_and_core_grads
+        monkeypatch.setattr(
+            optim, "loss_and_core_grads", lambda *a, **k: full.append(1) or real(*a, **k)
+        )
+        calls = self.count_passes(monkeypatch)
+
+        def passes(section, *args):
+            """What ``section`` returns, and its full passes and reverse passes outside one."""
+            full.clear(), calls.clear()
+            out = section(*args)
+            return out, (len(full), calls.count("reverse") - len(full))
+
+        instances, draws = passes(suite_instances, seeds)
+        assert draws == (0, 12)  # 10 instances, 2 draws rejected
+        assert passes(suite_lemma_and_invariance, instances)[1] == (0, 0)
+        assert passes(suite_sgd_conservation, instances)[1] == (10 * 20 + 5 * 100, 0)
+        assert passes(suite_sam_dynamics, instances)[1] == (2 * 2, 0)  # rho and rho/2 per seed
+        assert passes(suite_layered, seeds)[1] == (2 * 2 * 2, 2 * 2)  # and 4 draws
+        assert passes(suite_das, instances)[1] == (0, 0)
+
+    def test_the_suite_steps_inside_one_scope(self, monkeypatch):
+        # a pass or step called on its own runs a private twin inside the scope
+        # it opens; the suite takes every step inside a scope, so reaches none
+        entered = []
+        for name in ("_fused_pass", "_base_update", "_perturbed_update", "_scaled_update"):
+            real = getattr(optim, name)
+            monkeypatch.setattr(
+                optim, name, lambda *a, _n=name, _f=real, **k: entered.append(_n) or _f(*a, **k)
+            )
+        assert run_theorem_suite(2).passed
+        assert entered == []
+
+    def test_reports_keep_their_digest(self, tmp_path):
+        run_theorem_suite(10, str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "theorem_reports.txt").read_bytes()).hexdigest()
+        assert digest == "4d14fc9abf067956f6968cc410f167f9db82b0996a358c473a1eeaa6023b8829"
 
     def test_shared_instances_give_the_same_reports(self):
         # each section handed its own freshly drawn instances, as if alone
@@ -440,16 +477,16 @@ class TestOutputsMatchPerRecordOracle:
 
     def test_sgd_check_reports(self, monkeypatch):
         runs = recording(monkeypatch, diagnostics)
-        spec, cores, obj = check_instance("tucker2", 0)
+        probe = check_instance("tucker2", 0)
         eta = 1e-3
 
-        rep = diagnostics.check_sgd_conservation(spec, cores, obj, eta)
+        rep = diagnostics.check_sgd_conservation(probe, eta)
         qs = [norm_deviation(r.core_norms_sq) for r in runs[-1][1]]
         max_dq = max(abs(b - a) for a, b in zip(qs[:-1], qs[1:]))
         want = replace(rep, details={**rep.details, "max_step_dq": max_dq})
         assert rep.lines() == want.lines()
 
-        rep = diagnostics.check_sgd_balanced_bound(spec, cores, obj, eta)
+        rep = diagnostics.check_sgd_balanced_bound(probe, eta)
         final, records = runs[-1]
         before, bound = per_record_drift_bounds(records, eta)
         checked = [(norm_deviation(r.core_norms_sq), b) for r, b in zip(records, before)]
