@@ -220,10 +220,11 @@ def check_sgd_conservation(probe: Probe, eta: float) -> TheoremCheckReport:
     """Norm deviation is conserved under plain SGD flow: the discrete
     one-step |dQ| must scale as eta^2, i.e. drop ~4x when eta is halved.
     Passes when that eta-halving ratio lies in [3.5, 4.5].  The full-eta
-    step is the first of the run; only the eta/2 step is taken apart."""
-    spec, cores, objective = probe.spec, probe.cores, probe.objective
-    _, records = run(spec, list(cores), objective, SgdConfig(eta), _SGD_CONSERVATION_STEPS)
-    qs = trajectory_stats(records)[0]
+    step is the probe's, which the run continues; only the eta/2 step is
+    taken apart."""
+    first, rec, _ = probe.step(SgdConfig(eta))
+    _, records = run(probe.spec, first, probe.objective, SgdConfig(eta), _SGD_CONSERVATION_STEPS - 1)
+    qs = trajectory_stats([rec, *records])[0]
     half = probe.step(SgdConfig(eta / 2.0))[0]
     dq_full = qs[1] - qs[0]
     dq_half = norm_deviation(norms_sq(half)) - qs[0]

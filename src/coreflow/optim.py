@@ -23,13 +23,13 @@ rendered constructor of the cores' layout, which seals the fresh array and
 builds the carrier in one frame.
 ``run`` enters numpy's error-state scope (``tensor.quietly``) once per step,
 around the step alone, and that entry is the only numpy Python wrapper a step
-runs (``norms_sq`` calls ``np.vdot``'s C routine).  The passes and steps test
-whether the scope is open themselves; only a call on its own opens it, around
-a private body, never through its own name (which a benchmark's tracer may
-wrap).  A plain step called on its own runs inside the scopes its gradient
-pass and ``base_step`` open.  A step hands ``base_step`` the flat arrays it
-reads off the carriers (a plain list of cores is copied) and the gradient
-carrier's ``like``.
+runs (``norms_sq`` calls ``np.vdot``'s C routine).  A step called on its own
+runs whole in one scope: each entry point on a step's path first tests
+whether the scope is open, and if not, reruns itself inside ``quietly`` as
+``_<name>``, a copy of its own code that a tracer rebinding the public name
+never wraps.  A step hands ``base_step`` the flat arrays it reads off the
+carriers (a plain list of cores is copied) and the gradient carrier's
+``like``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ from .model import ReconstructionSpec, grad_cores
 from .tensor import FlatViews, _scope, carried, quietly, sizes_of
 
 _TINY_NORM_SQ = 1e-300
+
+
+def _alone(fn):
+    """``fn``'s own code under the private name ``_<name>``: what ``fn`` runs
+    inside the scope it opens when called on its own."""
+    return types.FunctionType(fn.__code__, fn.__globals__, "_" + fn.__name__, fn.__defaults__)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ def base_step(
     them over, and ``like`` seals and wraps the update.
     """
     if not _scope.open:  # called on its own
-        return quietly(_base_update, cores, grads, cfg, state, eta, like)
+        return quietly(_base_step, cores, grads, cfg, state, eta, like)
     eta = cfg.eta if eta is None else eta
     state.t += 1
     shrink = 1.0 - eta * cfg.weight_decay
@@ -181,27 +187,10 @@ def base_step(
     return like(cores - eta * step, "optimizer update")
 
 
-# What ``base_step`` called on its own runs inside the scope it opens: its own
-# code under a private name, which a tracer rebinding the public one misses (a
-# separate body would add a frame to every step).
-_base_update = types.FunctionType(
-    base_step.__code__, base_step.__globals__, "_base_update", base_step.__defaults__
-)
-
-
 def loss_and_core_grads(spec, cores, objective):
     """Loss and core gradients: one forward pass, vouched for by the loss, and one reverse."""
     if not _scope.open:  # called on its own
-        return quietly(_fused_pass, spec, cores, objective)
-    out, kept = spec.compiled.forward(spec.operands(cores))
-    loss, dl = objective.loss_and_grad(out)
-    return loss, grad_cores(spec, cores, dl, kept)
-
-
-def _fused_pass(spec, cores, objective):
-    """``loss_and_core_grads`` for a call on its own, inside the scope that
-    call opens: the same pass, reached without the public name, which a
-    tracer may wrap and would then count twice."""
+        return quietly(_loss_and_core_grads, spec, cores, objective)
     out, kept = spec.compiled.forward(spec.operands(cores))
     loss, dl = objective.loss_and_grad(out)
     return loss, grad_cores(spec, cores, dl, kept)
@@ -248,6 +237,8 @@ def norms_sq(arrays) -> tuple[float, ...]:
 
 def plain_step(grads_of, cores, cfg: SgdConfig | AdamConfig, state, eta=None, groups=None):
     """The base SGD/momentum/Adam update with the gradients at ``cores``."""
+    if not _scope.open:  # called on its own
+        return quietly(_plain_step, grads_of, cores, cfg, state, eta, groups)
     loss, g = grads_of(cores)
     rec = StepRecord(state.t, loss, norms_sq(cores), norms_sq(g))
     flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
@@ -258,6 +249,8 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
     """Perturb every core along the gradient normalized over all cores, so
     the whole perturbation has norm rho, and update with the gradients taken
     there; a zero gradient falls back to the base update."""
+    if not _scope.open:  # called on its own
+        return quietly(_sam_step, grads_of, cores, cfg, state, eta, groups)
     loss, g = grads_of(cores)
     gamma = norms_sq(g)
     s = norms_sq(cores)
@@ -268,17 +261,8 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
         return base_step(flat, g.flat, cfg.base, state, eta, g.like), rec, g
     u = total ** -0.5
     rec = StepRecord(state.t, loss, s, gamma, u=u)
-    if not _scope.open:  # called on its own
-        return quietly(_perturbed_update, grads_of, flat, cfg.rho * u, g, cfg.base, state, eta, rec)
     _, g_tilde = grads_of(g.like(flat + cfg.rho * u * g.flat, "SAM perturbation"))
     return base_step(flat, g_tilde.flat, cfg.base, state, eta, g.like), rec, g_tilde
-
-
-def _perturbed_update(grads_of, flat, scale, g, base, state, eta, rec):
-    """The rest of a SAM step called on its own (perturbation, second pass and
-    update), inside the one error-state scope that call opens."""
-    _, g_tilde = grads_of(g.like(flat + scale * g.flat, "SAM perturbation"))
-    return base_step(flat, g_tilde.flat, base, state, eta, g.like), rec, g_tilde
 
 
 def das_scaling_factors(
@@ -325,6 +309,8 @@ def das_scaling_factors(
 def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     """Multiply core k by (1 + lambda_k), then take the base update with the
     gradients of the unscaled cores; the scaled cores go to it as one flat array."""
+    if not _scope.open:  # called on its own
+        return quietly(_das_step, grads_of, cores, cfg, state, eta, groups)
     eta_t = cfg.base.eta if eta is None else eta
     loss, g = grads_of(cores)
     gamma = norms_sq(g)
@@ -336,15 +322,7 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     )
     flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
     factors = np.add(1.0, lams).repeat(sizes_of(g.shapes))
-    if not _scope.open:  # called on its own
-        return quietly(_scaled_update, flat, factors, g, cfg.base, state, eta_t, rec)
     return base_step(flat * factors, g.flat, cfg.base, state, eta_t, g.like), rec, g
-
-
-def _scaled_update(flat, factors, g, base, state, eta, rec):
-    """The scaling and update of a DAS step called on its own, inside the one
-    error-state scope that call opens."""
-    return base_step(flat * factors, g.flat, base, state, eta, g.like), rec, g
 
 
 def step_of(cfg: OptimizerConfig):
@@ -354,6 +332,11 @@ def step_of(cfg: OptimizerConfig):
     if isinstance(cfg, DasConfig):
         return das_step
     return plain_step
+
+
+_base_step, _loss_and_core_grads, _plain_step, _sam_step, _das_step = map(
+    _alone, (base_step, loss_and_core_grads, plain_step, sam_step, das_step)
+)
 
 
 # ----------------------------------------------------------------------------

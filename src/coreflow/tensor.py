@@ -8,10 +8,10 @@ Contractions check only their results, since a non-finite intermediate always
 reaches them.  One exception: in a gradient pass the loss vouches for the output.
 Inside coreflow numpy's overflow warnings are off: ``quietly`` enters that
 error state in the outermost coreflow call on a thread (an optimizer step, or
-a public function called on its own) and nested calls reuse it.  A function
-on a step's path tests ``_scope.open`` itself and calls ``quietly`` only when
-the scope is closed, around a private body, so a step pays for no nested
-scope.  A contraction runs as generated code: each plan's pairwise steps,
+a public function called on its own) and nested calls reuse it.  A step
+called on its own runs whole in one scope: a function on a step's path tests
+``_scope.open`` itself and calls ``quietly`` only when the scope is closed,
+so a step pays for no nested scope.  A contraction runs as generated code: each plan's pairwise steps,
 sized for one set of operand shapes, are rendered once as straight-line numpy
 calls (see ``CompiledPlan``), shown by tracebacks and profilers under the
 compiled plan's name; a reverse step lowers its incoming gradient once for

@@ -7,6 +7,7 @@ without putting ``perfbench/`` on ``sys.path``, and fail when that happens.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -50,6 +51,20 @@ def test_tracer_installs_and_uninstalls():
         clock.close()
     after = (experiments.check_instance, optim.run, vars(model.LayeredModel)["core_grads"])
     assert all(a is b for a, b in zip(after, originals))
+
+
+def test_step_clock_wraps_run_with_its_parameters():
+    # a caller passing a parameter the wrapper lacks would end every round in a TypeError
+    def parameters(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn, follow_wrapped=False).parameters.values()]
+
+    real = optim.run
+    clock = load("tracer").StepClock()
+    try:
+        assert optim.run is not real
+        assert parameters(optim.run) == parameters(real)
+    finally:
+        clock.close()
 
 
 def test_plancost_prices_a_step():

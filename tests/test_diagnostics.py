@@ -414,11 +414,12 @@ class TestGradientPasses:
         check_sam_q_dynamics(probe, 1e-3, 1e-5)
         assert len(calls) == 2
 
-    def test_sgd_conservation_takes_twenty_one_passes(self, monkeypatch):
+    def test_sgd_conservation_takes_twenty_passes(self, monkeypatch):
         probe = check_instance("tucker2", 0)
         calls = self.count_passes(monkeypatch)
         check_sgd_conservation(probe, eta=1e-3)
-        assert 1 + len(calls) == 21  # the draw's, which the eta/2 step reads, and the 20-step run
+        # the draw's, which the probe's steps at eta and eta/2 read, and the run's other 19 steps
+        assert 1 + len(calls) == 20
 
     def test_sam_dynamics_suite_takes_three_passes_per_seed(self, monkeypatch):
         instances = {"tucker2": [(seed, check_instance("tucker2", seed)) for seed in (0, 1)]}

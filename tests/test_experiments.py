@@ -25,7 +25,7 @@ from coreflow.experiments import (
 from coreflow.diagnostics import norm_deviation, norm_grad_covariance
 from coreflow.errors import DegenerateVariance, NumericalError
 from coreflow.model import ReconstructionSpec, reconstruct, tucker_spec
-from coreflow.optim import norms_sq
+from coreflow.optim import SgdConfig, norms_sq
 from coreflow.tensor import CompiledPlan, as_tensor, frobenius_norm_sq, write_dtf1
 
 from oracles import (
@@ -339,16 +339,16 @@ class TestTheoremSuite:
         instances, draws = passes(suite_instances, seeds)
         assert draws == (0, 12)  # 10 instances, 2 draws rejected
         assert passes(suite_lemma_and_invariance, instances)[1] == (0, 0)
-        assert passes(suite_sgd_conservation, instances)[1] == (10 * 20 + 5 * 100, 0)
+        assert passes(suite_sgd_conservation, instances)[1] == (10 * 19 + 5 * 100, 0)
         assert passes(suite_sam_dynamics, instances)[1] == (2 * 2, 0)  # rho and rho/2 per seed
         assert passes(suite_layered, seeds)[1] == (2 * 2 * 2, 2 * 2)  # and 4 draws
         assert passes(suite_das, instances)[1] == (0, 0)
 
     def test_the_suite_steps_inside_one_scope(self, monkeypatch):
-        # a pass or step called on its own runs a private twin inside the scope
-        # it opens; the suite takes every step inside a scope, so reaches none
+        # a pass or step called on its own reruns as its private copy inside the
+        # scope it opens; the suite takes every step inside a scope, so reaches none
         entered = []
-        for name in ("_fused_pass", "_base_update", "_perturbed_update", "_scaled_update"):
+        for name in ("_loss_and_core_grads", "_base_step", "_plain_step", "_sam_step", "_das_step"):
             real = getattr(optim, name)
             monkeypatch.setattr(
                 optim, name, lambda *a, _n=name, _f=real, **k: entered.append(_n) or _f(*a, **k)
@@ -481,7 +481,9 @@ class TestOutputsMatchPerRecordOracle:
         eta = 1e-3
 
         rep = diagnostics.check_sgd_conservation(probe, eta)
-        qs = [norm_deviation(r.core_norms_sq) for r in runs[-1][1]]
+        # the probe's step at eta is the first, and the run takes the rest
+        records = [probe.step(SgdConfig(eta))[1], *runs[-1][1]]
+        qs = [norm_deviation(r.core_norms_sq) for r in records]
         max_dq = max(abs(b - a) for a, b in zip(qs[:-1], qs[1:]))
         want = replace(rep, details={**rep.details, "max_step_dq": max_dq})
         assert rep.lines() == want.lines()

@@ -973,6 +973,38 @@ class TestErrorStateScope:
         run(spec, cores, obj, self.CONFIGS[name], 5)
         assert entries == [{"over": "ignore", "invalid": "ignore"}] * 5
 
+    ON_ITS_OWN = ("base_step", "loss_and_core_grads", "plain_step", "sam_step", "das_step")
+
+    @pytest.mark.parametrize("entry", ON_ITS_OWN)
+    def test_a_call_on_its_own_enters_one_scope(self, entry, rng, monkeypatch):
+        spec, cores, obj = self.problem(rng)
+        grads_of = gradient_fn(spec, obj)
+        g, adam = grads_of(cores)[1], self.CONFIGS["adam"]
+        calls = {
+            "base_step": lambda: base_step(cores, g, adam, init_state(adam, cores)),
+            "loss_and_core_grads": lambda: loss_and_core_grads(spec, cores, obj),
+            "plain_step": lambda: plain_step(grads_of, cores, adam, init_state(adam, cores)),
+            "sam_step": lambda: sam_step(grads_of, cores, self.CONFIGS["sam"], init_state(adam, cores)),
+            "das_step": lambda: das_step(grads_of, cores, self.CONFIGS["das"], init_state(adam, cores)),
+        }
+        entries = []
+        errstate = np.errstate
+
+        def counted(**kwargs):
+            entries.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        calls[entry]()
+        assert entries == [{"over": "ignore", "invalid": "ignore"}]
+
+    @pytest.mark.parametrize("entry", ON_ITS_OWN)
+    def test_a_call_on_its_own_reruns_its_own_code(self, entry):
+        public = getattr(coreflow.optim, entry)
+        alone = getattr(coreflow.optim, "_" + entry)
+        assert alone is not public and alone.__code__ is public.__code__
+        assert alone.__defaults__ == public.__defaults__
+
     def test_caller_hooks_keep_the_callers_error_state(self, rng):
         spec, cores, obj = self.problem(rng)
         seen = {"begin_step": [], "loss_and_grad": [], "sink": []}
