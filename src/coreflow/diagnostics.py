@@ -170,10 +170,10 @@ class TheoremCheckReport:
 @dataclass(frozen=True)
 class Probe:
     """A frozen instance and what is taken at it: the loss, dL/dT (``dl``) and
-    the core gradients at ``cores``, and the cores per group (layer), laid end
-    to end in ``cores``; a shipped family is one group.  Every gradient the
-    probe's steps take is kept, keyed by the point's bytes, and every step by
-    its config, so each is taken once however many checks read it."""
+    the core gradients at ``cores``; its steps read the layout ``spec.groups``.
+    Every gradient the probe's steps take is kept, keyed by the point's bytes,
+    and every step by its config, so each is taken once however many checks
+    read it."""
 
     spec: ReconstructionSpec
     cores: list
@@ -181,18 +181,17 @@ class Probe:
     loss: float
     dl: np.ndarray
     grads: FlatViews
-    groups: tuple
     _taken: dict = field(default_factory=dict, repr=False, compare=False)
     _steps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def at(cls, spec: ReconstructionSpec, cores, objective, groups=None, forward=None) -> Probe:
+    def at(cls, spec: ReconstructionSpec, cores, objective, forward=None) -> Probe:
         """The probe at ``cores``: one forward, unless the caller hands over what
         ``spec.compiled.forward`` returned for them, and one reverse pass."""
         out, kept = forward or quietly(spec.compiled.forward, spec.operands(cores))
         loss, dl = objective.loss_and_grad(out)
         grads = grad_cores(spec, cores, dl, kept)
-        probe = cls(spec, cores, objective, loss, dl, grads, groups or (spec.num_cores,))
+        probe = cls(spec, cores, objective, loss, dl, grads)
         probe._taken[_point_key(cores)] = (loss, grads)
         return probe
 
@@ -208,7 +207,7 @@ class Probe:
         a fresh state, in one error-state scope as ``run`` takes it, once per config."""
         if cfg not in self._steps:
             step, state = step_of(cfg), init_state(cfg, self.cores)
-            self._steps[cfg] = quietly(step, self.grads_of, self.cores, cfg, state, None, self.groups)
+            self._steps[cfg] = quietly(step, self.grads_of, self.cores, cfg, state, None, self.spec.groups)
         return self._steps[cfg]
 
 
@@ -443,6 +442,6 @@ def check_das_matches_sam(probe: Probe, rho: float, eta: float) -> TheoremCheckR
 
 def check_layerwise_q(probe: Probe, rho: float, eta: float, layer: int) -> TheoremCheckReport:
     """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l on the
-    probe's group ``layer``.  Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    start, size = sum(probe.groups[:layer]), probe.groups[layer]
+    spec's group ``layer``.  Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
+    start, size = sum(probe.spec.groups[:layer]), probe.spec.groups[layer]
     return _q_report("layerwise_q_dynamics", probe, rho, eta, slice(start, start + size), layer=layer)

@@ -164,7 +164,7 @@ def _conditioned_draw(draw, seed: int, what: str) -> Probe:
         resid = rng.standard_normal(out.shape)
         resid /= math.sqrt(float(np.add.reduce(resid * resid, None) / resid.size))
         obj = MaskedMse(as_tensor(out - resid), as_tensor(np.ones(out.shape)))
-        probe = Probe.at(spec, cores, obj, tuple(map(len, layers)), (out, kept))
+        probe = Probe.at(spec, cores, obj, (out, kept))
         grads = iter(probe.grads)
         if all(_well_conditioned(layer, list(itertools.islice(grads, len(layer)))) for layer in layers):
             return probe
@@ -431,7 +431,7 @@ def suite_layered(seeds) -> list[TheoremCheckReport]:
     for kind in ("tucker2", "scalar"):
         for seed in seeds:
             probe = layered_instance(kind, seed)
-            for layer in range(len(probe.groups)):
+            for layer in range(len(probe.spec.groups)):
                 rep = check_layerwise_q(probe, rho=1e-3, eta=1e-6, layer=layer)
                 reports.append(
                     replace(rep, check=f"layerwise_q[{kind},seed={seed},layer={layer}]")

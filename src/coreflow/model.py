@@ -51,13 +51,14 @@ class ReconstructionSpec:
     disagrees with a core fails when the spec is built.  ``core_slots`` are
     the slots the cores fill, and ``compiled`` is the plan's
     ``CompiledPlan``, bound once so that a fused gradient pass does not look
-    it up.
+    it up.  ``groups`` is the cores per layer, end to end: one group unless layered.
     """
 
     plan: ContractionPlan
     core_shapes: tuple[Shape, ...]
     constants: tuple = ()
     family: str = "custom"
+    groups: tuple[int, ...] = ()
 
     def __post_init__(self):
         n_ops = len(self.plan.operand_labels)
@@ -72,6 +73,10 @@ class ReconstructionSpec:
             raise ShapeMismatch(
                 f"{len(core_slots)} core slots but {len(self.core_shapes)} shapes"
             )
+        groups, k = tuple(self.groups) or (self.num_cores,), self.num_cores
+        if min(groups) < 1 or sum(groups) != k:  # das_scaling_factors' check, made once here
+            raise ShapeMismatch(f"groups {groups} must be >= 1 and sum to {k} cores")
+        object.__setattr__(self, "groups", groups)
         for slot, shape in zip(core_slots, self.core_shapes):
             labels = self.plan.operand_labels[slot]
             if len(set(labels)) != len(labels):
@@ -317,7 +322,8 @@ def layered_spec(specs: list[ReconstructionSpec], x: np.ndarray) -> Reconstructi
     Each layer's plan is relabelled with fresh letters, its column label bound
     to the row label of the layer below (x's row label for the first layer),
     and x is appended as a constant slot.  The cores are every layer's cores
-    end to end; two tucker2 layers give ``cd,de,ae,fg,gh,ch,ab->fb``.
+    end to end, a group per layer; two tucker2 layers give
+    ``cd,de,ae,fg,gh,ch,ab->fb`` with groups (3, 3).
     """
     needed = 2 + sum(len(set("".join(s.plan.operand_labels))) - 1 for s in specs)
     if needed > len(string.ascii_letters):
@@ -342,7 +348,7 @@ def layered_spec(specs: list[ReconstructionSpec], x: np.ndarray) -> Reconstructi
         row, rows = names[out[0]], spec.output_shape[0]
     return ReconstructionSpec(
         ContractionPlan((*labels, x_labels), row + x_labels[1]),
-        tuple(core_shapes), (*constants, x), family="layered",
+        tuple(core_shapes), (*constants, x), "layered", tuple(s.num_cores for s in specs),
     )
 
 

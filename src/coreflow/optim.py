@@ -10,7 +10,7 @@ direction, takes a second gradient pass, restores the original cores, and
 applies the base update with the perturbed-point gradients.  DAS multiplies
 each core by (1 + lambda_k) before the base update, with lambda_k
 proportional to how far the core's squared gradient norm sits from the mean
-of its group (layer).
+of its group (layer); ``run`` hands every step its spec's ``groups``.
 
 Every vector a step touches (cores, gradients, the SAM perturbation, the
 optimizer's buffers) is one flat float64 array over all cores end to end,
@@ -233,7 +233,7 @@ def norms_sq(arrays) -> tuple[float, ...]:
 # does, and their ``like`` builds the step's carriers; ``cores`` is FlatViews
 # or a list of arrays.
 # ``groups`` gives the number of cores in each group (layer), laid end to end
-# in ``cores``; only DAS reads it.
+# in ``cores``, as ``ReconstructionSpec.groups`` does; only DAS reads it.
 
 def plain_step(grads_of, cores, cfg: SgdConfig | AdamConfig, state, eta=None, groups=None):
     """The base SGD/momentum/Adam update with the gradients at ``cores``."""
@@ -360,10 +360,10 @@ def run(
     sink=None,
     schedule: str = "constant",
 ) -> tuple[FlatViews, list[StepRecord]]:
-    """Execute ``iters`` optimizer steps, reporting each one to ``sink``."""
+    """Execute ``iters`` optimizer steps, each given ``spec.groups``, reporting each one to ``sink``."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    step = step_of(cfg)
+    step, groups = step_of(cfg), spec.groups
     grads_of = gradient_fn(spec, objective)
     state = init_state(cfg, cores)
     records: list[StepRecord] = []
@@ -372,7 +372,7 @@ def run(
         eta_t = scheduled_eta(base_eta, schedule, t, iters)
         objective.begin_step(t)
         try:
-            cores, rec, _ = quietly(step, grads_of, cores, cfg, state, eta_t)
+            cores, rec, _ = quietly(step, grads_of, cores, cfg, state, eta_t, groups)
         except CoreflowError as exc:
             raise type(exc)(f"iteration {t}: {exc}") from exc
         records.append(rec)

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +198,63 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)]) == 0
+
+
+class TestOutsideInputErrors:
+    """Bad values in a config or a DTF1 source: one error line naming the
+    value, exit 2."""
+
+    def assert_error(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(message + "\n"), err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("kind adam", "kind rmsprop", "optimizer kind must be sgd|adam|sam|das, got 'rmsprop'"),
+            ("iters 300", "iters 300\n  schedule linear", "schedule must be constant|cosine, got 'linear'"),
+            ("eta 0.01", "eta fast", "line 15: eta needs a number, got 'fast'"),
+            ("mask_density 0.4", "mask_density 0.4\n  resample maybe",
+             "line 11: resample needs true/false, got 'maybe'"),
+        ],
+        ids=["kind", "schedule", "eta", "resample"],
+    )
+    def test_bad_value(self, tmp_path, capsys, old, new, message):
+        text = COMPLETION.format(kind="adam")
+        assert old in text
+        self.assert_error(tmp_path, capsys, text.replace(old, new), f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ("ij,jk", "plan 'ij,jk' lacks '->'"),
+            ("i1,jk->ik", "label '1' is not a letter"),
+            ("ij,jk->ii", "output 'ii' repeats a label"),
+            ("ij,jk->iz", "output label 'z' missing from operands"),
+        ],
+    )
+    def test_bad_custom_plan(self, tmp_path, capsys, plan, message):
+        text = COMPLETION.format(kind="adam").replace(
+            "family tucker\n  modes 8,8,8\n  ranks 2,2,2", f"family custom\n  plan {plan}\n  shapes 2x3,3x4"
+        )
+        self.assert_error(tmp_path, capsys, text, f"error: bad model block: {message}")
+
+    def test_source_of_another_shape(self, tmp_path, capsys):
+        write_dtf1(tmp_path / "wrong.dtf1", as_tensor(np.ones((4, 3, 3))))
+        text = COMPLETION.format(kind="adam").replace("modes 8,8,8", "modes 3,3,3").replace(
+            "mask_density 0.4", "mask_density 0.4\n  source wrong.dtf1"
+        )
+        self.assert_error(tmp_path, capsys, text, "error: source tensor shape (4, 3, 3) vs model (3, 3, 3)")
+
+    def test_source_with_a_zero_extent(self, tmp_path, capsys):
+        (tmp_path / "zero.dtf1").write_bytes(b"DTF1" + struct.pack("<I3Q", 3, 3, 0, 3))
+        text = COMPLETION.format(kind="adam").replace("modes 8,8,8", "modes 3,3,3").replace(
+            "mask_density 0.4", "mask_density 0.4\n  source zero.dtf1"
+        )
+        self.assert_error(tmp_path, capsys, text, "zero.dtf1: extent 0 < 1")
 
 
 class TestGenCommand:
@@ -428,6 +487,14 @@ class TestSuiteCommand:
         assert "FAIL" not in printed.replace("0 failures", "")
         assert (out / "theorem_reports.txt").exists()
         assert "all_passed True" in (out / "summary.txt").read_text()
+
+    def test_suite_config_runs_the_suite(self, tmp_path, capsys):
+        # the theorem-suite kind of `run` gives `coreflow suite --seeds 10`'s reports
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "suite.cfg"
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "checks 136\nfailures 0\n" in capsys.readouterr().out
+        digest = hashlib.sha256((tmp_path / "theorem_reports.txt").read_bytes()).hexdigest()
+        assert digest == "4d14fc9abf067956f6968cc410f167f9db82b0996a358c473a1eeaa6023b8829"
 
 
 class TestIngest:

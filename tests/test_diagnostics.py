@@ -62,7 +62,7 @@ from oracles import (
 def layered_probe(model, x, obj):
     """The probe of a layered model, its layers' cores end to end, a group per layer."""
     cores = [c for layer_cores in model.cores for c in layer_cores]
-    return Probe.at(model.spec(x), cores, obj, model.groups)
+    return Probe.at(model.spec(x), cores, obj)
 
 
 class TestNormDeviation:
@@ -481,7 +481,7 @@ class TestProbeReusesTheDrawsPass:
     def test_check_instances(self, family):
         for seed in range(10):
             probe = check_instance(family, seed)
-            assert probe.groups == (probe.spec.num_cores,)
+            assert probe.spec.groups == (probe.spec.num_cores,)
             self.assert_bits(probe, fresh_pass(probe))
 
     @pytest.mark.parametrize("kind", ["tucker2", "scalar"])
@@ -572,7 +572,7 @@ class TestLayerwiseQ:
     def test_passes_on_two_layer_composites(self):
         for kind in ("tucker2", "scalar"):
             probe = layered_instance(kind, seed=0)
-            for layer in range(len(probe.groups)):
+            for layer in range(len(probe.spec.groups)):
                 rep = check_layerwise_q(probe, rho=1e-3, eta=1e-6, layer=layer)
                 assert rep.passed, (kind, layer, rep)
 

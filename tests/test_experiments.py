@@ -222,7 +222,7 @@ class TestInstanceFactories:
     def test_layered_instances_are_deterministic(self, kind):
         p1, p2 = layered_instance(kind, seed=2), layered_instance(kind, seed=2)
         np.testing.assert_array_equal(p1.spec.constants[-1], p2.spec.constants[-1])  # x
-        assert p1.groups == p2.groups and len(p1.cores) == len(p2.cores) == sum(p1.groups)
+        assert p1.spec.groups == p2.spec.groups and len(p1.cores) == len(p2.cores) == sum(p1.spec.groups)
         for a, b in zip(p1.cores, p2.cores):
             np.testing.assert_array_equal(a, b)
 
@@ -234,7 +234,7 @@ class TestInstanceFactories:
         x, cores, obj = layered_model_draw(kind, seed)
         probe = layered_instance(kind, seed)
         assert probe.spec.constants[-1].tobytes() == x.tobytes()
-        assert probe.groups == ((3, 3) if kind == "tucker2" else (2, 2))
+        assert probe.spec.groups == ((3, 3) if kind == "tucker2" else (2, 2))
         assert [c.tobytes() for c in probe.cores] == [c.tobytes() for c in cores]
         assert probe.objective.target.tobytes() == obj.target.tobytes()
 

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -493,6 +494,28 @@ class TestLayeredSpec:
         assert layered_spec([tucker2_spec(2, 2, 1, 1)] * 16, x).num_cores == 48
         with pytest.raises(LabelError, match="needs 53 labels"):
             layered_spec([tucker2_spec(2, 2, 1, 1)] * 17, x)
+
+
+class TestSpecGroups:
+    """A spec is the one record of its layer layout, checked when it is built."""
+
+    @pytest.mark.parametrize("make", ALL_FAMILIES)
+    def test_a_family_is_one_group(self, make):
+        spec = make()
+        assert spec.groups == (spec.num_cores,)
+
+    def test_layered_spec_has_a_group_per_layer(self):
+        layers = [tucker2_spec(6, 5, 3, 3), custom_spec("ab,bc->ac", [(4, 2), (2, 6)])]
+        assert layered_spec(layers, as_tensor(np.ones((5, 3)))).groups == (3, 2)
+
+    @pytest.mark.parametrize(
+        "groups", [(2,), (2, 2), (0, 3)], ids=["sum-too-small", "sum-too-large", "empty-group"]
+    )
+    def test_groups_must_partition_the_cores(self, groups):
+        plan = ContractionPlan.parse("ab,bc,cd->ad")
+        with pytest.raises(ShapeMismatch, match=re.escape(f"groups {groups} must be >= 1 and sum to 3 cores")):
+            ReconstructionSpec(plan, ((2, 3), (3, 4), (4, 5)), groups=groups)
+        assert ReconstructionSpec(plan, ((2, 3), (3, 4), (4, 5)), groups=[1, 2]).groups == (1, 2)
 
 
 class TestRandomCores:

@@ -46,7 +46,7 @@ from coreflow.optim import (
     step_of,
 )
 import coreflow
-from coreflow import tensor
+from coreflow import experiments, tensor
 from coreflow.tensor import (
     ContractionPlan,
     FlatViews,
@@ -415,6 +415,18 @@ class TestRunLoop:
         cfg = DasConfig(alpha=0.1, base=SgdConfig(eta=1e-3))
         _, records = run(spec, cores, obj, cfg, 3)
         assert all(r.lambdas is not None and len(r.lambdas) == 3 for r in records)
+
+    @pytest.mark.parametrize("kind, groups", [("tucker2", (3, 3)), ("scalar", (2, 2))])
+    def test_run_takes_the_spec_groups_as_a_probe_step_does(self, kind, groups):
+        # run and probe.step both hand every step the spec's layout, so DAS takes its
+        # means per layer in a run as in a probe's one-step checks
+        probe = experiments.layered_instance(kind, 0)
+        cfg = DasConfig(0.05, SgdConfig(1e-3))
+        final, records = run(probe.spec, probe.cores, probe.objective, cfg, 1)
+        new, rec, _ = probe.step(cfg)
+        assert records[0].lambdas == rec.lambdas and records == [rec]
+        assert final.flat.tobytes() == new.flat.tobytes()
+        assert probe.spec.groups == groups
 
     def test_base_step_norm_update_decomposition(self, rng):
         # ds_k = -2*eta*<G_k, g_k> + eta^2*||g_k||^2 exactly, and the

@@ -57,11 +57,33 @@ def test_summary_gives_ratios_medians_wins_and_digests():
     assert tool.summarize(pairs, END_TO_END) == [
         "step_us_p50: ratios 0.900 1.100 0.900  median 0.900  change won 2 of 3 (lower is better)",
         "  parent median 50 quartiles 45-50, change median 45 quartiles 40.5-50",
+        "  gain not met: won 2 of 3 (3 needed), median gap 5 <= parent IQR 5",
         "ops_per_s: ratios 1.100 1.000 1.200  median 1.100  change won 2 of 3 (higher is better)",
         "  parent median 20 quartiles 20-22.5, change median 22 quartiles 21-26",
+        "  gain not met: won 2 of 3 (3 needed), median gap 2 <= parent IQR 2.5",
         "trajectory_sha256 matched in 2 of 3 pairs",
         "failed ops (parent, change): 0,0 0,0 0,1",
     ]
+
+
+def test_gain_met_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_parent_spread():
+    # step_us_p50: the change wins 9 of 10, and its median is 10 us below the
+    # parent's, whose quartiles are 4.5 us apart.  ops_per_s: the change wins
+    # 10 of 10, but by 1/s, inside the parent's spread of 4.5/s.
+    tool = load_tool()
+    canned = []
+    for i in range(10):
+        parent_us, parent_ops = 100.0 + i, 20.0 + i
+        change_us = parent_us + 1.0 if i == 9 else parent_us - 10.0
+        canned.append((perfbench_output(parent_us, parent_ops, "aa"), perfbench_output(change_us, parent_ops + 1.0, "aa")))
+    pairs = [(tool.parse_run(parent), tool.parse_run(change)) for parent, change in canned]
+    verdicts = [line for line in tool.summarize(pairs, END_TO_END) if line.startswith("  gain")]
+    assert verdicts == [
+        "  gain met: won 9 of 10 (9 needed), median gap 10 > parent IQR 4.5",
+        "  gain not met: won 10 of 10 (9 needed), median gap 1 <= parent IQR 4.5",
+    ]
+    assert tool.verdict(8, 10, [1.0] * 10, [0.5] * 10, lower=True).startswith("gain not met: won 8 of 10")
+    assert tool.verdict(9, 10, [1.0] * 10, [1.0] * 10, lower=True).startswith("gain not met")  # a tie
 
 
 def test_each_run_compiles_its_sources_afresh(monkeypatch, tmp_path):

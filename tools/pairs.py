@@ -15,8 +15,10 @@ is unset), so neither side pays to compile a module it imports late.  For
 every end-to-end metric that CHANGE's BENCHMARK.json declares, it prints the
 change/parent ratio of each pair, the median ratio, and the number of pairs
 the change won (a tie counts for neither side), then each side's median and
-quartiles; last, in how many pairs ``trajectory_sha256`` matched, and each
-pair's failed ops.
+quartiles, then a verdict: "gain met" when the change won at least nine
+tenths of the pairs and its median is better than the parent's by more than
+the parent's interquartile range, "gain not met" otherwise.  Last, in how
+many pairs ``trajectory_sha256`` matched, and each pair's failed ops.
 """
 
 from __future__ import annotations
@@ -58,8 +60,10 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
         )
         sides = [(side, [run[i]["metrics"][name] for run in pairs]) for i, side in enumerate(("parent", "change"))]
         lines.append("  " + ", ".join(
-            f"{side} median {statistics.median(values):.6g} quartiles {_quartiles(values)}" for side, values in sides
+            f"{side} median {statistics.median(values):.6g} quartiles " + "{:.6g}-{:.6g}".format(*_quartiles(values))
+            for side, values in sides
         ))
+        lines.append("  " + verdict(wins, len(pairs), sides[0][1], sides[1][1], lower))
     same = [parent["digest"] == change["digest"] != "" for parent, change in pairs]
     lines.append(f"trajectory_sha256 matched in {sum(same)} of {len(pairs)} pairs")
     failed = [(parent["failed"], change["failed"]) for parent, change in pairs]
@@ -67,11 +71,26 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
     return lines
 
 
-def _quartiles(values: list[float]) -> str:
+def verdict(wins: int, n: int, parent: list[float], change: list[float], lower: bool) -> str:
+    """Whether the change's gain on one metric counts: it won at least nine
+    tenths of the ``n`` pairs (ties count for neither side), and the medians
+    differ in its favour by more than the parent's interquartile range."""
+    needed = -(-9 * n // 10)
+    gap = statistics.median(parent) - statistics.median(change)
+    gap = gap if lower else -gap
+    q1, q3 = _quartiles(parent)
+    met = wins >= needed and gap > q3 - q1
+    return (
+        f"gain {'met' if met else 'not met'}: won {wins} of {n} ({needed} needed),"
+        f" median gap {gap:.6g} {'>' if gap > q3 - q1 else '<='} parent IQR {q3 - q1:.6g}"
+    )
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
-        return f"{values[0]:.6g}-{values[0]:.6g}"
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{q1:.6g}-{q3:.6g}"
+    return q1, q3
 
 
 def run_once(checkout: Path, args) -> dict:
