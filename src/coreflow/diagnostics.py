@@ -6,9 +6,11 @@ compare it against the gradient-flow prediction evaluated at the step's
 start.  Each perturbation-based check also verifies that its residual shrinks
 when the perturbation radius is halved, so the percentage tolerance is not
 load-bearing on its own.  Every one-step check reads a ``Probe`` of its
-instance: the loss, dL/dT and core gradients at the point, taken once, and
-each step a check asks for, taken once per config and shared by every report
-made from the probe.
+instance: the loss, dL/dT and core gradients at the point, taken once in one
+error-state scope, and each step a check asks for, taken once per config and
+shared by every report made from the probe.  Every ratio a check reads treats
+0/0 as an exact agreement: a relative residual reads 0.0, and a halving ratio
+or shrink reads 4.0; any other ratio over 0 reads inf.
 
 Two residuals are reported.  The raw residual compares the plain one-step
 secant with the prediction.  The flow residual first removes the
@@ -187,10 +189,15 @@ class Probe:
     @classmethod
     def at(cls, spec: ReconstructionSpec, cores, objective, forward=None) -> Probe:
         """The probe at ``cores``: one forward, unless the caller hands over what
-        ``spec.compiled.forward`` returned for them, and one reverse pass."""
-        out, kept = forward or quietly(spec.compiled.forward, spec.operands(cores))
-        loss, dl = objective.loss_and_grad(out)
-        grads = grad_cores(spec, cores, dl, kept)
+        ``spec.compiled.forward`` returned for them, and one reverse pass, all in
+        one error-state scope."""
+
+        def taken():
+            out, kept = forward or spec.compiled.forward(spec.operands(cores))
+            loss, dl = objective.loss_and_grad(out)
+            return loss, dl, grad_cores(spec, cores, dl, kept)
+
+        loss, dl, grads = quietly(taken)
         probe = cls(spec, cores, objective, loss, dl, grads)
         probe._taken[_point_key(cores)] = (loss, grads)
         return probe
@@ -227,11 +234,8 @@ def check_sgd_conservation(probe: Probe, eta: float) -> TheoremCheckReport:
     half = probe.step(SgdConfig(eta / 2.0))[0]
     dq_full = qs[1] - qs[0]
     dq_half = norm_deviation(norms_sq(half)) - qs[0]
-    ratio = abs(dq_full) / abs(dq_half) if dq_half != 0.0 else math.inf
-    max_step_dq = max(
-        (abs(b - a) for a, b in zip(qs[:-1], qs[1:])), default=0.0
-    )
-    passed = _SGD_HALVING_BAND[0] <= ratio <= _SGD_HALVING_BAND[1]
+    ratio = _ratio(abs(dq_full), abs(dq_half), 4.0)
+    max_step_dq = max((abs(b - a) for a, b in zip(qs[:-1], qs[1:])), default=0.0)
     return TheoremCheckReport(
         check="sgd_q_conservation",
         measured=dq_full,
@@ -239,7 +243,7 @@ def check_sgd_conservation(probe: Probe, eta: float) -> TheoremCheckReport:
         abs_residual=abs(dq_full),
         rel_residual=abs(dq_full) / (1.0 + qs[0]),
         params={"eta": eta, "steps": _SGD_CONSERVATION_STEPS},
-        passed=passed,
+        passed=_SGD_HALVING_BAND[0] <= ratio <= _SGD_HALVING_BAND[1],
         details={"eta_halving_ratio": ratio, "max_step_dq": max_step_dq},
     )
 
@@ -301,80 +305,61 @@ def _sam_step(probe: Probe, rho: float, eta: float) -> tuple:
     return step
 
 
-@dataclass(frozen=True)
-class _LawMeasurement:
-    measured: float  # raw one-step change of the quantity at rho
-    predicted: float  # the law at rho
-    raw_residual: float  # |measured - predicted|
-    flow_residual: float  # |first-order change of the flow part - law| at rho
-    shrink: float  # flow residual at rho over that at rho/2
-    cov: float  # Cov of the group's squared norms and gradient norms
+def _ratio(num, den, agreed) -> float:
+    """``num / den``; 0/0 is an exact agreement and reads ``agreed``, anything
+    else over 0 reads inf."""
+    if den != 0.0:
+        return num / den
+    return agreed if num == 0.0 else math.inf
 
 
-def _measure_law(probe: Probe, rho, eta, value, first_order, law, group=slice(None)) -> _LawMeasurement:
-    """A quantity of the squared norms of the cores in ``group`` (a slice of the
-    probe's cores) over its SAM steps at ``rho`` and rho/2: ``value(s)`` is the
-    quantity, ``first_order(s0, ds)`` its first-order change and
-    ``law(eta, rho, u, s0, gamma)`` the change the flow theorem predicts.
+def _law_report(
+    check, probe: Probe, rho, eta, value, first_order, law, params, group=slice(None), **details
+) -> TheoremCheckReport:
+    """The row of a SAM law for a quantity of the squared norms of the cores in
+    ``group`` (a slice of the probe's cores), from the probe's SAM steps at
+    ``rho`` and rho/2: ``value(s)`` is the quantity, ``first_order(s0, ds)``
+    its first-order change and ``law(eta, rho, u, s0, gamma)`` the change the
+    flow theorem predicts.  ``params`` join rho and eta, and each of
+    ``details`` maps (s0, gamma) at ``rho`` to a detail of the row.
     The flow part of each squared-norm change is -2*eta*<G_k, g~_k>: the
     secant with its exactly-known eta^2 term removed.
     """
     steps = []
     for radius in (rho, rho / 2.0):
         new, rec, g_tilde = _sam_step(probe, radius, eta)
-        s0 = np.asarray(rec.core_norms_sq[group])
-        gamma = np.asarray(rec.grad_norms_sq[group])
-        ds_flow = np.asarray(
-            [
-                -2.0 * eta * frobenius_inner(c, gt)
-                for c, gt in zip(probe.cores[group], g_tilde[group])
-            ]
-        )
+        s0, gamma = np.asarray(rec.core_norms_sq[group]), np.asarray(rec.grad_norms_sq[group])
+        inner = [frobenius_inner(c, gt) for c, gt in zip(probe.cores[group], g_tilde[group])]
+        ds_flow = -2.0 * eta * np.asarray(inner)
         predicted = law(eta, radius, rec.u, s0, gamma)
-        flow_res = abs(first_order(s0, ds_flow) - predicted)
-        steps.append((new, s0, gamma, predicted, flow_res))
+        steps.append((new, s0, gamma, predicted, abs(first_order(s0, ds_flow) - predicted)))
     (new, s0, gamma, predicted, flow_res), (*_, flow_res_h) = steps
     measured = value(np.asarray(norms_sq(new[group]))) - value(s0)
-    return _LawMeasurement(
-        measured=measured,
-        predicted=predicted,
-        raw_residual=abs(measured - predicted),
-        flow_residual=flow_res,
-        shrink=flow_res / flow_res_h if flow_res_h != 0.0 else math.inf,
-        cov=norm_grad_covariance(s0, gamma),
-    )
-
-
-def _law_report(check, law, params, rel, shrink, **details):
+    raw = abs(measured - predicted)
+    rel, shrink = _ratio(raw, abs(predicted), 0.0), _ratio(flow_res, flow_res_h, 4.0)
     return TheoremCheckReport(
         check=check,
-        measured=law.measured,
-        predicted=law.predicted,
-        abs_residual=law.raw_residual,
+        measured=measured,
+        predicted=predicted,
+        abs_residual=raw,
         rel_residual=rel,
-        params=params,
+        params={"rho": rho, "eta": eta, **params},
         passed=rel <= _LAW_REL_TOL and _LAW_SHRINK_BAND[0] <= shrink <= _LAW_SHRINK_BAND[1],
         details={
-            "flow_residual": law.flow_residual,
+            "flow_residual": flow_res,
             "rho_halving_shrink": shrink,
-            **details,
+            **{name: stat(s0, gamma) for name, stat in details.items()},
         },
     )
-
-
-def _q_report(check, probe: Probe, rho, eta, group, **params) -> TheoremCheckReport:
-    """The SAM covariance law for the one-step dQ of the cores in ``group``."""
-    law = _measure_law(probe, rho, eta, norm_deviation, _linearized_dq, _q_law, group)
-    p = law.predicted
-    rel = law.raw_residual / abs(p) if p != 0.0 else math.inf
-    params = {"rho": rho, "eta": eta, **params}
-    return _law_report(check, law, params, rel, law.shrink, cov=law.cov)
 
 
 def check_sam_q_dynamics(probe: Probe, rho: float, eta: float) -> TheoremCheckReport:
     """One-step dQ under SAM vs the covariance law eta*4*rho*u*K*Cov.
     Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
-    return _q_report("sam_q_dynamics", probe, rho, eta, slice(None))
+    return _law_report(
+        "sam_q_dynamics", probe, rho, eta, norm_deviation, _linearized_dq, _q_law, {},
+        cov=norm_grad_covariance,
+    )
 
 
 def check_pairwise_sam_dynamics(
@@ -386,18 +371,9 @@ def check_pairwise_sam_dynamics(
     def gap(values):
         return float(values[i] - values[j])
 
-    law = _measure_law(
-        probe, rho, eta, gap, lambda s0, ds: gap(ds),
-        lambda eta, rho, u, s0, gamma: eta * 2.0 * rho * u * gap(gamma),
-    )
-    if law.predicted == 0.0:
-        rel = 0.0 if law.measured == 0.0 else math.inf
-    else:
-        rel = law.raw_residual / abs(law.predicted)
-    shrink = 4.0 if i == j else law.shrink  # i == j: both residuals are zero
     return _law_report(
-        "sam_pairwise_dynamics", law,
-        {"rho": rho, "eta": eta, "i": i, "j": j}, rel, shrink,
+        "sam_pairwise_dynamics", probe, rho, eta, gap, lambda s0, ds: gap(ds),
+        lambda eta, rho, u, s0, gamma: eta * 2.0 * rho * u * gap(gamma), {"i": i, "j": j},
     )
 
 
@@ -411,19 +387,12 @@ def check_das_matches_sam(probe: Probe, rho: float, eta: float) -> TheoremCheckR
     q0 = norm_deviation(s0)
     dq_sam = norm_deviation(norms_sq(new_sam)) - q0
     dq_das = norm_deviation(norms_sq(new_das)) - q0
-
-    rel = abs(dq_das - dq_sam) / abs(dq_sam) if dq_sam != 0.0 else math.inf
-
+    rel = _ratio(abs(dq_das - dq_sam), abs(dq_sam), 0.0)
     lams = np.asarray(rec_das.lambdas)
     scaled = (1.0 + lams) ** 2 * s0
     dq_scale_measured = norm_deviation(scaled) - q0
     dq_scale_analytic = float(4.0 * np.add.reduce(_centered(s0) * lams * s0, None))
-    if dq_scale_measured == 0.0:
-        sub_rel = 0.0 if dq_scale_analytic == 0.0 else math.inf
-    else:
-        sub_rel = abs(dq_scale_analytic - dq_scale_measured) / abs(dq_scale_measured)
-
-    passed = rel <= _DAS_MATCH_TOL and sub_rel <= _DAS_SUBSTEP_TOL
+    sub_rel = _ratio(abs(dq_scale_analytic - dq_scale_measured), abs(dq_scale_measured), 0.0)
     return TheoremCheckReport(
         check="das_matches_sam",
         measured=dq_das,
@@ -431,7 +400,7 @@ def check_das_matches_sam(probe: Probe, rho: float, eta: float) -> TheoremCheckR
         abs_residual=abs(dq_das - dq_sam),
         rel_residual=rel,
         params={"rho": rho, "alpha": rho, "eta": eta},
-        passed=passed,
+        passed=rel <= _DAS_MATCH_TOL and sub_rel <= _DAS_SUBSTEP_TOL,
         details={
             "scaling_dq_measured": dq_scale_measured,
             "scaling_dq_analytic": dq_scale_analytic,
@@ -444,4 +413,7 @@ def check_layerwise_q(probe: Probe, rho: float, eta: float, layer: int) -> Theor
     """Layer-wise dQ_l under multi-layer SAM vs eta*4*rho*u_D*K_l*Cov_l on the
     spec's group ``layer``.  Passes at rel_residual <= 0.05 with a rho-halving shrink in [1.5, 4.5]."""
     start, size = sum(probe.spec.groups[:layer]), probe.spec.groups[layer]
-    return _q_report("layerwise_q_dynamics", probe, rho, eta, slice(start, start + size), layer=layer)
+    return _law_report(
+        "layerwise_q_dynamics", probe, rho, eta, norm_deviation, _linearized_dq, _q_law,
+        {"layer": layer}, slice(start, start + size), cov=norm_grad_covariance,
+    )

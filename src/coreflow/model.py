@@ -24,6 +24,7 @@ from .tensor import (
     ContractionPlan,
     FlatViews,
     Shape,
+    _alone,
     _scope,
     as_tensor,
     compile_plan,
@@ -158,11 +159,14 @@ def grad_cores(
     get no gradient.  ``kept`` is what ``spec.compiled.forward`` returned for
     these cores' operands, handed to the reverse pass as it is; without it
     the pass is a standalone ``contract_grads``, its own forward first."""
+    if not _scope.open:  # called on its own
+        return quietly(_grad_cores, spec, cores, dl_dt, kept)
     if kept is None:
         return contract_grads(spec.plan, spec.operands(cores), dl_dt, spec.core_slots)
-    if _scope.open:
-        return spec.compiled.gradients(kept, dl_dt, spec.core_slots)
-    return quietly(spec.compiled.gradients, kept, dl_dt, spec.core_slots)
+    return spec.compiled.gradients(kept, dl_dt, spec.core_slots)
+
+
+_grad_cores = _alone(grad_cores)
 
 
 def check_scale_invariance(
@@ -178,10 +182,13 @@ def check_scale_invariance(
         raise ShapeMismatch(f"expected {spec.num_cores} scalars")
     if abs(math.prod(scalars) - 1.0) > 1e-12:
         raise ValueError(f"scalar product {math.prod(scalars)} != 1")
-    base = reconstruct(spec, cores)
-    scaled = reconstruct(spec, [as_tensor(c * g) for c, g in zip(scalars, cores)])
-    residual = math.sqrt(frobenius_norm_sq(scaled - base))
-    base_norm = math.sqrt(frobenius_norm_sq(base))
+
+    def norms():
+        base = reconstruct(spec, cores)
+        scaled = reconstruct(spec, [as_tensor(c * g) for c, g in zip(scalars, cores)])
+        return math.sqrt(frobenius_norm_sq(scaled - base)), math.sqrt(frobenius_norm_sq(base))
+
+    residual, base_norm = quietly(norms)
     if base_norm == 0.0:
         warnings.warn(
             "zero reconstruction; returning absolute residual",

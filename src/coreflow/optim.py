@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,15 +43,9 @@ import numpy as np
 
 from .errors import CoreflowError, NumericalError, ShapeMismatch, ZeroCoreNorm
 from .model import ReconstructionSpec, grad_cores
-from .tensor import FlatViews, _scope, carried, quietly, sizes_of
+from .tensor import FlatViews, _alone, _scope, carried, quietly, sizes_of
 
 _TINY_NORM_SQ = 1e-300
-
-
-def _alone(fn):
-    """``fn``'s own code under the private name ``_<name>``: what ``fn`` runs
-    inside the scope it opens when called on its own."""
-    return types.FunctionType(fn.__code__, fn.__globals__, "_" + fn.__name__, fn.__defaults__)
 
 
 @dataclass(frozen=True)

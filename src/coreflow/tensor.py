@@ -37,6 +37,7 @@ import math
 import operator
 import struct
 import threading
+import types
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,6 +104,12 @@ def quietly(fn, *args):
             return fn(*args)
     finally:
         _scope.open = False
+
+
+def _alone(fn):
+    """``fn``'s own code under the private name ``_<name>``: what ``fn`` runs
+    inside the scope it opens when called on its own."""
+    return types.FunctionType(fn.__code__, fn.__globals__, "_" + fn.__name__, fn.__defaults__)
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, context: str = "operands") -> None:

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,14 +22,22 @@ from coreflow.diagnostics import (
     norm_grad_covariance,
     _drift_bounds,
     _linearized_dq,
+    _ratio,
     trajectory_rows,
     trajectory_stats,
     write_trajectory_csv,
 )
 from coreflow import experiments, optim
-from coreflow.errors import LengthMismatch, ZeroGradient
+from coreflow.errors import LengthMismatch, NumericalError, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
-from coreflow.model import LayeredModel, custom_spec, random_cores, reconstruct
+from coreflow.model import (
+    LayeredModel,
+    custom_spec,
+    layered_spec,
+    random_cores,
+    reconstruct,
+    tucker2_spec,
+)
 from coreflow.objective import MaskedMse, r2_score
 from coreflow.optim import (
     DasConfig,
@@ -386,6 +395,81 @@ class TestSamQDynamics:
         obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
         with pytest.raises(ZeroGradient):
             check_sam_q_dynamics(Probe.at(spec, cores, obj), rho=1e-3, eta=1e-5)
+
+
+class TestExactAgreement:
+    """A measurement that equals its law exactly (0 over 0) passes: a relative
+    residual reads 0.0, and a halving ratio or shrink reads 4.0, the
+    second-order ratio the bands sit around."""
+
+    @staticmethod
+    def symmetric(spec_of=lambda spec: spec):
+        # symmetric two-core scalar product: every measured and predicted change is 0.0
+        spec = custom_spec("i,j->ij", [(1,), (1,)])
+        obj = MaskedMse(as_tensor([[1.0]]), as_tensor([[1.0]]))
+        return Probe.at(spec_of(spec), [as_tensor([2.0]), as_tensor([2.0])], obj)
+
+    @staticmethod
+    def assert_agreed(rep):
+        assert (rep.measured, rep.predicted, rep.rel_residual) == (0.0, 0.0, 0.0)
+        assert rep.passed, rep.lines()
+
+    def test_law_rows(self):
+        probe = self.symmetric()
+        layered = self.symmetric(lambda spec: layered_spec([spec], as_tensor([[1.0]])))
+        rows = [
+            check_sam_q_dynamics(probe, 1e-3, 1e-5),
+            check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 0, 1),
+            check_pairwise_sam_dynamics(probe, 1e-3, 1e-5, 1, 1),
+            check_layerwise_q(layered, 1e-3, 1e-5, 0),
+        ]
+        for rep in rows:
+            self.assert_agreed(rep)
+            assert rep.details["rho_halving_shrink"] == 4.0
+
+    def test_das_matches_sam(self):
+        rep = check_das_matches_sam(self.symmetric(), rho=1e-3, eta=1e-4)
+        self.assert_agreed(rep)
+        assert rep.details["scaling_rel_residual"] == 0.0
+
+    def test_zero_gradient_layer(self):
+        s = custom_spec("a,b->ab", [(1,), (1,)])
+        cores = [as_tensor([1.0]), as_tensor([1.0]), as_tensor([0.0]), as_tensor([1.0])]
+        obj = MaskedMse(as_tensor([[2.0]]), as_tensor([[1.0]]))
+        probe = Probe.at(layered_spec([s, s], as_tensor([[1.0]])), cores, obj)
+        rep = check_layerwise_q(probe, rho=1e-3, eta=1e-5, layer=0)
+        self.assert_agreed(rep)
+        assert rep.details["rho_halving_shrink"] == 4.0
+
+    def test_sgd_stationary_point(self, rng):
+        spec = custom_spec("ij,jk->ik", [(3, 2), (2, 3)])
+        cores = random_cores(spec, rng, 0.4)
+        target = reconstruct(spec, cores)  # zero residual, zero gradient
+        obj = MaskedMse(target, as_tensor(np.ones(target.shape)))
+        rep = check_sgd_conservation(Probe.at(spec, cores, obj), eta=1e-3)
+        assert rep.details == {"eta_halving_ratio": 4.0, "max_step_dq": 0.0}
+        assert rep.passed
+
+    def test_only_zero_over_zero_agrees(self):
+        assert _ratio(0.0, 0.0, 4.0) == 4.0 and _ratio(0.0, 0.0, 0.0) == 0.0
+        assert _ratio(1e-300, 0.0, 0.0) == math.inf and _ratio(1.0, 0.0, 4.0) == math.inf
+        assert _ratio(3.0, 2.0, 0.0) == 1.5 and _ratio(0.0, 2.0, 4.0) == 0.0
+
+
+class TestProbeAt:
+    def test_one_error_state_scope(self, rng, monkeypatch):
+        # the forward is finite, but the loss of cores scaled by 1e60 overflows
+        spec = tucker2_spec(4, 3, 2, 2)
+        cores = [as_tensor(c * 1e60) for c in random_cores(spec, rng)]
+        obj = MaskedMse(as_tensor(np.zeros(spec.output_shape)), as_tensor(np.ones(spec.output_shape)))
+        entries = []
+        errstate = np.errstate
+        monkeypatch.setattr(np, "errstate", lambda **kwargs: entries.append(kwargs) or errstate(**kwargs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite loss"):
+                Probe.at(spec, cores, obj)
+        assert entries == [{"over": "ignore", "invalid": "ignore"}]
 
 
 class TestGradientPasses:

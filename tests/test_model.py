@@ -1,13 +1,14 @@
 import copy
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coreflow.errors import LabelError, ShapeMismatch
+from coreflow.errors import LabelError, NumericalError, ShapeMismatch
 from coreflow.objective import MaskedMse
 from coreflow.optim import gradient_fn
 from coreflow.model import (
@@ -354,6 +355,16 @@ class TestScaleInvariance:
         spec = tucker2_spec(3, 3, 2, 2)
         with pytest.raises(ValueError):
             check_scale_invariance(spec, random_cores(spec, rng), [2.0, 2.0, 2.0])
+
+    def test_overflowing_rescale_raises_without_a_warning(self, rng):
+        # the base reconstruction is finite, but 1e150 * 1e200 overflows
+        spec = tucker2_spec(4, 3, 2, 2)
+        c0, c1, c2 = random_cores(spec, rng)
+        cores = [as_tensor(c0 * 1e150), as_tensor(c1 * 1e-150), c2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                check_scale_invariance(spec, cores, [1e200, 1e-200, 1.0])
 
 
 class TestDirectionalIdentity:

@@ -985,15 +985,18 @@ class TestErrorStateScope:
         run(spec, cores, obj, self.CONFIGS[name], 5)
         assert entries == [{"over": "ignore", "invalid": "ignore"}] * 5
 
-    ON_ITS_OWN = ("base_step", "loss_and_core_grads", "plain_step", "sam_step", "das_step")
+    ON_ITS_OWN = ("base_step", "grad_cores", "loss_and_core_grads", "plain_step", "sam_step", "das_step")
 
     @pytest.mark.parametrize("entry", ON_ITS_OWN)
     def test_a_call_on_its_own_enters_one_scope(self, entry, rng, monkeypatch):
         spec, cores, obj = self.problem(rng)
         grads_of = gradient_fn(spec, obj)
         g, adam = grads_of(cores)[1], self.CONFIGS["adam"]
+        kept = tensor.quietly(spec.compiled.forward, spec.operands(cores))[1]
+        dl = obj.loss_and_grad(reconstruct(spec, cores))[1]
         calls = {
             "base_step": lambda: base_step(cores, g, adam, init_state(adam, cores)),
+            "grad_cores": lambda: grad_cores(spec, cores, dl, kept),
             "loss_and_core_grads": lambda: loss_and_core_grads(spec, cores, obj),
             "plain_step": lambda: plain_step(grads_of, cores, adam, init_state(adam, cores)),
             "sam_step": lambda: sam_step(grads_of, cores, self.CONFIGS["sam"], init_state(adam, cores)),
@@ -1013,7 +1016,7 @@ class TestErrorStateScope:
     @pytest.mark.parametrize("entry", ON_ITS_OWN)
     def test_a_call_on_its_own_reruns_its_own_code(self, entry):
         public = getattr(coreflow.optim, entry)
-        alone = getattr(coreflow.optim, "_" + entry)
+        alone = getattr(sys.modules[public.__module__], "_" + entry)
         assert alone is not public and alone.__code__ is public.__code__
         assert alone.__defaults__ == public.__defaults__
 

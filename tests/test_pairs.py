@@ -110,3 +110,35 @@ def test_each_run_compiles_its_sources_afresh(monkeypatch, tmp_path):
         assert tool.run_once(tmp_path / side, args)["digest"] == "aa"
     assert seen == [(tmp_path / "parent", "1", False, []), (tmp_path / "change", "1", False, [])]
     assert all((tmp_path / side / "tests/__pycache__").exists() for side in ("parent", "change"))
+
+
+def test_both_sides_run_from_copies_at_paths_of_equal_length(monkeypatch, tmp_path, capsys):
+    # checkouts at paths of different lengths; each copy holds its own perfbench/run.py,
+    # none of the skipped directories, and is gone once main returns
+    tool = load_tool()
+    checkouts = {"parent": tmp_path / "p", "change": tmp_path / "a-much-longer-checkout-path"}
+    for side, root in checkouts.items():
+        for skipped in (".git", "__pycache__", ".bench_out", ".hypothesis", ".pytest_cache"):
+            (root / skipped).mkdir(parents=True)
+        (root / "perfbench").mkdir()
+        (root / "perfbench" / "run.py").write_text(f"# {side}\n")
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        cwd = kwargs["cwd"]
+        skipped = [p.name for p in cwd.iterdir() if p.name.startswith((".", "_"))]
+        seen.append((cwd, (cwd / "perfbench" / "run.py").read_text(), skipped))
+        return subprocess.CompletedProcess(cmd, 0, stdout=perfbench_output(50.0, 20.0, "aa"))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "theorem-suite",
+            "--pairs", "2", "--seconds", "1"]
+    assert tool.main(argv) == 0
+    assert [text for _, text, _ in seen] == ["# parent\n", "# change\n", "# change\n", "# parent\n"]
+    assert all(skipped == [] for _, _, skipped in seen)
+    parent, change = seen[0][0], seen[1][0]
+    assert parent.parent == change.parent and len(str(parent)) == len(str(change))
+    assert {cwd for cwd, _, _ in seen} == {parent, change}
+    assert not parent.parent.exists()
+    assert "trajectory_sha256 matched in 2 of 2 pairs" in capsys.readouterr().out

@@ -2,13 +2,17 @@
 
     python3 tools/pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed K]
 
-PARENT and CHANGE are checkouts of the repository.  Each pair runs
+PARENT and CHANGE are checkouts of the repository.  Both are first copied
+into one temporary directory, as ``parent/`` and ``change/`` (names of equal
+length), without ``.git``, ``__pycache__``, ``.bench_out``, ``.hypothesis``
+or ``.pytest_cache``, so both sides run from paths of equal length wherever
+the checkouts sit; the copies are removed at the end.  Each pair runs
 ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` once in
-each checkout, one after the other; the order alternates from pair to pair,
+each copy, one after the other; the order alternates from pair to pair,
 so a stretch of host load falls on both sides alike.  Every run compiles
-its checkout's own code afresh: the checkout's ``src/**/__pycache__`` and
+its copy's own code afresh: the copy's ``src/**/__pycache__`` and
 ``perfbench/__pycache__`` are deleted first, and the run writes no bytecode
-(``PYTHONDONTWRITEBYTECODE=1``), so bytecode left in either checkout, maybe
+(``PYTHONDONTWRITEBYTECODE=1``), so bytecode left in either copy, maybe
 from the other tree's sources, moves neither side's set-up time.  numpy and
 the standard library load their installed bytecode (``PYTHONPYCACHEPREFIX``
 is unset), so neither side pays to compile a module it imports late.  For
@@ -30,7 +34,10 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+_NOT_COPIED = (".git", "__pycache__", ".bench_out", ".hypothesis", ".pytest_cache")
 
 
 def parse_run(stdout: str) -> dict:
@@ -117,13 +124,17 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
-    for i in range(args.pairs):
-        if i % 2 == 0:
-            pairs.append((run_once(args.parent, args), run_once(args.change, args)))
-        else:
-            change = run_once(args.change, args)
-            pairs.append((run_once(args.parent, args), change))
-        print(f"pair {i + 1} of {args.pairs} done ({'parent' if i % 2 == 0 else 'change'} first)", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        parent, change = Path(tmp, "parent"), Path(tmp, "change")
+        for checkout, copy in ((args.parent, parent), (args.change, change)):
+            shutil.copytree(checkout, copy, ignore=shutil.ignore_patterns(*_NOT_COPIED))
+        for i in range(args.pairs):
+            if i % 2 == 0:
+                pairs.append((run_once(parent, args), run_once(change, args)))
+            else:
+                change_run = run_once(change, args)
+                pairs.append((run_once(parent, args), change_run))
+            print(f"pair {i + 1} of {args.pairs} done ({'parent' if i % 2 == 0 else 'change'} first)", flush=True)
     for line in summarize(pairs, end_to_end):
         print(line)
     return 0
