@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, ZeroGradient
+from .errors import LengthMismatch, ZeroCoreNorm, ZeroGradient
 from .model import ReconstructionSpec, grad_cores
 from .optim import (
+    _TINY_NORM_SQ,
     DasConfig,
     SamConfig,
     SgdConfig,
@@ -45,7 +46,7 @@ from .optim import (
     run,
     step_of,
 )
-from .tensor import FlatViews, frobenius_inner, frobenius_norm_sq, quietly
+from .tensor import FlatViews, frobenius_inner, quietly
 
 # Pass bounds of the checks.  The residuals they bound are second order in
 # the step (eta for SGD's dQ, rho for the SAM-law residuals), so halving the
@@ -266,7 +267,11 @@ def check_sgd_balanced_bound(probe: Probe, eta: float) -> TheoremCheckReport:
     eta^2*||g_k||^2 parts can separate the norms.  Passes when
     Q <= bound*(1 + 1e-9) + 1e-18 at every recorded step and at the end.
     """
-    balanced = [c / math.sqrt(frobenius_norm_sq(c)) for c in probe.cores]
+    norms = norms_sq(probe.cores)
+    for k, sk in enumerate(norms):
+        if sk < _TINY_NORM_SQ:
+            raise ZeroCoreNorm(f"core {k} has squared norm {sk}")
+    balanced = [c / math.sqrt(sk) for c, sk in zip(probe.cores, norms)]
     final, records = run(probe.spec, balanced, probe.objective, SgdConfig(eta), _SGD_BALANCED_STEPS)
     before, bound = _drift_bounds(records, eta)
     checked = list(zip(trajectory_stats(records)[0], before))  # (Q, bound) per record

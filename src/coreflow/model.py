@@ -80,8 +80,6 @@ class ReconstructionSpec:
         object.__setattr__(self, "groups", groups)
         for slot, shape in zip(core_slots, self.core_shapes):
             labels = self.plan.operand_labels[slot]
-            if len(set(labels)) != len(labels):
-                raise LabelError(f"core slot {labels!r} repeats a label")
             if any(d < 1 for d in shape):
                 raise ShapeMismatch(f"core slot {labels!r}: extents must be >= 1, got {shape}")
         shapes = iter(self.core_shapes)

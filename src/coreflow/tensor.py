@@ -121,9 +121,9 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, context: str = "operands") 
 class ContractionPlan:
     """A labelled contraction, e.g. operands ("ij", "jk") with output "ik".
 
-    Grammar: a label bound to exactly two operand slots is summed; a label
-    appearing once is free and must appear in the output.  More than two
-    occurrences are rejected, as is an output label that is bound or unknown.
+    Grammar: a label appears at most once in each operand and in the output.
+    On two operand slots it is bound and summed; on one it is free and must be
+    an output label.  More slots, or an output label bound or unknown, are rejected.
     """
 
     operand_labels: tuple[str, ...]
@@ -134,6 +134,8 @@ class ContractionPlan:
             raise LabelError("plan needs at least one operand")
         counts: dict[str, int] = {}
         for labels in self.operand_labels:
+            if len(set(labels)) != len(labels):
+                raise LabelError(f"operand {labels!r} repeats a label")
             for ch in labels:
                 if not ch.isalpha():
                     raise LabelError(f"label {ch!r} is not a letter")
@@ -295,8 +297,6 @@ class _Sized(NamedTuple):
 
     reverse: list  # sized (operand gradient, its transpose, accumulator gradient) steps
     out_shape: Shape
-    grad_expand: Shape  # reshape and broadcast shapes that give the
-    grad_shape: Shape   # output gradient the extra labels
     shapes: tuple[Shape, ...]  # the operand shapes
     run_forward: object  # ops -> (output, the accumulators the reverse pass reads)
     run_reverse: dict  # slots -> reverse(ops, accumulators, grad_out) -> sealed FlatViews
@@ -308,10 +308,9 @@ class CompiledPlan:
     Forward, operands fold left to right: each step is a tensordot over the
     labels the accumulator shares with the next operand (a shared label is
     always bound, by the plan grammar, so it is summed the moment its partner
-    arrives).  A label repeated within one operand, which by the grammar
-    appears nowhere else, is first collapsed to its diagonal and summed after
-    the last step.  The rest is a permutation of the free labels.  The fixed
-    order keeps results bit-deterministic across runs on one platform.
+    arrives).  So the last accumulator holds exactly the free labels, and
+    the output is a permutation of it.  The fixed order keeps results
+    bit-deterministic across runs on one platform.
 
     Reverse, one pass back through the same steps turns the gradient of the
     output into the gradient of every requested operand slot: at step i the
@@ -344,37 +343,28 @@ class CompiledPlan:
         self._name = f"#{next(_plan_serials)} {plan.expression()}"  # no two share a filename
         self.context = f"contract {plan.expression()!r}"
         self._grad_context = self.context + " gradient"
-        ops = plan.operand_labels
-        self._diag = tuple(
-            f"{lb}->{''.join(dict.fromkeys(lb))}" if len(set(lb)) != len(lb) else None
-            for lb in ops
-        )
-        self._has_diag = any(self._diag)
-        labels = ["".join(dict.fromkeys(lb)) for lb in ops]
-        out = plan.output_labels
+        ops, out = plan.operand_labels, plan.output_labels
 
-        accs = [labels[0]]
+        accs = [ops[0]]
         self._forward = []
-        for nxt in labels[1:]:
+        for nxt in ops[1:]:
             step, acc = _pair(accs[-1], nxt, "".join(ch for ch in accs[-1] if ch in nxt))
             self._forward.append(step)
             accs.append(acc)
-        self._extra = "".join(ch for ch in accs[-1] if ch not in out)
-        self._sum_axes = tuple(accs[-1].index(ch) for ch in self._extra)
-        self._out_perm = _perm("".join(ch for ch in accs[-1] if ch in out), out)
+        self._out_perm = _perm(accs[-1], out)
 
         # Reverse steps, last operand first; `grad` labels the incoming gradient.
-        grad = out + self._extra
+        grad = out
         self._reverse = []
         for i in range(len(ops) - 1, 0, -1):
-            acc, op = accs[i - 1], labels[i]
+            acc, op = accs[i - 1], ops[i]
             summed = "".join(ch for ch in grad if ch in acc and ch not in op)
             op_grad, got = _pair(acc, grad, summed)
             perm = _perm(got, op)
             summed = "".join(ch for ch in grad if ch in op and ch not in acc)
             acc_grad, grad = _pair(grad, op, summed)
             self._reverse.append((op_grad, perm, acc_grad))
-        self._first_perm = _perm(grad, labels[0])
+        self._first_perm = _perm(grad, ops[0])
         self._sizes: dict[tuple[Shape, ...], _Sized] = {}
 
     def __reduce__(self):
@@ -385,8 +375,8 @@ class CompiledPlan:
         shapes = shapes_of(inputs)
         sized = self._sizes.get(shapes)
         if sized is None:
-            if len(inputs) != len(self._diag):
-                raise ShapeMismatch(f"plan has {len(self._diag)} operands, got {len(inputs)}")
+            if len(inputs) != len(self.plan.operand_labels):
+                raise ShapeMismatch(f"plan has {len(self.plan.operand_labels)} operands, got {len(inputs)}")
             extents = label_extents(self.plan, shapes)
             out_shape = tuple(extents[ch] for ch in self.plan.output_labels)
             forward = [_size_pair(step, extents) for step in self._forward]
@@ -396,8 +386,6 @@ class CompiledPlan:
                     for op_grad, perm, acc_grad in self._reverse
                 ],
                 out_shape,
-                out_shape + (1,) * len(self._extra),
-                out_shape + tuple(extents[ch] for ch in self._extra),
                 shapes,
                 _compiled(self._forward_source(forward), self._filename(shapes), "forward"),
                 {},
@@ -420,8 +408,6 @@ class CompiledPlan:
         for i, step in enumerate(forward, 1):
             lines.append(f"a{i} = {_render_product(step, _acc(i - 1), f'x{i}')}")
         out = _acc(n - 1)
-        if self._sum_axes:
-            out = f"{out}.sum(axis={self._sum_axes})"
         if self._out_perm is not None:
             out = f"{out}.transpose({self._out_perm})"
         kept = "".join(f"a{i}, " for i in range(1, n - 1))
@@ -435,16 +421,8 @@ class CompiledPlan:
             shapes = tuple([sized.shapes[s] for s in slots])
         except IndexError:
             raise ShapeMismatch(f"slots {slots} are not ascending operand indices") from None
-        for s in slots:
-            if self._diag[s] is not None:
-                raise LabelError(
-                    f"operand {self.plan.operand_labels[s]!r} repeats a label; "
-                    "it has no gradient"
-                )
         n = len(sized.shapes)
         body = []
-        if self._extra:
-            body.append(f"g = np.broadcast_to(g.reshape({sized.grad_expand}), {sized.grad_shape})")
         pending = list(slots)  # the reverse pass meets the last slot first
         for i, (op_grad, perm, acc_grad) in zip(range(n - 1, 0, -1), sized.reverse):
             step = []
@@ -478,8 +456,6 @@ class CompiledPlan:
         pass reads: (operands, accumulators, sized steps), to hand to ``gradients``."""
         shapes = inputs.shapes if type(inputs) is FlatViews else tuple(map(_shape, inputs))
         sized = self._sizes.get(shapes) or self._sized(inputs)
-        if self._has_diag:
-            inputs = [x if d is None else np.einsum(d, x) for d, x in zip(self._diag, inputs)]
         out, accs = sized.run_forward(inputs)
         return out, (inputs, accs, sized)
 

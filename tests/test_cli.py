@@ -234,6 +234,7 @@ class TestOutsideInputErrors:
             ("i1,jk->ik", "label '1' is not a letter"),
             ("ij,jk->ii", "output 'ii' repeats a label"),
             ("ij,jk->iz", "output label 'z' missing from operands"),
+            ("ii,ij->j", "operand 'ii' repeats a label"),
         ],
     )
     def test_bad_custom_plan(self, tmp_path, capsys, plan, message):

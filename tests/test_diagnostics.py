@@ -28,7 +28,7 @@ from coreflow.diagnostics import (
     write_trajectory_csv,
 )
 from coreflow import experiments, optim
-from coreflow.errors import LengthMismatch, NumericalError, ZeroGradient
+from coreflow.errors import LengthMismatch, NumericalError, ZeroCoreNorm, ZeroGradient
 from coreflow.experiments import check_instance, layered_instance
 from coreflow.model import (
     LayeredModel,
@@ -369,6 +369,20 @@ class TestSgdConservation:
         rep = check_sgd_balanced_bound(check_instance("tucker2", seed=1), eta=1e-3)
         assert rep.passed
         assert rep.measured <= rep.predicted * (1 + 1e-9) + 1e-18
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero", "underflowing"])
+    def test_balanced_bound_rejects_a_zero_core_as_das_does(self, scale):
+        # a core whose squared norm is 0 in float64 cannot be normalized
+        spec = tucker2_spec(4, 3, 2, 2)
+        cores = random_cores(spec, np.random.default_rng(0))
+        cores[1] = as_tensor(cores[1] * scale)
+        ones = as_tensor(np.ones(spec.output_shape))
+        probe = Probe.at(spec, cores, MaskedMse(ones, ones))
+        with pytest.raises(ZeroCoreNorm) as das:
+            check_das_matches_sam(probe, rho=1e-3, eta=1e-4)
+        with pytest.raises(ZeroCoreNorm) as balanced:
+            check_sgd_balanced_bound(probe, eta=1e-3)
+        assert str(balanced.value) == str(das.value) == "core 1 has squared norm 0.0"
 
 
 class TestSamQDynamics:

@@ -148,6 +148,11 @@ class TestShippedFamilies:
 
 
 class TestReconstruct:
+    def test_constant_repeating_a_label_rejected(self):
+        constant = as_tensor(np.ones((2, 2, 3)))
+        with pytest.raises(LabelError, match="operand 'aab' repeats a label"):
+            ReconstructionSpec(ContractionPlan(("aab", "bc"), "c"), ((3, 4),), (constant, None))
+
     def test_tucker2_identity_factors(self):
         spec = tucker2_spec(2, 2, 2, 2)
         g = as_tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -260,9 +265,8 @@ def random_models(draw):
 
     Every operand pair shares a bond label or not at random, so plans include
     outer-product steps (no shared label) and ring closures; operands carry
-    0-2 free labels, and all label orders are shuffled.  The constant, when
-    there is one, may repeat a label of its own, which the engine collapses
-    to a diagonal and sums at the end.
+    0-2 free labels, and all label orders are shuffled.  No label repeats
+    within an operand: the plan grammar rejects that.
     """
     n = draw(st.integers(2, 4))
     letters = iter("abcdefghijklmnopqrstuvwxyz")
@@ -279,8 +283,6 @@ def random_models(draw):
             free.append(next(letters))
             labels.append(free[-1])
     const = draw(st.sampled_from([None] + list(range(n))))
-    if const is not None and draw(st.booleans()):
-        ops[const] += [next(letters)] * 2
     ops = ["".join(draw(st.permutations(labels))) for labels in ops]
     out = "".join(draw(st.permutations(free)))
     extents = {ch: draw(st.integers(1, 3)) for ch in "".join(ops)}

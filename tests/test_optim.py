@@ -860,7 +860,6 @@ class TestPassOnRandomPlans:
 
     @settings(max_examples=150, deadline=None)
     @given(random_models(), st.booleans(), st.sampled_from(sorted(OBJECTIVES)))
-    @example(plan_model(("aab", "bc"), "c", [(2, 2, 3), (3, 4)], const=0), True, "masked")  # repeated label
     @example(plan_model(("i", "j"), "ij", [(3,), (4,)]), False, "noisy")  # outer product
     @example(plan_model(("aib", "bjc", "cka"), "ijk", [(2, 3, 2), (2, 2, 2), (2, 3, 2)]), True, "noisy")  # ring
     def test_matches_the_standalone_path_bitwise(self, model, carrier, objective):

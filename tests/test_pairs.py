@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
 
 END_TO_END = [
@@ -58,9 +60,11 @@ def test_summary_gives_ratios_medians_wins_and_digests():
         "step_us_p50: ratios 0.900 1.100 0.900  median 0.900  change won 2 of 3 (lower is better)",
         "  parent median 50 quartiles 45-50, change median 45 quartiles 40.5-50",
         "  gain not met: won 2 of 3 (3 needed), median gap 5 <= parent IQR 5",
+        "  within bound 0.25: change median worse by -0.1, parent IQR/median 0.1",
         "ops_per_s: ratios 1.100 1.000 1.200  median 1.100  change won 2 of 3 (higher is better)",
         "  parent median 20 quartiles 20-22.5, change median 22 quartiles 21-26",
         "  gain not met: won 2 of 3 (3 needed), median gap 2 <= parent IQR 2.5",
+        "  within bound 0.25: change median worse by -0.1, parent IQR/median 0.125",
         "trajectory_sha256 matched in 2 of 3 pairs",
         "failed ops (parent, change): 0,0 0,0 0,1",
     ]
@@ -84,6 +88,26 @@ def test_gain_met_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_parent
     ]
     assert tool.verdict(8, 10, [1.0] * 10, [0.5] * 10, lower=True).startswith("gain not met: won 8 of 10")
     assert tool.verdict(9, 10, [1.0] * 10, [1.0] * 10, lower=True).startswith("gain not met")  # a tie
+
+
+@pytest.mark.parametrize(
+    "parent, change, lower, line",
+    [
+        ([100.0, 101.0, 99.0, 100.0, 102.0], [130.0] * 5, True,
+         "worse beyond bound 0.25: change median worse by 0.3, parent IQR/median 0.01"),
+        ([20.0, 20.0, 20.0], [14.0, 15.0, 14.0], False,
+         "worse beyond bound 0.25: change median worse by 0.3, parent IQR/median 0"),
+        ([60.0, 100.0, 140.0, 80.0, 120.0], [90.0, 110.0, 70.0, 130.0, 100.0], True,
+         "unresolved 0.25: change median worse by 0, parent IQR/median 0.4"),
+        ([60.0, 100.0, 140.0, 80.0, 120.0], [50.0, 55.0, 45.0, 58.0, 52.0], True,
+         "within bound 0.25: change median worse by -0.48, parent IQR/median 0.4"),
+        ([100.0] * 5, [110.0, 124.0, 90.0, 120.0, 100.0], True,
+         "within bound 0.25: change median worse by 0.1, parent IQR/median 0"),
+    ],
+    ids=["slower", "fewer-ops", "spread-wider-than-bound", "every-run-beats-a-wide-parent", "inside-bound"],
+)
+def test_no_regression_verdict_reads_the_metric_bound(parent, change, lower, line):
+    assert load_tool().no_regression(parent, change, lower, 0.25) == line
 
 
 def test_each_run_compiles_its_sources_afresh(monkeypatch, tmp_path):

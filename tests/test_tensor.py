@@ -71,7 +71,6 @@ class TestContract:
             ("aib,bjc,cka->ijk", [(2, 3, 2), (2, 2, 2), (2, 3, 2)]),
             ("i,i->", [(5,), (5,)]),
             ("ij->ji", [(3, 2)]),
-            ("ii->", [(4, 4)]),
         ],
     )
     def test_agrees_with_enumeration_oracle(self, expr, shapes, rng):
@@ -108,6 +107,15 @@ class TestContract:
     def test_label_on_three_slots_rejected(self):
         with pytest.raises(LabelError):
             plan("ir,jr,kr->ijk")
+
+    @pytest.mark.parametrize(
+        "make, labels",
+        [(lambda: plan("ii->"), "ii"), (lambda: ContractionPlan(("aab", "bc"), "c"), "aab")],
+        ids=["ii->", "aab,bc->c"],
+    )
+    def test_label_repeated_in_one_operand_rejected(self, make, labels):
+        with pytest.raises(LabelError, match=re.escape(f"operand '{labels}' repeats a label")):
+            make()
 
     def test_free_label_must_reach_output(self):
         with pytest.raises(LabelError):
@@ -180,9 +188,7 @@ def read_only_view(x):
 
 
 # Each shipped family's plan, then custom plans: with 3-D and 2-D transposes,
-# outer products and full contractions (whose operands a step must reshape),
-# and a repeated label in the first operand (summed as an extra label after
-# the last step) or in a later one.
+# outer products and full contractions (whose operands a step must reshape).
 LOWERING_PLANS = [
     "abc,ia,jb,kc->ijk",
     "oa,ab,ib->oi",
@@ -195,8 +201,6 @@ LOWERING_PLANS = [
     "ab,c->acb",
     "i,i->",
     "ab,ab->",
-    "aab,bc->c",
-    "ab,bcc->a",
 ]
 
 
@@ -214,8 +218,7 @@ def lowering_cases(draw):
     if draw(st.booleans()):
         inputs = [np.array(x) for x in inputs]
     g = as_tensor(rng.standard_normal([extents[ch] for ch in p.output_labels]))
-    eligible = [i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb)]
-    slots = draw(st.sets(st.sampled_from(eligible), min_size=1))
+    slots = draw(st.sets(st.sampled_from(range(len(p.operand_labels))), min_size=1))
     return p, inputs, g, tuple(sorted(slots))
 
 
@@ -240,11 +243,11 @@ class TestLoweredSteps:
     @settings(max_examples=100, deadline=None)
     @given(random_models())
     def test_bytes_match_the_unlowered_engine_on_random_plans(self, model):
-        # every ascending subset of the slots that have a gradient, the empty one too
+        # every ascending subset of the slots, the empty one too
         spec, cores, g = model
         p, inputs = spec.plan, spec.operands(cores)
-        eligible = [i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb)]
-        subsets = [s for r in range(len(eligible) + 1) for s in itertools.combinations(eligible, r)]
+        every = range(len(p.operand_labels))
+        subsets = [s for r in range(len(every) + 1) for s in itertools.combinations(every, r)]
         got = [self.evaluate(p, inputs, g, slots) for slots in subsets]
         with unlowered_engine():
             want = [self.evaluate(p, inputs, g, slots) for slots in subsets]
@@ -437,8 +440,8 @@ class TestRenderedCode:
 
     @pytest.mark.parametrize(
         "expr",
-        # the shipped families' plans, two tucker2 layers composed, and repeated labels
-        LOWERING_PLANS[:6] + ["cd,de,ae,fg,gh,ch,ab->fb", "aab,bc->c", "ab,bcc->a"],
+        # the shipped families' plans and two tucker2 layers composed
+        LOWERING_PLANS[:6] + ["cd,de,ae,fg,gh,ch,ab->fb"],
     )
     def test_each_gradient_write_is_one_product_into_place(self, expr, rng):
         # every reverse product is float64, so no write needs a fallback
@@ -446,8 +449,8 @@ class TestRenderedCode:
         extents = {ch: 2 + i for i, ch in enumerate(sorted(set("".join(p.operand_labels))))}
         inputs = [as_tensor(rng.standard_normal([extents[ch] for ch in lb])) for lb in p.operand_labels]
         g = as_tensor(rng.standard_normal([extents[ch] for ch in p.output_labels]))
-        eligible = tuple(i for i, lb in enumerate(p.operand_labels) if len(set(lb)) == len(lb))
-        for slots in [eligible] + [(s,) for s in eligible]:
+        every = tuple(range(len(p.operand_labels)))
+        for slots in [every] + [(s,) for s in every]:
             contract_grads(p, inputs, g, slots)
             reverse = compile_plan(p)._sized(inputs).run_reverse[slots]
             filename = reverse.__code__.co_filename

@@ -21,14 +21,20 @@ change/parent ratio of each pair, the median ratio, and the number of pairs
 the change won (a tie counts for neither side), then each side's median and
 quartiles, then a verdict: "gain met" when the change won at least nine
 tenths of the pairs and its median is better than the parent's by more than
-the parent's interquartile range, "gain not met" otherwise.  Last, in how
-many pairs ``trajectory_sha256`` matched, and each pair's failed ops.
+the parent's interquartile range, "gain not met" otherwise.  Then the
+no-regression verdict under the metric's ``bound`` (a relative amount):
+"worse beyond bound" when the change's median is worse than the parent's by
+more than the bound, "unresolved" when the parent's interquartile range over
+its median is wider than the bound and not every change run beats every
+parent run, "within bound" otherwise.  Last, in how many pairs
+``trajectory_sha256`` matched, and each pair's failed ops.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -51,7 +57,7 @@ def parse_run(stdout: str) -> dict:
 
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[str]:
     """Report lines for (parent run, change run) pairs from ``parse_run``;
-    ``end_to_end`` holds BENCHMARK.json's metric entries (name, better)."""
+    ``end_to_end`` holds BENCHMARK.json's metric entries (name, better, bound)."""
     lines = []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -71,6 +77,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[st
             for side, values in sides
         ))
         lines.append("  " + verdict(wins, len(pairs), sides[0][1], sides[1][1], lower))
+        lines.append("  " + no_regression(sides[0][1], sides[1][1], lower, metric["bound"]))
     same = [parent["digest"] == change["digest"] != "" for parent, change in pairs]
     lines.append(f"trajectory_sha256 matched in {sum(same)} of {len(pairs)} pairs")
     failed = [(parent["failed"], change["failed"]) for parent, change in pairs]
@@ -91,6 +98,29 @@ def verdict(wins: int, n: int, parent: list[float], change: list[float], lower: 
         f"gain {'met' if met else 'not met'}: won {wins} of {n} ({needed} needed),"
         f" median gap {gap:.6g} {'>' if gap > q3 - q1 else '<='} parent IQR {q3 - q1:.6g}"
     )
+
+
+def no_regression(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """Whether the change keeps one metric within its relative ``bound``:
+    worse beyond it when the change's median is worse than the parent's by
+    more than ``bound`` of the parent's median; unresolved when the parent's
+    own spread (interquartile range over median) is wider than ``bound``,
+    unless every change run beats every parent run; within it otherwise.  A
+    parent median of 0 gives no relative amount, and a spread wider than any
+    bound."""
+    median = statistics.median(parent)
+    q1, q3 = _quartiles(parent)
+    worse = (statistics.median(change) - median) / median if median else math.nan
+    worse = worse if lower else -worse
+    spread = (q3 - q1) / median if median else math.nan
+    beats = max(change) < min(parent) if lower else min(change) > max(parent)
+    if worse > bound:
+        state = "worse beyond bound"
+    elif not spread <= bound and not beats:  # a nan spread is not within the bound
+        state = "unresolved"
+    else:
+        state = "within bound"
+    return f"{state} {bound:g}: change median worse by {worse:.3g}, parent IQR/median {spread:.3g}"
 
 
 def _quartiles(values: list[float]) -> tuple[float, float]:
