@@ -305,7 +305,7 @@ def _q_law(eta, rho, u, s0, gamma) -> float:
 def _sam_step(probe: Probe, rho: float, eta: float) -> tuple:
     """The probe's SAM step (plain SGD base) at ``rho``."""
     step = probe.step(SamConfig(rho, SgdConfig(eta)))
-    if step[1].zero_gradient:
+    if step[1].u == 0.0:
         raise ZeroGradient("all core gradients vanish at the probe point")
     return step
 

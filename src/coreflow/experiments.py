@@ -40,7 +40,7 @@ from .diagnostics import (
 from .errors import CoreflowError, ValidationError
 from .model import (
     ReconstructionSpec,
-    _directional_residual,
+    check_directional_identity,
     check_scale_invariance,
     cp_spec,
     custom_spec,
@@ -351,9 +351,8 @@ def suite_lemma_and_invariance(instances) -> list[TheoremCheckReport]:
             spec, cores = probe.spec, probe.cores
             for m in range(spec.num_cores):
                 v = as_tensor(rng.standard_normal(spec.core_shapes[m]))
-                worst_dir = max(
-                    worst_dir, _directional_residual(spec, cores, m, v, probe.dl, probe.grads[m])
-                )
+                residual = check_directional_identity(spec, cores, m, v, probe.dl, probe.grads[m])
+                worst_dir = max(worst_dir, residual)
             scales = rng.uniform(0.5, 2.0, spec.num_cores)
             scales[-1] = 1.0 / np.multiply.reduce(scales[:-1], None)
             worst_scale = max(

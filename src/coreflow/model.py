@@ -202,13 +202,10 @@ def check_directional_identity(
     m: int,
     v: np.ndarray,
     dl_dt: np.ndarray,
+    grad_m: np.ndarray,
 ) -> float:
-    """Residual of <reconstruct(..., v, ...), dl_dt> == <v, grad_m>."""
-    return _directional_residual(spec, cores, m, v, dl_dt, grad_cores(spec, cores, dl_dt)[m])
-
-
-def _directional_residual(spec, cores, m, v, dl_dt, grad_m) -> float:
-    """``check_directional_identity`` given core m's gradient ``grad_m``."""
+    """Residual of <reconstruct(..., v, ...), dl_dt> == <v, grad_m>, with
+    ``grad_m`` core m's gradient for ``dl_dt``."""
     lhs = frobenius_inner(reconstruct_with(spec, cores, m, v), dl_dt)
     rhs = frobenius_inner(v, grad_m)
     return abs(lhs - rhs) / (1.0 + abs(rhs))

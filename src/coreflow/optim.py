@@ -112,31 +112,22 @@ def base_config(cfg: OptimizerConfig) -> SgdConfig | AdamConfig:
 @dataclass
 class OptimizerState:
     """The step counter and the base optimizer's buffers, each one flat array
-    over all cores end to end (None if unused; ``momentum``, ``adam_m`` and
-    ``adam_v`` give per-core views)."""
+    over all cores end to end (None if unused): ``flat_m`` is SGD's momentum
+    or Adam's first moment, ``flat_v`` Adam's second moment."""
 
-    shapes: tuple = ()
     t: int = 0
-    flat_momentum: np.ndarray | None = None
     flat_m: np.ndarray | None = None
     flat_v: np.ndarray | None = None
-
-    def _views(self, flat):
-        return None if flat is None else FlatViews(flat, self.shapes)
-
-    momentum = property(lambda self: self._views(self.flat_momentum))
-    adam_m = property(lambda self: self._views(self.flat_m))
-    adam_v = property(lambda self: self._views(self.flat_v))
 
 
 def init_state(cfg: OptimizerConfig, cores: list[np.ndarray]) -> OptimizerState:
     base = base_config(cfg)
-    state = OptimizerState(tuple(c.shape for c in cores))
+    state = OptimizerState()
     size = sum(c.size for c in cores)
     if isinstance(base, AdamConfig):
         state.flat_m, state.flat_v = np.zeros(size), np.zeros(size)
     elif base.momentum > 0.0:
-        state.flat_momentum = np.zeros(size)
+        state.flat_m = np.zeros(size)
     return state
 
 
@@ -172,7 +163,7 @@ def base_step(
         state.flat_v = v = cfg.beta2 * state.flat_v + (1.0 - cfg.beta2) * (grads * grads)
         step = (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
     elif cfg.momentum > 0.0:
-        state.flat_momentum = step = cfg.momentum * state.flat_momentum + grads
+        state.flat_m = step = cfg.momentum * state.flat_m + grads
     else:
         step = grads
     if shrink != 1.0:  # 1.0 * x is x bit for bit
@@ -199,7 +190,8 @@ class StepRecord(NamedTuple):
 
     Scalars only: a run keeps the record of every step, and builds one per
     step (a named tuple builds faster than a frozen dataclass).  ``u`` is the
-    normalizer SAM and DAS share, 0.0 for a plain step or a zero gradient.
+    normalizer SAM and DAS share, 0.0 for a plain step, and for a SAM or DAS
+    step exactly when every gradient vanishes.
     """
 
     t: int
@@ -207,7 +199,6 @@ class StepRecord(NamedTuple):
     core_norms_sq: tuple[float, ...]
     grad_norms_sq: tuple[float, ...]
     lambdas: tuple[float, ...] | None = None
-    zero_gradient: bool = False
     u: float = 0.0
 
 
@@ -250,7 +241,7 @@ def sam_step(grads_of, cores, cfg: SamConfig, state, eta=None, groups=None):
     total = sum(gamma)
     flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
     if total == 0.0:
-        rec = StepRecord(state.t, loss, s, gamma, zero_gradient=True)
+        rec = StepRecord(state.t, loss, s, gamma)
         return base_step(flat, g.flat, cfg.base, state, eta, g.like), rec, g
     u = total ** -0.5
     rec = StepRecord(state.t, loss, s, gamma, u=u)
@@ -308,11 +299,8 @@ def das_step(grads_of, cores, cfg: DasConfig, state, eta=None, groups=None):
     loss, g = grads_of(cores)
     gamma = norms_sq(g)
     s = norms_sq(cores)
-    lams, gbar, u = das_scaling_factors(eta_t, cfg.alpha, s, gamma, groups)
-    rec = StepRecord(
-        state.t, loss, s, gamma,
-        lambdas=tuple(lams), zero_gradient=gbar == 0.0, u=u,
-    )
+    lams, _, u = das_scaling_factors(eta_t, cfg.alpha, s, gamma, groups)
+    rec = StepRecord(state.t, loss, s, gamma, tuple(lams), u)
     flat = cores.flat if type(cores) is FlatViews else carried(cores)[0]
     factors = np.add(1.0, lams).repeat(sizes_of(g.shapes))
     return base_step(flat * factors, g.flat, cfg.base, state, eta_t, g.like), rec, g

@@ -443,7 +443,7 @@ class CompiledPlan:
         grads = [f"d{s}" for s in slots]
         lines = _unpack([f"x{i}" for i in range(n)], "ops")
         lines += _unpack([f"a{i}" for i in range(1, n - 1)], "accs")
-        lines += [f"flat = empty({size})"] + _unpack(grads, _views_of(shapes)) + body
+        lines += [f"flat = empty({size})"] + _unpack(grads, _view_source(shapes)) + body
         lines += _sealing(size, repr(self._grad_context + " produced a non-finite value"))
         lines += [f"{d}.setflags(False)" for d in grads] + _carrier(" ".join(f"{d}," for d in grads), shapes)
         source = ["def reverse(ops, accs, g):"] + [f"    {ln}" for ln in lines]
@@ -506,7 +506,7 @@ def _shape_names(shapes) -> str:
     return ",".join("x".join(map(str, s)) or "()" for s in shapes)
 
 
-def _views_of(shapes) -> str:
+def _view_source(shapes) -> str:
     """Source of the arrays of ``shapes`` end to end in the 1-D array
     ``flat``, as views: ``flat[a:b].reshape(shape),`` per array."""
     ends = tuple(itertools.accumulate(map(math.prod, shapes), initial=0))
@@ -542,7 +542,7 @@ def _layout(shapes: tuple[Shape, ...]):
     size = sum(counts)
     lines = ["def like(flat, context=None):", "    if context is not None:"]
     lines += [f"        {ln}" for ln in _sealing(size, "f'{context} produced a non-finite value'")]
-    lines += [f"    {ln}" for ln in _carrier(_views_of(shapes), shapes)]
+    lines += [f"    {ln}" for ln in _carrier(_view_source(shapes), shapes)]
     like = _compiled(lines, f"<carrier {_shape_names(shapes)}>", "like", {}, cached=False)
     return like, (size,), sizes
 

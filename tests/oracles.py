@@ -146,7 +146,7 @@ def reference_steps(grads_of, cores, cfg, iters, groups=None):
     ``cfg`` is an SGD/momentum, Adam, SAM or DAS config (read by its fields);
     ``grads_of(cores)`` gives (loss, per-core gradients).  Returns the final
     cores and, per step, the tuple (t, loss, core norms^2, gradient norms^2,
-    lambdas, zero_gradient, u) that a StepRecord holds.
+    lambdas, u) that a StepRecord holds.
     """
     base = getattr(cfg, "base", cfg)
     adam = hasattr(base, "beta1")
@@ -183,7 +183,7 @@ def reference_steps(grads_of, cores, cfg, iters, groups=None):
                     first += size
                 lams = tuple(lams)
             start = [(1.0 + lam) * c for lam, c in zip(lams, cores)]
-        records.append((t, loss, s, gamma, lams, zero, u))
+        records.append((t, loss, s, gamma, lams, u))
         shrink = 1.0 - base.eta * base.weight_decay
         new = []
         for k, (c, gk) in enumerate(zip(start, update_grads)):

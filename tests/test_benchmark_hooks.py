@@ -6,6 +6,7 @@ breaks the benchmark.  These tests load both modules from their files,
 without putting ``perfbench/`` on ``sys.path``, and fail when that happens.
 """
 
+import hashlib
 import importlib.util
 import inspect
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from coreflow import experiments, model, optim
-from coreflow.config import parse_config_text
+from coreflow.config import parse_config, parse_config_text
 from coreflow.model import random_cores, reconstruct, tucker2_spec, tucker_spec
 from coreflow.objective import MaskedMse, NoisyTargetMse
 from coreflow.optim import AdamConfig, DasConfig, SamConfig, SgdConfig
@@ -24,6 +25,7 @@ from coreflow.tensor import CompiledPlan, as_tensor
 from test_experiments import DAS_COMPLETION_CFG, NOISE_SWEEP_CFG
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CONFIGS = PERFBENCH.parent / "configs"
 
 
 def load(name):
@@ -158,3 +160,38 @@ def test_layered_draw_builds_each_layer_matrix_once(kind, monkeypatch):
     finally:
         tracer.uninstall()
     assert [forwards.count(spec.plan), grads] == [draws, draws]
+
+
+# The benchmark's five workloads at seed 5, replayed in-process with the
+# settings of perfbench/workloads.py (COMPLETION_ITERS 150, NOISE_ITERS 500,
+# SUITE_SEEDS 4): each digest is the trajectory_sha256 that
+# `perfbench/run.py --seed 5` prints for the workload on this platform.
+@pytest.mark.parametrize(
+    "cfg_name, kind, outputs, digest",
+    [
+        ("completion.cfg", "adam", "trajectory.csv",
+         "31124bfc1b1a0f1196c793b028593bf8a77c1fe4b6cb379f37a5b90af9c9d575"),
+        ("completion.cfg", "sam", "trajectory.csv",
+         "35807b0ba611a3e29d174afb39bafe346e4b14b41992c4f56edae4fb413e6ee7"),
+        ("completion.cfg", "das", "trajectory.csv",
+         "c40f9b27947f957f6fd481958061c1a06145114ba6a428354a36e489dbd9071b"),
+        ("noise_balance.cfg", None, "trajectory_alpha_*.csv",
+         "cd71ac89c4970b103649df9293944a228b37c2a17f638a05a04f615dc3b63f9a"),
+        ("suite.cfg", None, "theorem_reports.txt",
+         "6fac8fb781871d2566000cd0d300565dd4da15fe1e9c597e3ac3c3b7d0543821"),
+    ],
+    ids=["completion-adam", "completion-sam", "completion-das", "noise-tucker2", "theorem-suite"],
+)
+def test_benchmark_workloads_keep_their_digests(cfg_name, kind, outputs, digest, tmp_path):
+    cfg = parse_config(CONFIGS / cfg_name)
+    cfg.seed = 5
+    if cfg_name == "suite.cfg":
+        cfg.suite_seeds = 4
+    elif kind is None:
+        cfg.optimizer.iters = 500
+    else:  # a completion reads its target from the DTF1 file `gen` writes
+        cfg.optimizer.kind, cfg.optimizer.iters = kind, 150
+        cfg.objective.source = experiments.generate_to_files(cfg, str(tmp_path / "data"))["target"]
+    experiments.run_experiment(cfg, str(tmp_path / "out"))
+    blobs = [path.read_bytes() for path in sorted((tmp_path / "out").glob(outputs))]
+    assert blobs and hashlib.sha256(b"".join(blobs)).hexdigest() == digest

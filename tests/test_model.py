@@ -375,7 +375,8 @@ class TestDirectionalIdentity:
         cores = random_cores(spec, rng)
         dl = as_tensor(rng.standard_normal(spec.output_shape))
         v = as_tensor(np.zeros(spec.core_shapes[1]))
-        assert check_directional_identity(spec, cores, 1, v, dl) <= 1e-12
+        grad_1 = grad_cores(spec, cores, dl)[1]
+        assert check_directional_identity(spec, cores, 1, v, dl, grad_1) <= 1e-12
 
     @pytest.mark.parametrize("make", ALL_FAMILIES)
     def test_random_directions(self, make, rng):
@@ -384,7 +385,8 @@ class TestDirectionalIdentity:
         dl = as_tensor(rng.standard_normal(spec.output_shape))
         for m in range(spec.num_cores):
             v = as_tensor(rng.standard_normal(spec.core_shapes[m]))
-            assert check_directional_identity(spec, cores, m, v, dl) <= 1e-10
+            grad_m = grad_cores(spec, cores, dl)[m]
+            assert check_directional_identity(spec, cores, m, v, dl, grad_m) <= 1e-10
 
     def test_direction_equal_to_core_recovers_full_pullback(self, rng):
         # with v = G_m both sides equal <reconstruction, output-grad>
@@ -394,7 +396,7 @@ class TestDirectionalIdentity:
         full = frobenius_inner(reconstruct(spec, cores), dl)
         grads = grad_cores(spec, cores, dl)
         for m in range(spec.num_cores):
-            assert check_directional_identity(spec, cores, m, cores[m], dl) <= 1e-10
+            assert check_directional_identity(spec, cores, m, cores[m], dl, grads[m]) <= 1e-10
             assert frobenius_inner(cores[m], grads[m]) == pytest.approx(
                 full, rel=1e-10
             )
